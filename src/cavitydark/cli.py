@@ -25,7 +25,7 @@ EXIT_USAGE = 1
 EXIT_CHECK_FAILURE = 2
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -39,6 +39,13 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x):
     return f"{float(x):.17g}"
+
+
+def _positive_float(text):
+    value = float(text)
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _parse_range(text, name):
@@ -106,10 +113,7 @@ def _protocol_config(args):
         kwargs["t_steps"] = args.t_steps
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
-    try:
-        return replace(cfg, **kwargs) if kwargs else cfg
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return replace(cfg, **kwargs) if kwargs else cfg
 
 
 def _write_output(args, text):
@@ -136,7 +140,7 @@ def _vector_cells(v):
 
 def run_spectrum(args):
     m = _model.load_model(args.model)
-    scale = args.physical if args.physical else 1.0
+    scale = args.physical or 1.0
     buf = StringIO()
     if m.n_atoms == 2 and m.rwa:
         H = _model.single_excitation_block(m)
@@ -227,18 +231,11 @@ def run_sweep(args):
     cfg = _protocol_config(args)
     ds_lo, ds_hi, ds_n = _parse_range(args.ds_range, "--ds-range")
     dg_lo, dg_hi, dg_n = _parse_range(args.dg_range, "--dg-range")
-    try:
-        result = _proto.sweep(
-            cfg,
-            ds_range=(ds_lo, ds_hi),
-            dg_range=(dg_lo, dg_hi),
-            resolution=(ds_n, dg_n),
-            workers=_proto.resolve_workers(),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    f_scale = args.physical if args.physical else 1.0
-    t_scale = 1.0 / args.physical if args.physical else 1.0
+    result = _proto.sweep(
+        cfg, ds_range=(ds_lo, ds_hi), dg_range=(dg_lo, dg_hi), resolution=(ds_n, dg_n)
+    )
+    f_scale = args.physical or 1.0
+    t_scale = 1.0 / f_scale
     buf = StringIO()
     buf.write("ds,dg,p_max,t_star\n")
     for i, ds in enumerate(result.ds_grid):
@@ -311,10 +308,7 @@ def run_verify(args):
         names = [n for n in (s.strip() for s in args.checks.split(",")) if n]
         if not names:
             raise UsageError("no checks selected")
-    try:
-        results = _checks.run_checks(names=names, seed=args.seed if args.seed is not None else 20260810)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    results = _checks.run_checks(names=names, seed=args.seed if args.seed is not None else 20260810)
     failed = 0
     lines = []
     for r in results:
@@ -341,7 +335,7 @@ def build_parser():
         p.add_argument("--seed", type=int, help="random seed")
         p.add_argument(
             "--physical",
-            type=float,
+            type=_positive_float,
             help="cavity frequency in Hz; rescales reported frequencies and times",
         )
         p.add_argument(
@@ -400,10 +394,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _RUNNERS[args.command](args)
-    except UsageError as exc:
-        print(f"cavitydark: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (_model.ModelFormatError, OSError) as exc:
+    except (ValueError, OSError) as exc:
+        # ValueError includes UsageError, ModelFormatError and library domain checks
         print(f"cavitydark: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -15,14 +15,11 @@ and divided by hbar; time is dimensionless (omega_c * t_physical).
 """
 
 import math
-import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model as _model
-from . import numerics as _num
 from .darkstates import dark_state_degenerate, with_photon_amplitude
 
 OUTCOME_SUCCESS = "dark_success"
@@ -33,14 +30,15 @@ DIST_UNIFORM = "uniform"
 DIST_FIXED = "fixed"
 
 _TRIAL_BLOCK = 4096
+_PAIRS = ([0, 0, 1], [1, 2, 2])  # eigenpairs k < l of the 3x3 block
 
 
 @dataclass(frozen=True)
 class ZSJumpConfig:
     """Protocol parameters, dimensionless unless omega_c says otherwise.
 
-    The default waiting-time window is one cavity period (t_max =
-    2 pi / omega_c): over that horizon the single-cycle yield at the
+    t_max=None makes the waiting-time window one cavity period (see
+    `window`): over that horizon the single-cycle yield at the
     reference shifts sits at the 1e-4 scale.  Longer windows let the
     slow polariton beat build the yield up by orders of magnitude; they
     are legitimate configurations, just not the defaults.
@@ -59,13 +57,16 @@ class ZSJumpConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # reject what CavityModel/AtomParams would reject on the shifted model
+        if not (self.omega_c > 0):
+            raise ValueError("cavity frequency must be positive")
+        if not (self.omega_a > 0 and self.omega_a + self.ds > 0):
+            raise ValueError("atom frequencies omega_a and omega_a + ds must be positive")
         if not (self.g1 > 0 and self.g2 > 0):
             raise ValueError("couplings g1, g2 must be positive")
-        if self.g1 + self.dg < 0:
+        if not (self.g1 + self.dg >= 0):
             raise ValueError("shifted coupling g1 + dg must stay nonnegative")
-        if self.t_max is None:
-            object.__setattr__(self, "t_max", 2 * math.pi / self.omega_c)
-        if not (self.t_max > 0):
+        if self.t_max is not None and not (self.t_max > 0):
             raise ValueError("t_max must be positive")
         if self.t_steps < 2:
             raise ValueError("t_steps must be at least 2")
@@ -80,6 +81,11 @@ class ZSJumpConfig:
     def reference_preset(cls, g1=0.01, **kwargs):
         """Reference parameter set: g2 slaved to g1/2."""
         return cls(g1=g1, g2=g1 / 2, **kwargs)
+
+    @property
+    def window(self):
+        """Waiting-time window: t_max, or one cavity period 2 pi / omega_c."""
+        return 2 * math.pi / self.omega_c if self.t_max is None else self.t_max
 
     def base_model(self):
         return _model.CavityModel(
@@ -126,110 +132,113 @@ class SweepResult:
         }
 
 
-def _amplitude_terms(cfg):
-    """Eigenfrequencies beta_k and weights c_k with
-    lambda(t) = sum_k c_k exp(-i beta_k t)."""
-    H = _model.single_excitation_block(cfg.shifted_model())
-    spec = _num.herm_eig(H)
-    psi0 = np.zeros(3, dtype=complex)
-    psi0[2] = 1.0  # one photon, both atoms ground
-    dark = with_photon_amplitude(dark_state_degenerate(cfg.g1, cfg.g2))
-    V = spec.eigenvectors
-    coef = (V.conj().T @ dark).conj() * (V.conj().T @ psi0)
-    return spec.eigenvalues, coef
+def _amplitude_terms(cfg, ds, dg):
+    """Eigenfrequencies beta_k and real weights c_k = <dark|v_k><v_k|photon>
+    of the shifted block, lambda(t) = sum_k c_k exp(-i beta_k t), for a batch
+    of shifts: ds and dg broadcast to a shape S, both results are S + (3,)."""
+    ds, dg = np.broadcast_arrays(ds, dg)
+    H = np.zeros(ds.shape + (3, 3))
+    H[..., 0, 0] = cfg.omega_a + ds
+    H[..., 1, 1] = cfg.omega_a
+    H[..., 2, 2] = cfg.omega_c
+    H[..., 0, 2] = H[..., 2, 0] = cfg.g1 + dg
+    H[..., 1, 2] = H[..., 2, 1] = cfg.g2
+    betas, V = np.linalg.eigh(H)
+    dark = with_photon_amplitude(dark_state_degenerate(cfg.g1, cfg.g2)).real
+    return betas, (dark @ V) * V[..., 2, :]
 
 
 def dark_amplitude(cfg, t):
     """Dark-state amplitude lambda at switch-off time t (>= 0)."""
     if t < 0:
         raise ValueError("switch-off time must be nonnegative")
-    betas, coef = _amplitude_terms(cfg)
+    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
     return complex(np.sum(coef * np.exp(-1j * betas * t)))
 
 
 def _p_of_times(betas, coef, ts):
-    amps = np.exp(-1j * np.outer(np.asarray(ts, dtype=float), betas)) @ coef
-    return np.clip(np.abs(amps) ** 2, 0.0, 1.0)
+    """Yield p(t) = sum_k c_k^2 + 2 sum_{k<l} c_k c_l cos((beta_k - beta_l) t).
+
+    betas and coef have shape S + (3,); ts broadcasts against S + (T,),
+    and so does the result."""
+    k, l = _PAIRS
+    phase = np.asarray(ts, dtype=float)[..., None] * (betas[..., k] - betas[..., l])[..., None, :]
+    beats = np.cos(phase) @ (2 * coef[..., k] * coef[..., l])[..., None]
+    return np.clip(np.sum(coef**2, axis=-1)[..., None] + beats[..., 0], 0.0, 1.0)
 
 
 def pds_curve(cfg):
-    """(times, yields) on the uniform grid [0, t_max] x t_steps."""
-    betas, coef = _amplitude_terms(cfg)
-    ts = np.linspace(0.0, cfg.t_max, cfg.t_steps)
-    return ts, _p_of_times(betas, coef, ts)
+    """(times, yields) on the uniform grid [0, window] x t_steps."""
+    ts = np.linspace(0.0, cfg.window, cfg.t_steps)
+    return ts, _p_of_times(*_amplitude_terms(cfg, cfg.ds, cfg.dg), ts)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _golden_max(f, lo, hi, xtol=1e-6):
-    a, b = lo, hi
+    """Golden-section maxima of f on the brackets [lo, hi], elementwise:
+    f maps an array of points to an array of values, and a bracket stops
+    shrinking once it is narrower than xtol."""
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
+    while np.any(active := b - a > xtol):
+        left = active & (fc >= fd)  # the maximum lies in [a, d]
+        right = active & ~left
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, d, fc, fd = (np.where(right, d, c), np.where(left, c, d),
+                        np.where(right, fd, fc), np.where(left, fc, fd))
+        probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fp = f(probe)
+        c, fc = np.where(left, probe, c), np.where(left, fp, fc)
+        d, fd = np.where(right, probe, d), np.where(right, fp, fd)
     x = (a + b) / 2
     return x, f(x)
 
 
+def _sweep_row(cfg, ds, dg_values):
+    """(p_max, t_star) at one ds for every dg in dg_values: the argmax on
+    the time grid, refined by golden-section search between its
+    neighbours."""
+    betas, coef = _amplitude_terms(cfg, ds, dg_values)
+    ts = np.linspace(0.0, cfg.window, cfg.t_steps)
+    ps = _p_of_times(betas, coef, ts)
+    i = np.argmax(ps, axis=-1)
+    p_grid = ps.max(axis=-1)
+    lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, len(ts) - 1)]
+    t_ref, p_ref = _golden_max(lambda t: _p_of_times(betas, coef, t[:, None])[:, 0], lo, hi)
+    refined = p_ref >= p_grid
+    return np.where(refined, p_ref, p_grid), np.where(refined, t_ref, ts[i])
+
+
 def pds_max(cfg):
     """(t_star, p_star): grid argmax refined by golden-section search."""
-    betas, coef = _amplitude_terms(cfg)
-    ts = np.linspace(0.0, cfg.t_max, cfg.t_steps)
-    ps = _p_of_times(betas, coef, ts)
-    i = int(np.argmax(ps))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, len(ts) - 1)]
-
-    def p_of(t):
-        return float(abs(np.sum(coef * np.exp(-1j * betas * t))) ** 2)
-
-    t_ref, p_ref = _golden_max(p_of, lo, hi)
-    if p_ref >= ps[i]:
-        return float(t_ref), float(min(p_ref, 1.0))
-    return float(ts[i]), float(ps[i])
+    p_star, t_star = _sweep_row(cfg, cfg.ds, [cfg.dg])
+    return float(t_star[0]), float(p_star[0])
 
 
 def mean_yield(cfg):
-    """Average single-cycle yield over the waiting-time distribution."""
+    """Average single-cycle yield over the waiting-time distribution.
+
+    For uniform waiting times this is the exact time average over the
+    window, sum_kl c_k c_l sin(x_kl) / x_kl with x_kl = (beta_k - beta_l)
+    times the window and the x = 0 terms equal to 1 (numpy's normalised
+    sinc takes x / pi)."""
+    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
     if cfg.delta_t_distribution == DIST_FIXED:
-        betas, coef = _amplitude_terms(cfg)
         return float(_p_of_times(betas, coef, [cfg.delta_t_fixed])[0])
-    ts, ps = pds_curve(cfg)
-    return float(np.trapezoid(ps, ts) / cfg.t_max)
+    x = np.subtract.outer(betas, betas) * cfg.window
+    return float(np.clip(coef @ np.sinc(x / np.pi) @ coef, 0.0, 1.0))
 
 
-def _sweep_row(args):
-    cfg, ds, dg_values = args
-    row_p = np.empty(len(dg_values))
-    row_t = np.empty(len(dg_values))
-    for j, dg in enumerate(dg_values):
-        t_star, p_star = pds_max(replace(cfg, ds=float(ds), dg=float(dg)))
-        row_p[j], row_t[j] = p_star, t_star
-    return row_p, row_t
-
-
-def resolve_workers(workers=None):
-    """Worker count: explicit argument, else CAVITYDARK_WORKERS, else 1."""
-    if workers is None:
-        workers = int(os.environ.get("CAVITYDARK_WORKERS", "1"))
-    return max(1, workers)
-
-
-def sweep(cfg, ds_range=(0.0, 0.01), dg_range=(0.0, 0.007), resolution=50, workers=None):
+def sweep(cfg, ds_range=(0.0, 0.01), dg_range=(0.0, 0.007), resolution=50):
     """Maximal yield over a (ds, dg) grid.
 
     ranges are (low, high) in units of omega_c; resolution is the number
-    of points per axis (one int or a pair).  Grid points are independent,
-    so the result does not depend on the worker count.
+    of points per axis (one int or a pair).  The grid is evaluated one ds
+    row at a time, which bounds the working memory by one row.
     """
     try:
         n_ds, n_dg = resolution
@@ -238,17 +247,11 @@ def sweep(cfg, ds_range=(0.0, 0.01), dg_range=(0.0, 0.007), resolution=50, worke
     if n_ds < 1 or n_dg < 1:
         raise ValueError("resolution must be at least 1 per axis")
     for low, high in (ds_range, dg_range):
-        if low < 0 or high < low:
-            raise ValueError(f"bad range ({low}, {high}): need 0 <= low <= high")
+        if not (0 <= low <= high < math.inf):
+            raise ValueError(f"bad range ({low}, {high}): need finite 0 <= low <= high")
     ds_values = np.linspace(ds_range[0], ds_range[1], n_ds)
     dg_values = np.linspace(dg_range[0], dg_range[1], n_dg)
-    jobs = [(cfg, ds, dg_values) for ds in ds_values]
-    workers = resolve_workers(workers)
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_row, jobs))
-    else:
-        rows = [_sweep_row(job) for job in jobs]
+    rows = [_sweep_row(cfg, ds, dg_values) for ds in ds_values]
     p_max = np.vstack([r[0] for r in rows])
     t_star = np.vstack([r[1] for r in rows])
     return SweepResult(ds_values, dg_values, p_max, t_star)
@@ -261,7 +264,7 @@ def _draw_block(gen, cfg, size):
         us = gen.random(size)
     else:
         raw = gen.random(2 * size)
-        dts = cfg.t_max * raw[0::2]
+        dts = cfg.window * raw[0::2]
         us = raw[1::2]
     return dts, us
 
@@ -277,13 +280,13 @@ def simulate_cycles(cfg, max_cycles, rng):
     if max_cycles < 1:
         raise ValueError("max_cycles must be at least 1")
     gen = rng.generator()
-    betas, coef = _amplitude_terms(cfg)
+    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
     records = []
     for k in range(1, max_cycles + 1):
         if cfg.delta_t_distribution == DIST_FIXED:
             dt = float(cfg.delta_t_fixed)
         else:
-            dt = cfg.t_max * gen.random()
+            dt = cfg.window * gen.random()
         p = float(_p_of_times(betas, coef, [dt])[0])
         success = gen.random() < p
         records.append(
@@ -303,7 +306,9 @@ def run_trials(cfg, trials, max_cycles, rng):
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    betas, coef = _amplitude_terms(cfg)
+    if max_cycles < 1:
+        raise ValueError("max_cycles must be at least 1")
+    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
     sources = rng.spawn(trials)
     fixed_p = None
     if cfg.delta_t_distribution == DIST_FIXED:

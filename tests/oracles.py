@@ -46,3 +46,29 @@ def subspace_distance(u, v):
     u = np.asarray(u, dtype=complex)
     v = np.asarray(v, dtype=complex)
     return float(np.linalg.norm(u - v * np.vdot(v, u)))
+
+
+def _overlaps(H, bra, ket):
+    """Eigenvalues w_k of the Hermitian H and a_k = <bra|v_k><v_k|ket>."""
+    w, V = np.linalg.eigh(np.asarray(H, dtype=complex))
+    bra, ket = np.asarray(bra, dtype=complex), np.asarray(ket, dtype=complex)
+    return w, (bra.conj() @ V) * (V.conj().T @ ket)
+
+
+def time_average_yield(H, bra, ket, T):
+    """(1/T) int_0^T |<bra| exp(-i H t) |ket>|^2 dt in closed form.
+
+    The integrand is sum_kl a_k conj(a_l) exp(-i w_kl t) with
+    w_kl = w_k - w_l, whose time average is (1 - exp(-i w T)) / (i w T),
+    or 1 where w = 0."""
+    w, a = _overlaps(H, bra, ket)
+    x = np.subtract.outer(w, w) * T
+    safe = np.where(x == 0, 1.0, x)
+    phi = np.where(x == 0, 1.0, (1 - np.exp(-1j * safe)) / (1j * safe))
+    return float(np.real(np.sum(np.outer(a, a.conj()) * phi)))
+
+
+def yield_on_grid(H, bra, ket, ts):
+    """|<bra| exp(-i H t) |ket>|^2 at every t in ts."""
+    w, a = _overlaps(H, bra, ket)
+    return np.abs(np.exp(-1j * np.outer(ts, w)) @ a) ** 2

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cavitydark
 from cavitydark import cli
 from cavitydark.checks import CheckResult, run_checks
+from cavitydark.protocol import ZSJumpConfig, pds_max
 
 
 RESONANT = """\
@@ -38,6 +45,15 @@ def model_file(tmp_path):
         return str(path)
 
     return write
+
+
+def run_python(*args):
+    """Run a fresh interpreter that imports this copy of cavitydark."""
+    paths = [str(Path(cavitydark.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def read_rows(path):
@@ -273,3 +289,54 @@ def test_unknown_subcommand_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["protocol", "--trials", "0"],
+        ["protocol", "--seed", "-1"],
+        ["protocol", "--max-cycles", "0"],
+        ["protocol", "--set", "omega_c=-1"],
+        ["spectrum", "--model", "CUTOFF_ZERO"],
+    ],
+)
+def test_domain_errors_are_one_line(argv, model_file):
+    path = model_file("omega_c = 1.0\nphoton_cutoff = 0\natom.1.omega = 1.0\natom.1.g = 0.01\n")
+    argv = [path if a == "CUTOFF_ZERO" else a for a in argv]
+    proc = run_python("-m", "cavitydark.cli", *argv, "--out", os.devnull)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cavitydark: error:")
+
+
+@pytest.mark.parametrize("value", ["0", "-2.5", "inf", "nan"])
+def test_physical_must_be_positive_and_finite(value, model_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["spectrum", "--model", model_file(RESONANT), "--physical", value])
+    assert exc.value.code == 1
+    assert "--physical" in capsys.readouterr().err
+
+
+def test_scaled_config_through_set_keeps_the_reference_yield(tmp_path):
+    # every frequency x2 with the derived window: the same p* at half the time
+    out = str(tmp_path / "p.csv")
+    scaled = ["omega_c=2", "omega_a=2", "g1=0.02", "g2=0.01", "ds=0.02", "dg=0.014"]
+    argv = ["protocol", "--trials", "1", "--max-cycles", "1", "--out", out]
+    assert cli.main(argv + [arg for pair in scaled for arg in ("--set", pair)]) == 0
+    fields = next(l for l in open(out).read().splitlines() if l.startswith("# p_star,"))
+    _, p_star, _, t_star = fields[2:].split(",")
+    t_ref, p_ref = pds_max(ZSJumpConfig(ds=0.01, dg=0.007))
+    assert float(p_star) == pytest.approx(p_ref, rel=1e-9)
+    assert 2 * float(t_star) == pytest.approx(t_ref, abs=1e-5)
+
+
+def test_import_loads_no_process_pool():
+    proc = run_python(
+        "-c",
+        "import sys, cavitydark; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -21,22 +21,70 @@ from cavitydark.protocol import (
     sweep,
 )
 
-from oracles import expm_series
+from oracles import expm_series, time_average_yield, yield_on_grid
 
 
 GENERIC = ZSJumpConfig(ds=0.01, dg=0.007)
+PHOTON = np.array([0, 0, 1.0], dtype=complex)
+
+
+def oracle_block(cfg, ds, dg):
+    """Shifted one-excitation block, written out from the config."""
+    g1 = cfg.g1 + dg
+    return np.array(
+        [[cfg.omega_a + ds, 0, g1], [0, cfg.omega_a, cfg.g2], [g1, cfg.g2, cfg.omega_c]],
+        dtype=complex,
+    )
+
+
+def oracle_dark(cfg):
+    return np.array([-cfg.g2, cfg.g1, 0.0], dtype=complex) / np.hypot(cfg.g1, cfg.g2)
+
+
+def oracle_yield(cfg, ds, dg, t):
+    amp = oracle_dark(cfg).conj() @ expm_series(-1j * oracle_block(cfg, ds, dg) * t) @ PHOTON
+    return abs(amp) ** 2
 
 
 def test_config_defaults_and_preset():
     cfg = ZSJumpConfig.reference_preset(g1=0.02)
     assert cfg.g2 == 0.01
-    assert cfg.t_max == pytest.approx(2 * math.pi)
+    assert cfg.window == pytest.approx(2 * math.pi)
     with pytest.raises(ValueError, match="positive"):
         ZSJumpConfig(g1=0.0)
     with pytest.raises(ValueError, match="t_steps"):
         ZSJumpConfig(t_steps=1)
     with pytest.raises(ValueError, match="delta_t"):
         ZSJumpConfig(delta_t_distribution="fixed")
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(omega_c=0.0),
+        dict(omega_c=-1.0),
+        dict(omega_a=0.0),
+        dict(omega_a=-0.5),
+        dict(ds=-1.0),
+        dict(ds=float("nan")),
+        dict(dg=-0.02),
+        dict(dg=float("nan")),
+    ],
+)
+def test_config_rejects_what_the_shifted_model_rejects(kwargs):
+    # the kernel builds the shifted block without CavityModel/AtomParams,
+    # so the config must refuse the same inputs they refuse
+    with pytest.raises(ValueError):
+        ZSJumpConfig(**kwargs)
+
+
+def test_derived_window_follows_omega_c():
+    replaced = replace(GENERIC, omega_c=2.0)
+    fresh = ZSJumpConfig(omega_c=2.0, ds=0.01, dg=0.007)
+    assert replaced.window == fresh.window == pytest.approx(math.pi)
+    assert pds_max(replaced) == pds_max(fresh)
+    assert mean_yield(replaced) == mean_yield(fresh)
+    assert replace(GENERIC, t_max=3.0).window == 3.0
 
 
 def test_dark_amplitude_zero_without_shift():
@@ -75,6 +123,13 @@ def test_pds_curve_range_and_start():
     ts, ps = pds_curve(GENERIC)
     assert np.all((0 <= ps) & (ps <= 1))
     assert ps[0] == pytest.approx(0.0, abs=1e-15)
+
+
+def test_pds_curve_matches_series_exponential_oracle():
+    for cfg in (GENERIC, ZSJumpConfig(ds=0.004, dg=0.002), replace(GENERIC, t_max=450.0)):
+        ts, ps = pds_curve(cfg)
+        for i in range(0, len(ts), 64):
+            assert abs(ps[i] - oracle_yield(cfg, cfg.ds, cfg.dg, ts[i])) <= 1e-12
 
 
 def test_pds_curve_beat_period_matches_spectral_gap():
@@ -172,11 +227,16 @@ def test_sweep_grid_layout_and_refinement():
     assert np.max(rel) < 0.01
 
 
-def test_sweep_worker_independence():
-    serial = sweep(GENERIC, ds_range=(0, 0.01), dg_range=(0, 0.007), resolution=3, workers=1)
-    parallel = sweep(GENERIC, ds_range=(0, 0.01), dg_range=(0, 0.007), resolution=3, workers=2)
-    assert np.array_equal(serial.p_max, parallel.p_max)
-    assert np.array_equal(serial.t_star, parallel.t_star)
+def test_sweep_matches_oracle_yield():
+    res = sweep(GENERIC, ds_range=(0.0, 0.01), dg_range=(0.0, 0.007), resolution=(5, 4))
+    dense = np.linspace(0.0, GENERIC.window, 20001)
+    for i, ds in enumerate(res.ds_grid):
+        for j, dg in enumerate(res.dg_grid):
+            p_max = res.p_max[i, j]
+            tol = 1e-10 * p_max + 1e-15
+            assert abs(p_max - oracle_yield(GENERIC, ds, dg, res.t_star[i, j])) <= tol
+            H = oracle_block(GENERIC, ds, dg)
+            assert p_max >= yield_on_grid(H, oracle_dark(GENERIC), PHOTON, dense).max() - tol
 
 
 def test_sweep_rejects_bad_ranges():
@@ -184,6 +244,14 @@ def test_sweep_rejects_bad_ranges():
         sweep(GENERIC, ds_range=(0.01, 0.0), dg_range=(0, 0.007))
     with pytest.raises(ValueError, match="resolution"):
         sweep(GENERIC, resolution=0)
+
+
+@pytest.mark.parametrize("bad", [(0.0, math.inf), (math.nan, 0.01)])
+def test_sweep_rejects_non_finite_ranges(bad):
+    with pytest.raises(ValueError, match="range"):
+        sweep(GENERIC, ds_range=bad, resolution=2)
+    with pytest.raises(ValueError, match="range"):
+        sweep(GENERIC, dg_range=bad, resolution=2)
 
 
 def test_simulate_cycles_null_never_succeeds():
@@ -200,6 +268,11 @@ def test_simulate_cycles_seed_reproducibility():
     assert a == b
     c = simulate_cycles(cfg, max_cycles=200, rng=RandomSource(100))
     assert a != c
+
+
+def test_run_trials_rejects_zero_cycles():
+    with pytest.raises(ValueError, match="max_cycles"):
+        run_trials(GENERIC, trials=2, max_cycles=0, rng=RandomSource(1))
 
 
 def test_run_trials_matches_single_trial_semantics():
@@ -237,6 +310,13 @@ def test_mean_yield_modes():
     assert mean_yield(ZSJumpConfig()) <= 1e-12
     cfg = replace(GENERIC, delta_t_distribution=DIST_FIXED, delta_t_fixed=5.0)
     assert mean_yield(cfg) == pytest.approx(abs(dark_amplitude(GENERIC, 5.0)) ** 2)
+
+
+def test_mean_yield_is_the_exact_time_average():
+    for cfg in (GENERIC, ZSJumpConfig(ds=0.004, dg=0.002), replace(GENERIC, t_max=450.0)):
+        H = oracle_block(cfg, cfg.ds, cfg.dg)
+        exact = time_average_yield(H, oracle_dark(cfg), PHOTON, cfg.window)
+        assert mean_yield(cfg) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_success_after_k_values():
