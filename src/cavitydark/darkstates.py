@@ -311,6 +311,8 @@ def find_dark_states(model, subspace=SUBSPACE_SINGLE, tol=1e-10):
     empty when nothing qualifies (any nonzero frequency split between
     the atoms guarantees that in the one-excitation block).
     """
+    if not (0 < tol < np.inf):
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
     n = model.n_atoms
     gs = model.couplings()
     if subspace == SUBSPACE_SINGLE:

@@ -282,7 +282,8 @@ def parse_model(text):
                                          volume and an SI omega_c)
 
     Atoms specified by position get their coupling from the mode profile
-    and the whole model is returned nondimensionalized (omega_c = 1).
+    and the whole model is returned nondimensionalized (omega_c = 1), so
+    either every atom gives 'g' or every atom gives 'x'.
     Unknown or duplicate keys and unparsable numbers are reported with
     their line number.
     """
@@ -369,6 +370,11 @@ def parse_model(text):
                 f"atom {i} needs exactly one of 'g' or 'x'", lineno
             )
         if "g" in entry:
+            if positional:
+                raise ModelFormatError(
+                    f"atom {i} gives 'g' but another atom gives 'x'; "
+                    "use one kind for all atoms", entry["g"][1]
+                )
             g = as_float(f"atom.{i}.g", *entry["g"])
             params.append(AtomParams(omega=omega, g=g, position=None))
         else:

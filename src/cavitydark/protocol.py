@@ -76,6 +76,8 @@ class ZSJumpConfig:
             )
         if self.delta_t_distribution == DIST_FIXED and self.delta_t_fixed is None:
             raise ValueError("fixed delta_t distribution needs delta_t_fixed")
+        if self.delta_t_fixed is not None and not (0 <= self.delta_t_fixed < math.inf):
+            raise ValueError("delta_t_fixed must be a nonnegative finite time")
 
     @classmethod
     def reference_preset(cls, g1=0.01, **kwargs):
@@ -297,22 +299,43 @@ def simulate_cycles(cfg, max_cycles, rng):
     return records
 
 
+def _yield_envelope(cfg, betas, coef):
+    """(bound, exact): bound >= p(delta_t) for every waiting time the
+    config draws, and exact when bound equals p there (fixed delta_t).
+
+    For uniform delta_t the bound is the maximum on the t_steps grid over
+    [0, window] plus the Lipschitz margin L h / 2, where h is the grid
+    step and L = 2 sum_{k<l} |c_k c_l (beta_k - beta_l)| bounds |p'|; a
+    slack of a few eps covers the roundoff of the grid values, of the grid
+    points and of every later evaluation of p."""
+    if cfg.delta_t_distribution == DIST_FIXED:
+        return float(_p_of_times(betas, coef, [cfg.delta_t_fixed])[0]), True
+    k, l = _PAIRS
+    lipschitz = 2 * np.sum(np.abs(coef[k] * coef[l] * (betas[k] - betas[l])))
+    grid_max = _p_of_times(betas, coef, np.linspace(0.0, cfg.window, cfg.t_steps)).max()
+    margin = lipschitz * cfg.window / (cfg.t_steps - 1) / 2
+    slack = 8 * np.finfo(float).eps * (np.sum(np.abs(coef)) ** 2 + lipschitz * cfg.window)
+    return float(grid_max + margin + slack), False
+
+
 def run_trials(cfg, trials, max_cycles, rng):
     """Many independent trials, vectorized in blocks per trial.
 
     Every trial gets its own spawned random source, so results are
     reproducible and independent of any parallel scheduling; the drawing
-    order within a trial matches simulate_cycles exactly.
+    order within a trial matches simulate_cycles exactly.  A cycle can
+    only succeed when its uniform u < p(delta_t) <= bound (thinning with
+    an envelope, Lewis & Shedler 1979), so p is evaluated only at the few
+    draws under the bound, and the records are those of evaluating it at
+    every draw.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if max_cycles < 1:
         raise ValueError("max_cycles must be at least 1")
     betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
+    bound, exact = _yield_envelope(cfg, betas, coef)
     sources = rng.spawn(trials)
-    fixed_p = None
-    if cfg.delta_t_distribution == DIST_FIXED:
-        fixed_p = float(_p_of_times(betas, coef, [cfg.delta_t_fixed])[0])
     out = []
     for idx, src in enumerate(sources):
         gen = src.generator()
@@ -321,8 +344,9 @@ def run_trials(cfg, trials, max_cycles, rng):
         while used < max_cycles:
             block = min(_TRIAL_BLOCK, max_cycles - used)
             dts, us = _draw_block(gen, cfg, block)
-            ps = fixed_p if fixed_p is not None else _p_of_times(betas, coef, dts)
-            hits = np.nonzero(us < ps)[0]
+            hits = np.flatnonzero(us < bound)
+            if hits.size and not exact:
+                hits = hits[us[hits] < _p_of_times(betas, coef, dts[hits])]
             if hits.size:
                 used += int(hits[0]) + 1
                 outcome = OUTCOME_SUCCESS

@@ -311,6 +311,18 @@ def test_domain_errors_are_one_line(argv, model_file):
     assert len(lines) == 1 and lines[0].startswith("cavitydark: error:")
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_dark_find_rejects_a_non_positive_tol(tol, model_file):
+    # a zero or negative tolerance used to report 0 dark states and exit 0
+    proc = run_python("-m", "cavitydark.cli", "dark-find", "--model", model_file(RESONANT),
+                      "--tol", tol, "--out", os.devnull)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cavitydark: error:")
+    assert "tol" in lines[0]
+
+
 @pytest.mark.parametrize("value", ["0", "-2.5", "inf", "nan"])
 def test_physical_must_be_positive_and_finite(value, model_file, capsys):
     with pytest.raises(SystemExit) as exc:

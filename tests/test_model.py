@@ -246,6 +246,12 @@ atom.2.x = {L / 4}
     assert m.atoms[0].g == pytest.approx(m.atoms[1].g * math.sqrt(2), rel=1e-12)
 
 
+MIXED = (
+    "omega_c = 1.0\ndipole = 1e-29\nvolume = 1e-15\n"
+    "atom.1.omega = 1.0\n{}\natom.2.omega = 1.0\n{}\n"
+)
+
+
 @pytest.mark.parametrize(
     "text,fragment,line",
     [
@@ -262,6 +268,10 @@ atom.2.x = {L / 4}
         ("omega_c = 1.0\nrwa = maybe\natom.1.omega=1\natom.1.g=0\n", "true or false", 2),
         ("omega_c = 1.0\njust words\n", "key = value", 2),
         ("omega_c = 1.0\n", "no atoms", None),
+        # positional atoms are nondimensionalized by omega_c, explicit g is
+        # not, so one model may not mix the two kinds
+        (MIXED.format("atom.1.x = 1e-7", "atom.2.g = 0.01"), "'g' but another atom gives 'x'", 7),
+        (MIXED.format("atom.1.g = 0.01", "atom.2.x = 1e-7"), "'g' but another atom gives 'x'", 5),
     ],
 )
 def test_parse_model_errors(text, fragment, line):

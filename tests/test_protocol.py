@@ -4,10 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cavitydark import protocol
 from cavitydark.model import single_excitation_block
 from cavitydark.numerics import RandomSource, herm_eig, evolve
 from cavitydark.protocol import (
     DIST_FIXED,
+    OUTCOME_EXHAUSTED,
     OUTCOME_PHOTON,
     OUTCOME_SUCCESS,
     ZSJumpConfig,
@@ -85,6 +87,15 @@ def test_derived_window_follows_omega_c():
     assert pds_max(replaced) == pds_max(fresh)
     assert mean_yield(replaced) == mean_yield(fresh)
     assert replace(GENERIC, t_max=3.0).window == 3.0
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, -6.0])
+def test_config_rejects_bad_delta_t_fixed(dt):
+    # nan and inf made every trial "exhausted" with mean_yield nan, and
+    # -6 silently used p(6) because p is even in t
+    with pytest.raises(ValueError, match="delta_t_fixed"):
+        ZSJumpConfig(ds=0.01, dg=0.007, delta_t_distribution=DIST_FIXED, delta_t_fixed=dt)
+    assert ZSJumpConfig(delta_t_distribution=DIST_FIXED, delta_t_fixed=0.0).delta_t_fixed == 0.0
 
 
 def test_dark_amplitude_zero_without_shift():
@@ -287,6 +298,103 @@ def test_run_trials_matches_single_trial_semantics():
         else:
             assert record.outcome != OUTCOME_SUCCESS
             assert record.cycles_used == 300
+
+
+FIXED_AT_T_STAR = replace(
+    GENERIC, delta_t_distribution=DIST_FIXED, delta_t_fixed=pds_max(GENERIC)[0]
+)
+
+
+ENVELOPE_CONFIGS = [
+    GENERIC,  # default one-period window
+    replace(GENERIC, t_max=500.0),
+    replace(GENERIC, t_steps=2),  # the Lipschitz margin carries the bound
+    ZSJumpConfig(),  # null shift: p is roundoff
+    ZSJumpConfig(g1=0.3, g2=0.2, ds=0.2, dg=0.1),  # large couplings
+    ZSJumpConfig(omega_c=2.0, omega_a=1.5, ds=0.05, dg=0.02, t_steps=17),
+]
+
+
+@pytest.mark.parametrize("cfg", ENVELOPE_CONFIGS)
+def test_yield_envelope_bounds_the_yield(cfg):
+    betas, coef = protocol._amplitude_terms(cfg, cfg.ds, cfg.dg)
+    bound, exact = protocol._yield_envelope(cfg, betas, coef)
+    assert not exact
+    dense = np.linspace(0.0, cfg.window, 200001)
+    # against the kernel itself, which the filter compares u with
+    assert bound >= protocol._p_of_times(betas, coef, dense).max()
+    # against the independent oracle, up to its own roundoff
+    H = oracle_block(cfg, cfg.ds, cfg.dg)
+    assert bound >= yield_on_grid(H, oracle_dark(cfg), PHOTON, dense).max() - 1e-15
+
+
+def test_yield_envelope_is_tight_and_exact_at_fixed_delta_t():
+    _, p_star = pds_max(GENERIC)
+    betas, coef = protocol._amplitude_terms(GENERIC, GENERIC.ds, GENERIC.dg)
+    bound, exact = protocol._yield_envelope(GENERIC, betas, coef)
+    assert p_star <= bound <= 1.01 * p_star
+    at_t_star = protocol._yield_envelope(FIXED_AT_T_STAR, betas, coef)
+    assert at_t_star == (mean_yield(FIXED_AT_T_STAR), True)
+
+
+def every_draw_replay(cfg, child, max_cycles):
+    """(cycles_used, outcome) of one trial with the oracle yield evaluated
+    at every draw, in simulate_cycles' draw order: (delta_t, u) per cycle,
+    or u alone at a fixed delta_t."""
+    gen = child.generator()
+    if cfg.delta_t_distribution == DIST_FIXED:
+        us = gen.random(max_cycles)
+        dts = np.full(max_cycles, cfg.delta_t_fixed)
+    else:
+        raw = gen.random(2 * max_cycles)
+        dts, us = cfg.window * raw[0::2], raw[1::2]
+    ps = yield_on_grid(oracle_block(cfg, cfg.ds, cfg.dg), oracle_dark(cfg), PHOTON, dts)
+    hits = np.flatnonzero(us < ps)
+    return (int(hits[0]) + 1, OUTCOME_SUCCESS) if hits.size else (max_cycles, OUTCOME_EXHAUSTED)
+
+
+@pytest.mark.parametrize("cfg", [GENERIC, FIXED_AT_T_STAR], ids=["uniform", "fixed"])
+def test_run_trials_equals_an_every_draw_replay(cfg):
+    # default window: successes are rare, so the envelope drops almost
+    # every draw; 5000 = 4096 + 904 cycles end in a partial block
+    parent, n_trials, max_cycles = RandomSource(31), 200, 5000
+    trials = run_trials(cfg, trials=n_trials, max_cycles=max_cycles, rng=parent)
+    children = parent.spawn(n_trials)
+    expected = [every_draw_replay(cfg, child, max_cycles) for child in children]
+    assert [(t.cycles_used, t.outcome) for t in trials] == expected
+    assert {o for _, o in expected} == {OUTCOME_SUCCESS, OUTCOME_EXHAUSTED}
+    # the replay draws what simulate_cycles draws
+    for child in children[:3]:
+        records = simulate_cycles(cfg, max_cycles=200, rng=child)
+        n, outcome = every_draw_replay(cfg, child, 200)
+        assert len(records) == n
+        assert (records[-1].outcome == OUTCOME_SUCCESS) == (outcome == OUTCOME_SUCCESS)
+
+
+@pytest.mark.parametrize("cfg", [GENERIC, FIXED_AT_T_STAR], ids=["uniform", "fixed"])
+def test_run_trials_evaluates_the_yield_only_under_the_envelope(cfg, monkeypatch):
+    # a work count, not a wall clock: points handed to the yield kernel
+    # before the first draw (the envelope) and at the draws themselves
+    count = {"envelope": 0, "at_draws": 0, "drawn": 0}
+    p_of_times, draw_block = protocol._p_of_times, protocol._draw_block
+
+    def counted_p(betas, coef, ts):
+        count["at_draws" if count["drawn"] else "envelope"] += np.size(ts)
+        return p_of_times(betas, coef, ts)
+
+    def counted_draws(gen, cfg, size):
+        count["drawn"] += size
+        return draw_block(gen, cfg, size)
+
+    monkeypatch.setattr(protocol, "_p_of_times", counted_p)
+    monkeypatch.setattr(protocol, "_draw_block", counted_draws)
+    trials = run_trials(cfg, trials=200, max_cycles=10_000, rng=RandomSource(3))
+    assert sum(t.cycles_used for t in trials) <= count["drawn"]
+    if cfg is FIXED_AT_T_STAR:
+        assert count == {"envelope": 1, "at_draws": 0, "drawn": count["drawn"]}
+    else:
+        assert count["envelope"] <= cfg.t_steps
+        assert count["at_draws"] <= 1e-3 * count["drawn"]
 
 
 def test_cycle_statistics_fixed_delta_t():
