@@ -299,28 +299,23 @@ def test_unknown_subcommand_exit_code():
         ["protocol", "--max-cycles", "0"],
         ["protocol", "--set", "omega_c=-1"],
         ["spectrum", "--model", "CUTOFF_ZERO"],
+        # a zero, negative or nan tolerance used to report 0 dark states
+        ["dark-find", "--model", "RESONANT", "--tol", "0"],
+        ["dark-find", "--model", "RESONANT", "--tol", "-1"],
+        ["dark-find", "--model", "RESONANT", "--tol", "nan"],
     ],
 )
 def test_domain_errors_are_one_line(argv, model_file):
-    path = model_file("omega_c = 1.0\nphoton_cutoff = 0\natom.1.omega = 1.0\natom.1.g = 0.01\n")
-    argv = [path if a == "CUTOFF_ZERO" else a for a in argv]
+    models = {
+        "CUTOFF_ZERO": "omega_c = 1.0\nphoton_cutoff = 0\natom.1.omega = 1.0\natom.1.g = 0.01\n",
+        "RESONANT": RESONANT,
+    }
+    argv = [model_file(models[a]) if a in models else a for a in argv]
     proc = run_python("-m", "cavitydark.cli", *argv, "--out", os.devnull)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("cavitydark: error:")
-
-
-@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
-def test_dark_find_rejects_a_non_positive_tol(tol, model_file):
-    # a zero or negative tolerance used to report 0 dark states and exit 0
-    proc = run_python("-m", "cavitydark.cli", "dark-find", "--model", model_file(RESONANT),
-                      "--tol", tol, "--out", os.devnull)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("cavitydark: error:")
-    assert "tol" in lines[0]
 
 
 @pytest.mark.parametrize("value", ["0", "-2.5", "inf", "nan"])
