@@ -6,6 +6,7 @@ Everything here is a pure function of its inputs; arrays are never
 mutated in place.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,9 +205,107 @@ def null_space(M, tol):
     scale = max_abs(M)
     if scale == 0.0:
         return [fix_phase(e) for e in np.eye(n, dtype=complex)]
-    _, s, Vh = np.linalg.svd(M)
+    # a tall M has all n rows of Vh in the thin SVD; a wide one keeps its
+    # null rows beyond min(rows, n) only in the full one
+    _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < n)
     rank = int(np.sum(s > tol * scale))
     return [fix_phase(Vh[i].conj()) for i in range(rank, n)]
+
+
+# numpy's SeedSequence constants (pool of 4 uint32 words)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+class _Hash:
+    """SeedSequence's hash step: xor the running constant, advance it by
+    one multiplication, multiply, fold the high half down.  Works on
+    uint32 arrays, which wrap without overflow warnings."""
+
+    def __init__(self, init, mult):
+        self.const, self.mult = init, mult
+
+    def __call__(self, value):
+        value = value ^ np.uint32(self.const)
+        self.const = self.const * self.mult & 0xFFFFFFFF
+        value = value * np.uint32(self.const)
+        return value ^ (value >> np.uint32(16))
+
+
+def _mix(x, y):
+    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return out ^ (out >> np.uint32(16))
+
+
+def _seed_state(entropy, n_words):
+    """SeedSequence(entropy words).generate_state(n_words, np.uint32), one
+    uint32 array per output word, for entropy words that broadcast
+    against each other: numpy's mix_entropy and generate_state."""
+    hashmix = _Hash(_INIT_A, _MULT_A)
+    zero = np.zeros(1, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashout = _Hash(_INIT_B, _MULT_B)
+    return [hashout(pool[i % _POOL]) for i in range(n_words)]
+
+
+def _child_words(seed, n):
+    """(low, high) uint32 halves of the first uint64 word of each of the
+    n children SeedSequence(seed).spawn(n).  A child's entropy is the
+    seed's 32-bit words zero-padded to the pool size, then its spawn key."""
+    words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
+    entropy = [np.full(1, w, np.uint32) for w in words + [0] * (_POOL - len(words))]
+    return _seed_state(entropy + [np.arange(n, dtype=np.uint32)], 2)
+
+
+def _as_uint64(low, high):
+    return low.astype(np.uint64) | high.astype(np.uint64) << np.uint64(32)
+
+
+def _pcg64_states(low, high):
+    """(state, inc) of PCG64(w) for each seed word w = low | high << 32:
+    SeedSequence(w) gives four uint64 words (a 1-word w hashes like its
+    2-word form with a zero high word), read as the 128-bit initstate
+    and initseq of PCG64's own seeding."""
+    s = _seed_state([low, high], 8)
+    v = [_as_uint64(s[2 * k], s[2 * k + 1]).tolist() for k in range(4)]
+    out = []
+    # pcg64 srandom: state 0 and inc = 2 initseq + 1, one step (which
+    # leaves state = inc), add initstate, one more step
+    for s_hi, s_lo, q_hi, q_lo in zip(*v):
+        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        out.append((state, inc))
+    return out
+
+
+def _reseeded(gen, states):
+    for state, inc in states:
+        gen.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen
+
+
+def _bounded_int(value, name, bits):
+    """value as an int, if it is an integer other than a bool in [0, 2**bits)."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and 0 <= value < 2**bits):
+        raise ValueError(f"{name} must be an integer in [0, 2**{bits}), got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -214,8 +313,10 @@ class RandomSource:
     """Seeded randomness contract: same seed, same sample sequence.
 
     Thin wrapper around numpy's PCG64 so every stochastic routine takes
-    an explicit, reproducible source and parallel work can use spawned
-    child sources.
+    an explicit, reproducible source.  Child j of spawn(n) is seeded with
+    the first uint64 word of the j-th SeedSequence(seed) child; those
+    words, and the PCG64 states they seed, are computed for all children
+    in one vectorized pass of numpy's SeedSequence algorithm.
     """
 
     seed: int
@@ -224,16 +325,20 @@ class RandomSource:
     def __post_init__(self):
         if self.algorithm != "pcg64":
             raise ValueError(f"unsupported RNG algorithm {self.algorithm!r}")
-        if not (0 <= int(self.seed) < 2**64):
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        object.__setattr__(self, "seed", _bounded_int(self.seed, "seed", 64))
 
     def generator(self):
         return np.random.Generator(np.random.PCG64(self.seed))
 
     def spawn(self, n):
         """n derived sources, deterministic in (seed, n)."""
-        children = np.random.SeedSequence(self.seed).spawn(n)
-        return [
-            RandomSource(seed=int(c.generate_state(1, np.uint64)[0]))
-            for c in children
-        ]
+        words = _as_uint64(*_child_words(self.seed, _bounded_int(n, "n", 32)))
+        return [RandomSource(seed=w) for w in words.tolist()]
+
+    def child_generators(self, n):
+        """Iterator over the generators of spawn(n), in order: the j-th
+        draws what spawn(n)[j].generator() draws.  One Generator is
+        reseeded in place for each child, so each is valid only until the
+        next is taken."""
+        states = _pcg64_states(*_child_words(self.seed, _bounded_int(n, "n", 32)))
+        return _reseeded(np.random.Generator(np.random.PCG64(0)), states)

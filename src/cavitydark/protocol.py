@@ -260,15 +260,13 @@ def sweep(cfg, ds_range=(0.0, 0.01), dg_range=(0.0, 0.007), resolution=50):
 
 
 def _draw_block(gen, cfg, size):
-    """Per-cycle (delta_t, uniform) draws matching simulate_cycles' stream."""
+    """Per-cycle (delta_t, uniform) draws in simulate_cycles' order: one
+    (delta_t, u) pair per cycle, or u alone at a fixed delta_t, where the
+    delta_t returned is None."""
     if cfg.delta_t_distribution == DIST_FIXED:
-        dts = np.full(size, float(cfg.delta_t_fixed))
-        us = gen.random(size)
-    else:
-        raw = gen.random(2 * size)
-        dts = cfg.window * raw[0::2]
-        us = raw[1::2]
-    return dts, us
+        return None, gen.random(size)
+    raw = gen.random(2 * size)
+    return cfg.window * raw[0::2], raw[1::2]
 
 
 def simulate_cycles(cfg, max_cycles, rng):
@@ -277,24 +275,28 @@ def simulate_cycles(cfg, max_cycles, rng):
     Each cycle waits a random delta_t, jumps, and models the photon drain
     as an ideal projective measurement: success with probability
     p = |lambda(delta_t)|^2 ends the trial, otherwise the photon reaches
-    the detector and the cavity is re-pumped.
+    the detector and the cavity is re-pumped.  Cycles are drawn and
+    evaluated a block at a time; the records stop at the first success.
     """
     if max_cycles < 1:
         raise ValueError("max_cycles must be at least 1")
     gen = rng.generator()
     betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
     records = []
-    for k in range(1, max_cycles + 1):
-        if cfg.delta_t_distribution == DIST_FIXED:
-            dt = float(cfg.delta_t_fixed)
-        else:
-            dt = cfg.window * gen.random()
-        p = float(_p_of_times(betas, coef, [dt])[0])
-        success = gen.random() < p
-        records.append(
-            CycleRecord(k, dt, p, OUTCOME_SUCCESS if success else OUTCOME_PHOTON)
-        )
-        if success:
+    while len(records) < max_cycles:
+        dts, us = _draw_block(gen, cfg, min(_TRIAL_BLOCK, max_cycles - len(records)))
+        if dts is None:
+            dts = np.full(len(us), float(cfg.delta_t_fixed))
+        ps = _p_of_times(betas, coef, dts)
+        hits = (us < ps).nonzero()[0]
+        end = int(hits[0]) + 1 if hits.size else len(us)
+        outcomes = [OUTCOME_PHOTON] * end
+        if hits.size:
+            outcomes[-1] = OUTCOME_SUCCESS
+        k = len(records) + 1
+        records += map(CycleRecord, range(k, k + end), dts[:end].tolist(),
+                       ps[:end].tolist(), outcomes)
+        if hits.size:
             break
     return records
 
@@ -321,13 +323,13 @@ def _yield_envelope(cfg, betas, coef):
 def run_trials(cfg, trials, max_cycles, rng):
     """Many independent trials, vectorized in blocks per trial.
 
-    Every trial gets its own spawned random source, so results are
-    reproducible and independent of any parallel scheduling; the drawing
-    order within a trial matches simulate_cycles exactly.  A cycle can
-    only succeed when its uniform u < p(delta_t) <= bound (thinning with
-    an envelope, Lewis & Shedler 1979), so p is evaluated only at the few
-    draws under the bound, and the records are those of evaluating it at
-    every draw.
+    Trial j draws from the generator of rng.spawn(trials)[j], so results
+    are reproducible and independent of any parallel scheduling; the
+    drawing order within a trial matches simulate_cycles exactly.  A
+    cycle can only succeed when its uniform u < p(delta_t) <= bound
+    (thinning with an envelope, Lewis & Shedler 1979), so p is evaluated
+    only at the few draws under the bound, and the records are those of
+    evaluating it at every draw.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -335,16 +337,14 @@ def run_trials(cfg, trials, max_cycles, rng):
         raise ValueError("max_cycles must be at least 1")
     betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
     bound, exact = _yield_envelope(cfg, betas, coef)
-    sources = rng.spawn(trials)
     out = []
-    for idx, src in enumerate(sources):
-        gen = src.generator()
+    for idx, gen in enumerate(rng.child_generators(trials)):
         used = 0
         outcome = OUTCOME_EXHAUSTED
         while used < max_cycles:
             block = min(_TRIAL_BLOCK, max_cycles - used)
             dts, us = _draw_block(gen, cfg, block)
-            hits = np.flatnonzero(us < bound)
+            hits = (us < bound).nonzero()[0]
             if hits.size and not exact:
                 hits = hits[us[hits] < _p_of_times(betas, coef, dts[hits])]
             if hits.size:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cavitydark import numerics
 from cavitydark.numerics import (
     ComplexRootsError,
     NonHermitianError,
@@ -216,6 +217,23 @@ def test_null_space_coupling_row():
     assert abs(overlap - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(12, 5), (5, 5), (3, 7)], ids=["tall", "square", "wide"])
+def test_null_space_matches_the_full_svd(shape):
+    # a tall matrix takes the thin SVD, a wide one the full one; both must
+    # give the span of the full SVD's trailing right singular vectors
+    gen = np.random.default_rng(11)
+    rows, cols = shape
+    for rank in range(min(rows, cols) + 1):
+        M = (gen.normal(size=(rows, rank)) + 1j * gen.normal(size=(rows, rank))) @ (
+            gen.normal(size=(rank, cols)) + 1j * gen.normal(size=(rank, cols)))
+        basis = null_space(M, tol=1e-10)
+        assert len(basis) == cols - rank
+        Vh = np.linalg.svd(M)[2]
+        want = Vh[rank:].conj().T @ Vh[rank:]
+        got = sum((np.outer(v, v.conj()) for v in basis), np.zeros((cols, cols)))
+        assert np.allclose(got, want, atol=1e-10)
+
+
 def test_fix_phase_determinism():
     v = np.array([0.1 - 0.2j, -0.9j, 0.3])
     w = fix_phase(v)
@@ -243,3 +261,56 @@ def test_random_source_spawn_deterministic():
 def test_random_source_rejects_unknown_algorithm():
     with pytest.raises(ValueError, match="algorithm"):
         RandomSource(seed=1, algorithm="xorshift")
+
+
+@pytest.mark.parametrize("bad", [1.5, True, -1, 2**64, np.float64(3.0), "3", None])
+def test_random_source_rejects_a_seed_that_is_not_a_uint64(bad):
+    # 1.5 and True used to construct, and generator() then raised TypeError
+    with pytest.raises(ValueError, match="seed"):
+        RandomSource(bad)
+
+
+def test_random_source_takes_numpy_integer_seeds():
+    src = RandomSource(np.uint64(2**64 - 1))
+    assert src.seed == 2**64 - 1 and type(src.seed) is int
+    assert np.array_equal(src.generator().random(4), RandomSource(2**64 - 1).generator().random(4))
+
+
+@pytest.mark.parametrize("bad", [-1, 2.5, True, 2**32])
+def test_random_source_spawn_rejects_a_count_that_is_not_a_uint32(bad):
+    # -1 used to raise OverflowError and 2.5 TypeError
+    with pytest.raises(ValueError, match="n must be"):
+        RandomSource(3).spawn(bad)
+    with pytest.raises(ValueError, match="n must be"):
+        RandomSource(3).child_generators(bad)
+
+
+def test_random_source_spawn_zero():
+    assert RandomSource(3).spawn(0) == []
+    assert list(RandomSource(3).child_generators(0)) == []
+
+
+@pytest.mark.parametrize("seed", [0, 1, 777, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("n", [1, 3, 5000])
+def test_spawned_seeds_are_numpys_seed_sequence_children(seed, n):
+    want = [int(c.generate_state(1, np.uint64)[0]) for c in np.random.SeedSequence(seed).spawn(n)]
+    assert [child.seed for child in RandomSource(seed).spawn(n)] == want
+
+
+@pytest.mark.parametrize("seed", [0, 31, 2**64 - 1])
+def test_child_generators_are_the_spawned_pcg64_streams(seed):
+    n = 2000
+    children = RandomSource(seed).spawn(n)
+    for j, (gen, child) in enumerate(zip(RandomSource(seed).child_generators(n), children)):
+        assert gen.bit_generator.state == np.random.PCG64(child.seed).state
+        if j % 97 == 0:
+            assert np.array_equal(gen.random(16), child.generator().random(16))
+
+
+def test_pcg64_seeding_of_words_below_2_32():
+    # numpy hashes a seed word below 2**32 as one 32-bit word, the
+    # vectorized pass as two with a zero high word; both give one state
+    words = np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
+    low, high = words.astype(np.uint32), (words >> np.uint64(32)).astype(np.uint32)
+    for w, (state, inc) in zip(words.tolist(), numerics._pcg64_states(low, high)):
+        assert np.random.PCG64(w).state["state"] == {"state": state, "inc": inc}

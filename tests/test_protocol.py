@@ -364,11 +364,32 @@ def test_run_trials_equals_an_every_draw_replay(cfg):
     assert [(t.cycles_used, t.outcome) for t in trials] == expected
     assert {o for _, o in expected} == {OUTCOME_SUCCESS, OUTCOME_EXHAUSTED}
     # the replay draws what simulate_cycles draws
-    for child in children[:3]:
-        records = simulate_cycles(cfg, max_cycles=200, rng=child)
-        n, outcome = every_draw_replay(cfg, child, 200)
+    for child, (n, outcome) in zip(children, expected):
+        records = simulate_cycles(cfg, max_cycles=max_cycles, rng=child)
         assert len(records) == n
         assert (records[-1].outcome == OUTCOME_SUCCESS) == (outcome == OUTCOME_SUCCESS)
+
+
+def test_run_trials_seeds_one_generator_per_run(monkeypatch):
+    # a work count: no per-trial spawned source, generator() or PCG64
+    count = {"generator": 0, "spawn": 0, "PCG64": 0}
+    generator, spawn, pcg64 = RandomSource.generator, RandomSource.spawn, np.random.PCG64
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            count[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(RandomSource, "generator", counted("generator", generator))
+    monkeypatch.setattr(RandomSource, "spawn", counted("spawn", spawn))
+    monkeypatch.setattr(np.random, "PCG64", counted("PCG64", pcg64))
+    for cfg in (GENERIC, FIXED_AT_T_STAR):
+        count.update(generator=0, spawn=0, PCG64=0)
+        trials = run_trials(cfg, trials=200, max_cycles=3000, rng=RandomSource(3))
+        assert len(trials) == 200
+        assert count["generator"] == 0 and count["spawn"] <= 1 and count["PCG64"] <= 1
 
 
 @pytest.mark.parametrize("cfg", [GENERIC, FIXED_AT_T_STAR], ids=["uniform", "fixed"])
