@@ -233,30 +233,29 @@ SUBSPACE_SINGLE = "single_excitation"
 SUBSPACE_FULL = "full"
 
 
-def _lower_all(psi, couplings):
-    """sum_i g_i sigma_i^- on a 2^n atomic vector."""
-    n = len(couplings)
-    out = np.zeros_like(psi)
-    for i, g in enumerate(couplings):
-        bit = 1 << (n - 1 - i)
-        src = np.nonzero([(b & bit) != 0 for b in range(len(psi))])[0]
-        out[src - bit] += g * psi[src]
-    return out
+def _product_states(n):
+    """Excitation flags of the 2^n atomic product states, one row per
+    state in basis order (atom 1 the most significant bit)."""
+    return ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
 
 
-def _raise_all(psi, couplings):
-    n = len(couplings)
-    out = np.zeros_like(psi)
-    for i, g in enumerate(couplings):
-        bit = 1 << (n - 1 - i)
-        src = np.nonzero([(b & bit) == 0 for b in range(len(psi))])[0]
-        out[src + bit] += g * psi[src]
-    return out
+def _channels(occ, couplings, absorb):
+    """Channel amplitudes of the product states in the rows of occ
+    (excitation flags): <t|L|s> = g_i for t = s with excited atom i
+    lowered, and with absorb also <t|R|s> = g_i for each atom i raised.
 
-
-def _atomic_excitation(psi):
-    weights = np.array([bin(b).count("1") for b in range(len(psi))])
-    return float(np.sum(np.abs(psi) ** 2 * weights))
+    Returns one (target, source, amplitude, lowering) entry per nonzero
+    amplitude; target numbers the distinct (t, lowering) pairs from 0 and
+    source is the row of s.  States are compared as packed flag rows,
+    never as integer labels, so any number of atoms works.
+    """
+    source, atom = np.nonzero(occ | absorb)
+    lowering = occ[source, atom]
+    reached = occ[source]
+    reached[np.arange(len(source)), atom] = ~lowering
+    keys = np.packbits(np.column_stack([reached, lowering]), axis=1)
+    target = np.unique(keys.view(f"V{keys.shape[1]}").reshape(-1), return_inverse=True)[1]
+    return target.reshape(-1), source, couplings[atom], lowering
 
 
 def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
@@ -269,99 +268,70 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     excitation are never dark (there is nothing stored to protect).
     """
     psi = np.asarray(psi, dtype=complex)
-    gs = model.couplings()
     n = model.n_atoms
     if subspace == SUBSPACE_SINGLE:
         if psi.shape != (n + 1,):
             raise ValueError(f"expected a {n + 1}-component block vector, got {psi.shape}")
-        atomic = psi[:n]
-        photon_support = float(abs(psi[n]) ** 2)
-        emit = float(abs(np.dot(gs, atomic)))
-        # raising amplitudes land on two-excitation pair states
-        absorb_sq = 0.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                absorb_sq += abs(gs[i] * atomic[j] + gs[j] * atomic[i]) ** 2
-        absorb = float(np.sqrt(absorb_sq))
-        dark = emit <= tol and photon_support <= tol
-        return DarknessReport(dark, emit, absorb, photon_support, subspace)
-    if subspace == SUBSPACE_FULL:
+        occ, atomic, photon_support = np.eye(n, dtype=bool), psi[:n], float(abs(psi[n]) ** 2)
+    elif subspace == SUBSPACE_FULL:
         if psi.shape != (2**n,):
             raise ValueError(f"expected a {2**n}-component atomic vector, got {psi.shape}")
-        emit = float(np.linalg.norm(_lower_all(psi, gs)))
-        absorb = float(np.linalg.norm(_raise_all(psi, gs)))
-        excitation = _atomic_excitation(psi)
-        dark = emit <= tol and absorb <= tol and excitation > tol
-        return DarknessReport(dark, emit, absorb, 0.0, subspace)
-    raise ValueError(f"unknown subspace {subspace!r}")
-
-
-def _dark_filter_single(model, vectors, tol):
-    return [v for v in vectors if is_dark(model, v, SUBSPACE_SINGLE, tol).is_dark]
+        occ, atomic, photon_support = _product_states(n), psi, 0.0
+    else:
+        raise ValueError(f"unknown subspace {subspace!r}")
+    target, source, amplitude, lowering = _channels(occ, model.couplings(), True)
+    reached = np.zeros(target.max() + 1, dtype=complex)
+    np.add.at(reached, target, amplitude * atomic[source])
+    emitted = np.zeros(len(reached), dtype=bool)
+    emitted[target] = lowering
+    emit = float(np.linalg.norm(reached[emitted]))
+    absorb = float(np.linalg.norm(reached[~emitted]))
+    excitation = float(np.abs(atomic) ** 2 @ occ.sum(axis=1))
+    gated = absorb if subspace == SUBSPACE_FULL else 0.0
+    dark = max(emit, gated, photon_support) <= tol < excitation
+    return DarknessReport(dark, emit, absorb, photon_support, subspace)
 
 
 def find_dark_states(model, subspace=SUBSPACE_SINGLE, tol=1e-10):
-    """All eigenvectors of the relevant Hamiltonian that test dark.
+    """Orthonormal basis of the dark eigenspace, ordered by bare energy.
 
-    Degenerate clusters are searched as subspaces: the bright channels
-    (photon support and emission, plus absorption in the full model) are
-    stacked into one linear map on the cluster basis and its null space
-    gives the dark combinations, so darkness hiding inside an arbitrary
-    eigenvector rotation is still found.  Returns phase-fixed vectors;
-    empty when nothing qualifies (any nonzero frequency split between
-    the atoms guarantees that in the one-excitation block).
+    A photon-free state psi x |0> with L psi = 0 and, in the full space,
+    R psi = 0 (L, R the collective lowering and raising operators)
+    satisfies H (psi x |0>) = (H_A psi) x |0>, with or without the
+    rotating-wave approximation, and H_A = sum_i omega_i n_i is diagonal
+    in the product basis.  So the dark eigenvectors are the kernel of the
+    gating channels inside each group of product states with equal bare
+    energy (chained within DEGENERACY_RTOL of the largest atomic
+    frequency), and no Hamiltonian is built or diagonalised.  The
+    one-excitation block gates on emission, the full space on emission
+    and absorption over every excited atomic state.  Returns phase-fixed
+    vectors of the block or full-basis length, with zero photon
+    amplitudes; empty when nothing qualifies (any nonzero frequency split
+    between the atoms guarantees that in the one-excitation block).
     """
     if not (0 < tol < np.inf):
         raise ValueError(f"tol must be a positive finite number, got {tol}")
     n = model.n_atoms
-    gs = model.couplings()
     if subspace == SUBSPACE_SINGLE:
-        H = _model.single_excitation_block(model)
-        spec = _num.herm_eig(H)
-        out = []
-        for cluster in spec.clusters(_num.max_abs(H)):
-            V = spec.eigenvectors[:, cluster]
-            if len(cluster) == 1:
-                out.extend(_dark_filter_single(model, [V[:, 0]], tol))
-                continue
-            channels = np.vstack([np.append(gs, 0.0), np.eye(n + 1)[n]]) @ V
-            for w in _num.null_space(channels, tol=max(tol, 1e-12)):
-                candidate = _num.fix_phase(_num.normalize(V @ w))
-                if is_dark(model, candidate, SUBSPACE_SINGLE, tol).is_dark:
-                    out.append(candidate)
-        return out
-
-    if subspace == SUBSPACE_FULL:
-        H = _model.build_full_hamiltonian(model)
-        spec = _num.herm_eig(H)
-        dim_atomic = 2**n
-        out = []
-        for cluster in spec.clusters(_num.max_abs(H)):
-            V = spec.eigenvectors[:, cluster]
-            candidates = []
-            if len(cluster) == 1:
-                candidates = [V[:, 0]]
-            else:
-                # stack photon projector plus both atomic channels on the
-                # zero-photon content
-                proj_rows = V[dim_atomic:, :]
-                emit_rows = np.column_stack(
-                    [_lower_all(V[:dim_atomic, k], gs) for k in range(V.shape[1])]
-                )
-                absorb_rows = np.column_stack(
-                    [_raise_all(V[:dim_atomic, k], gs) for k in range(V.shape[1])]
-                )
-                channels = np.vstack([proj_rows, emit_rows, absorb_rows])
-                candidates = [V @ w for w in _num.null_space(channels, tol=max(tol, 1e-12))]
-            for cand in candidates:
-                cand = _num.fix_phase(_num.normalize(cand))
-                atomic = cand[:dim_atomic]
-                support = 1.0 - float(np.linalg.norm(atomic) ** 2)
-                if support > tol:
-                    continue
-                report = is_dark(model, _num.normalize(atomic), SUBSPACE_FULL, tol)
-                if report.is_dark:
-                    out.append(cand)
-        return out
-
-    raise ValueError(f"unknown subspace {subspace!r}")
+        if not model.rwa:
+            raise ValueError("block structure invalid without RWA")
+        occ, index, dim = np.eye(n, dtype=bool), np.arange(n), n + 1
+    elif subspace == SUBSPACE_FULL:
+        _model._check_scale(model)
+        occ, index, dim = _product_states(n)[1:], np.arange(1, 2**n), model.dim
+    else:
+        raise ValueError(f"unknown subspace {subspace!r}")
+    omegas, gs = model.omegas(), model.couplings()
+    energies = occ @ omegas
+    order = np.argsort(energies, kind="stable")
+    out = []
+    for group in _num._clusters(energies[order], _num.max_abs(omegas)):
+        members = order[group]
+        target, source, amplitude, _ = _channels(occ[members], gs, subspace == SUBSPACE_FULL)
+        K = np.zeros((target.max() + 1, len(members)))
+        np.add.at(K, (target, source), amplitude)
+        for w in _num.null_space(K, tol=max(tol, 1e-12)):
+            v = np.zeros(dim, dtype=complex)
+            v[index[members]] = w
+            out.append(_num.fix_phase(v))
+    return out

@@ -27,7 +27,7 @@ HBAR = 1.054571817e-34  # J s
 EPSILON_0 = 8.8541878128e-12  # F/m
 
 MAX_ATOMS = 12
-MAX_DIM = 65536
+MAX_DIM = 8192  # a dense complex matrix of this dimension takes 1 GiB
 
 
 @dataclass(frozen=True)

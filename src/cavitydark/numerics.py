@@ -102,16 +102,22 @@ class Spectrum:
 
     def clusters(self, scale):
         """Index groups of eigenvalues closer than DEGENERACY_RTOL * scale."""
-        gap = DEGENERACY_RTOL * max(scale, 1e-300)
-        groups, current = [], [0]
-        for i in range(1, self.dim):
-            if self.eigenvalues[i] - self.eigenvalues[i - 1] < gap:
-                current.append(i)
-            else:
-                groups.append(current)
-                current = [i]
-        groups.append(current)
-        return groups
+        return _clusters(self.eigenvalues, scale)
+
+
+def _clusters(values, scale):
+    """Index groups of the ascending values, chaining neighbours closer
+    than DEGENERACY_RTOL * scale."""
+    gap = DEGENERACY_RTOL * max(scale, 1e-300)
+    groups, current = [], [0]
+    for i in range(1, len(values)):
+        if values[i] - values[i - 1] < gap:
+            current.append(i)
+        else:
+            groups.append(current)
+            current = [i]
+    groups.append(current)
+    return groups
 
 
 def herm_eig(M, rtol=HERMITICITY_RTOL):

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as _model
+from . import numerics as _num
 from .darkstates import dark_state_degenerate, with_photon_amplitude
 
 OUTCOME_SUCCESS = "dark_success"
@@ -70,6 +71,8 @@ class ZSJumpConfig:
             raise ValueError("t_max must be positive")
         if self.t_steps < 2:
             raise ValueError("t_steps must be at least 2")
+        _num._bounded_int(self.t_steps, "t_steps", 64)
+        _num._bounded_int(self.seed, "seed", 64)
         if self.delta_t_distribution not in (DIST_UNIFORM, DIST_FIXED):
             raise ValueError(
                 f"unknown delta_t distribution {self.delta_t_distribution!r}"

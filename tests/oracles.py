@@ -72,3 +72,45 @@ def yield_on_grid(H, bra, ket, ts):
     """|<bra| exp(-i H t) |ket>|^2 at every t in ts."""
     w, a = _overlaps(H, bra, ket)
     return np.abs(np.exp(-1j * np.outer(ts, w)) @ a) ** 2
+
+
+def dark_kernel_count(omegas, gs, full=True, rtol=1e-9):
+    """Number of dark eigenvectors of a cavity model, by brute force.
+
+    A photon-free atomic state with no emission (and, in the full space,
+    no absorption) amplitude evolves under the bare atomic energies
+    alone, so the dark states span, per group of product states with
+    equal bare energy, the kernel of the gating channels restricted to
+    it.  full=True takes every excited state of the 2^n atomic sector
+    and stacks the dense collective lowering L, built by bit arithmetic,
+    over its transpose.  full=False takes the n one-excitation states,
+    where emission into the ground state is the only gate.  Energies
+    within rtol * max(omega) of their neighbour share a group; singular
+    values at or below rtol * max(g) count as kernel.
+    """
+    omegas, gs = np.asarray(omegas, float), np.asarray(gs, float)
+    n = len(gs)
+    if full:
+        labels = np.arange(2**n)
+        L = np.zeros((2**n, 2**n))
+        for i in range(n):
+            bit = 1 << (n - 1 - i)
+            excited = labels[(labels & bit) != 0]
+            L[excited ^ bit, excited] = gs[i]
+        K = np.vstack([L, L.T])[:, 1:]
+        bits = (labels[1:, None] >> np.arange(n - 1, -1, -1)) & 1
+    else:
+        K = gs[None, :]
+        bits = np.eye(n)
+    energies = bits @ omegas
+    order = np.argsort(energies, kind="stable")
+    gap = rtol * float(np.max(np.abs(omegas)))
+    thresh = rtol * float(np.max(gs))
+    count, start = 0, 0
+    for stop in range(1, len(order) + 1):
+        if stop == len(order) or energies[order[stop]] - energies[order[stop - 1]] >= gap:
+            cols = order[start:stop]
+            s = np.linalg.svd(K[:, cols], compute_uv=False)
+            count += len(cols) - int(np.sum(s > thresh))
+            start = stop
+    return count

@@ -149,16 +149,19 @@ def test_dark_find_counts(model_file, tmp_path):
 
 
 def test_dark_find_full_subspace(model_file, tmp_path):
-    equal = "omega_c = 1.0\natom.1.omega = 1.0\natom.1.g = 0.008\natom.2.omega = 1.0\natom.2.g = 0.008\n"
     out = str(tmp_path / "dark.csv")
-    rc = cli.main(
-        ["dark-find", "--model", model_file(equal), "--out", out, "--subspace", "full"]
-    )
-    assert rc == 0
-    header, rows = read_rows(out)
-    assert len(rows) >= 1
-    emit_col = header.index("emit_residual")
-    assert all(float(r[emit_col]) <= 1e-8 for r in rows)
+    for n_atoms, singlets in ((2, 1), (4, 2)):
+        equal = "omega_c = 1.0\n" + "".join(
+            f"atom.{i}.omega = 1.0\natom.{i}.g = 0.008\n" for i in range(1, n_atoms + 1)
+        )
+        rc = cli.main(
+            ["dark-find", "--model", model_file(equal), "--out", out, "--subspace", "full"]
+        )
+        assert rc == 0
+        header, rows = read_rows(out)
+        assert len(rows) == singlets
+        emit_col = header.index("emit_residual")
+        assert all(float(r[emit_col]) <= 1e-8 for r in rows)
 
 
 def test_sweep_single_point(tmp_path):
@@ -303,12 +306,17 @@ def test_unknown_subcommand_exit_code():
         ["dark-find", "--model", "RESONANT", "--tol", "0"],
         ["dark-find", "--model", "RESONANT", "--tol", "-1"],
         ["dark-find", "--model", "RESONANT", "--tol", "nan"],
+        # dim 12288 passed the old limit; its dense complex matrix takes 2.25 GiB
+        ["spectrum", "--model", "TWELVE_ATOMS_CUTOFF_2"],
     ],
 )
 def test_domain_errors_are_one_line(argv, model_file):
     models = {
         "CUTOFF_ZERO": "omega_c = 1.0\nphoton_cutoff = 0\natom.1.omega = 1.0\natom.1.g = 0.01\n",
         "RESONANT": RESONANT,
+        "TWELVE_ATOMS_CUTOFF_2": "omega_c = 1.0\nphoton_cutoff = 2\n" + "".join(
+            f"atom.{i}.omega = 1.0\natom.{i}.g = 0.01\n" for i in range(1, 13)
+        ),
     }
     argv = [model_file(models[a]) if a in models else a for a in argv]
     proc = run_python("-m", "cavitydark.cli", *argv, "--out", os.devnull)

@@ -17,10 +17,17 @@ from cavitydark.darkstates import (
     singlet_ensemble,
     with_photon_amplitude,
 )
-from cavitydark.model import AtomParams, CavityModel, single_excitation_block
+from cavitydark import model as model_module
+from cavitydark import numerics as numerics_module
+from cavitydark.model import (
+    AtomParams,
+    CavityModel,
+    build_full_hamiltonian,
+    single_excitation_block,
+)
 from cavitydark.numerics import evolve, herm_eig, max_abs
 
-from oracles import subspace_distance
+from oracles import dark_kernel_count, subspace_distance
 
 
 def block_model(w1=1.0, w2=1.0, g1=0.01, g2=0.005, wc=1.0, cutoff=1):
@@ -306,3 +313,72 @@ def test_darkness_invariant_under_evolution():
     for t in (1.0, 10.0, 100.0):
         evolved = evolve(spec, psi, t)
         assert is_dark(m, evolved, SUBSPACE_SINGLE, tol=1e-10).is_dark
+
+
+def chain_model(omegas, gs, cutoff=1, rwa=True):
+    atoms = tuple(AtomParams(omega=w, g=g) for w, g in zip(omegas, gs))
+    return CavityModel(omega_c=1.0, atoms=atoms, photon_cutoff=cutoff, rwa=rwa)
+
+
+def assert_dark_eigenbasis(m, states, subspace):
+    """Orthonormal, ordered by energy, eigenvectors of the Hamiltonian
+    (the block or the full one) within 1e-12 max|H|, and each is dark."""
+    if not states:
+        return
+    H = single_excitation_block(m) if subspace == SUBSPACE_SINGLE else build_full_hamiltonian(m)
+    V = np.array(states).T
+    assert np.abs(V.conj().T @ V - np.eye(len(states))).max() <= 1e-12
+    HV = H @ V
+    energies = np.einsum("ij,ij->j", V.conj(), HV).real
+    assert np.linalg.norm(HV - V * energies, axis=0).max() <= 1e-12 * max_abs(H)
+    assert np.all(np.diff(energies) >= -1e-12 * max_abs(H))
+    for v in states:
+        psi = v if subspace == SUBSPACE_SINGLE else v[: 2**m.n_atoms]
+        assert is_dark(m, psi, subspace, tol=1e-10).is_dark
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 100])
+def test_single_excitation_dark_count_is_n_minus_one(n):
+    # Dicke subradiance: every equal-frequency direction orthogonal to g
+    omegas, gs = np.ones(n), np.linspace(0.005, 0.02, n)
+    m = chain_model(omegas, gs)
+    states = find_dark_states(m, SUBSPACE_SINGLE, tol=1e-8)
+    assert len(states) == n - 1 == dark_kernel_count(omegas, gs, full=False)
+    assert_dark_eigenbasis(m, states, SUBSPACE_SINGLE)
+
+
+@pytest.mark.parametrize("n, expected", [(4, 2), (6, 5), (8, 14), (10, 42)])
+def test_full_dark_count_is_the_singlet_count(n, expected):
+    omegas, gs = np.ones(n), np.full(n, 0.01)
+    m = chain_model(omegas, gs)
+    states = find_dark_states(m, SUBSPACE_FULL, tol=1e-8)
+    assert len(states) == expected == dark_kernel_count(omegas, gs)
+    assert_dark_eigenbasis(m, states, SUBSPACE_FULL)
+
+
+def test_full_dark_count_without_rwa_matches_rwa():
+    # a dark state leaves the counter-rotating terms nothing to act on
+    omegas, gs = np.ones(4), np.full(4, 0.01)
+    m = chain_model(omegas, gs, cutoff=2, rwa=False)
+    states = find_dark_states(m, SUBSPACE_FULL, tol=1e-8)
+    assert len(states) == dark_kernel_count(omegas, gs) == 2
+    assert_dark_eigenbasis(m, states, SUBSPACE_FULL)
+
+
+def test_full_dark_count_distinct_atoms_is_zero():
+    rng = np.random.default_rng(2)
+    omegas, gs = rng.uniform(0.95, 1.05, 8), rng.uniform(0.005, 0.02, 8)
+    assert dark_kernel_count(omegas, gs) == 0
+    assert find_dark_states(chain_model(omegas, gs), SUBSPACE_FULL, tol=1e-8) == []
+
+
+def test_dark_search_builds_no_hamiltonian(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the dark search builds no Hamiltonian")
+
+    monkeypatch.setattr(model_module, "build_full_hamiltonian", forbidden)
+    monkeypatch.setattr(model_module, "single_excitation_block", forbidden)
+    monkeypatch.setattr(numerics_module, "herm_eig", forbidden)
+    m = chain_model(np.ones(4), np.full(4, 0.01))
+    assert len(find_dark_states(m, SUBSPACE_SINGLE, tol=1e-8)) == 3
+    assert len(find_dark_states(m, SUBSPACE_FULL, tol=1e-8)) == 2

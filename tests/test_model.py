@@ -152,6 +152,9 @@ def test_dimension_guard():
     atoms = tuple(AtomParams(omega=1.0, g=0.0) for _ in range(13))
     with pytest.raises(ValueError, match="too large"):
         build_full_hamiltonian(CavityModel(1.0, atoms))
+    # 12 atoms pass the atom limit, but dim 3 * 2**12 needs a 2.25 GiB matrix
+    with pytest.raises(ValueError, match="too large"):
+        build_full_hamiltonian(CavityModel(1.0, atoms[:12], photon_cutoff=2))
 
 
 def test_apply_zs_shift_examples():
