@@ -16,6 +16,8 @@ from . import model as _model
 from . import numerics as _num
 from . import protocol as _proto
 
+DEFAULT_SEED = 20260810  # seed of `verify` and run_checks when none is given
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -337,7 +339,7 @@ CHECKS = {
 }
 
 
-def run_checks(names=None, seed=20260810, model_hook=None):
+def run_checks(names=None, seed=DEFAULT_SEED, model_hook=None):
     """Run the selected checks (all by default) with a seeded RNG."""
     if names is None:
         names = list(CHECKS)

@@ -10,7 +10,6 @@ and identical configuration plus seed reproduces output byte for byte.
 import argparse
 import sys
 from dataclasses import replace
-from io import StringIO
 
 import numpy as np
 
@@ -35,10 +34,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _fmt(x):
-    return f"{float(x):.17g}"
 
 
 def _positive_float(text):
@@ -88,7 +83,7 @@ def _apply_overrides(cfg, pairs):
 
 def _protocol_config(args):
     cfg = _proto.ZSJumpConfig.reference_preset()
-    if getattr(args, "model", None):
+    if args.model:
         m = _model.load_model(args.model)
         if m.n_atoms != 2 or not m.rwa:
             raise UsageError("protocol configuration needs a two-atom RWA model")
@@ -106,14 +101,7 @@ def _protocol_config(args):
             g2=m.atoms[1].g,
         )
     cfg = _apply_overrides(cfg, args.set)
-    kwargs = {}
-    if getattr(args, "t_max", None) is not None:
-        kwargs["t_max"] = args.t_max
-    if getattr(args, "t_steps", None) is not None:
-        kwargs["t_steps"] = args.t_steps
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    return replace(cfg, **kwargs) if kwargs else cfg
+    return replace(cfg, t_max=args.t_max, t_steps=args.t_steps)
 
 
 def _write_output(args, text):
@@ -124,6 +112,22 @@ def _write_output(args, text):
         sys.stdout.write(text)
 
 
+def _write_table(args, header, rows, notes=(), row_format=None):
+    """Write the header, one line per row and a `# ` line per note; return the text.
+
+    Each row is formatted with one %-template, by default "%.17g" per
+    header column (integral values print as integers).  Rows are
+    formatted one at a time: a whole-table .tolist() costs memory.
+    """
+    template = (row_format or ",".join(["%.17g"] * len(header))) + "\n"
+    lines = [",".join(header) + "\n"] if header else []
+    lines.extend(template % tuple(row) for row in rows)
+    lines.extend(f"# {note}\n" for note in notes)
+    text = "".join(lines)
+    _write_output(args, text)
+    return text
+
+
 def _vector_columns(prefix, dim):
     cols = []
     for i in range(dim):
@@ -131,17 +135,15 @@ def _vector_columns(prefix, dim):
     return cols
 
 
-def _vector_cells(v):
-    cells = []
-    for z in np.asarray(v, dtype=complex):
-        cells.extend([_fmt(z.real), _fmt(z.imag)])
-    return cells
+def _interleaved(vectors):
+    """Complex vectors (one per row) as real rows re0, im0, re1, im1, ..."""
+    return np.ascontiguousarray(vectors, dtype=complex).view(float)
 
 
 def run_spectrum(args):
     m = _model.load_model(args.model)
     scale = args.physical or 1.0
-    buf = StringIO()
+    notes = ()
     if m.n_atoms == 2 and m.rwa:
         H = _model.single_excitation_block(m)
         numeric = _num.herm_eig(H)
@@ -153,6 +155,12 @@ def run_spectrum(args):
         order = np.argsort(analytic.eigenvalues, kind="stable")
         rank = np.empty(3, dtype=int)
         rank[order] = np.arange(3)
+        lam_n, V_n = numeric.eigenvalues[rank], numeric.eigenvectors[:, rank]
+        lam_a, V_a = analytic.eigenvalues, analytic.eigenvectors
+        disc = [
+            max(abs(lam_n[k] - lam_a[k]), _num.subspace_distance(V_a[:, k], V_n[:, k]))
+            for k in range(3)
+        ]
         header = (
             ["index", "eigenvalue"]
             + _vector_columns("", 3)
@@ -160,34 +168,19 @@ def run_spectrum(args):
             + _vector_columns("analytic_", 3)
             + ["discrepancy"]
         )
-        buf.write(",".join(header) + "\n")
-        for k in range(3):
-            pos = rank[k]
-            lam_n = numeric.eigenvalues[pos]
-            v_n = numeric.eigenvectors[:, pos]
-            lam_a = analytic.eigenvalues[k]
-            v_a = analytic.eigenvectors[:, k]
-            disc = max(abs(lam_n - lam_a), _num.subspace_distance(v_a, v_n))
-            row = (
-                [str(k), _fmt(lam_n * scale)]
-                + _vector_cells(v_n)
-                + [_fmt(lam_a * scale)]
-                + _vector_cells(v_a)
-                + [_fmt(disc)]
-            )
-            buf.write(",".join(row) + "\n")
-        buf.write(f"# branch,{analytic.branch}\n")
+        rows = np.column_stack(
+            [np.arange(3), lam_n * scale, _interleaved(V_n.T), lam_a * scale,
+             _interleaved(V_a.T), disc]
+        )
+        notes = [f"branch,{analytic.branch}"]
     else:
         H = _model.build_full_hamiltonian(m)
         spec = _num.herm_eig(H)
         header = ["index", "eigenvalue"] + _vector_columns("", spec.dim)
-        buf.write(",".join(header) + "\n")
-        for k in range(spec.dim):
-            row = [str(k), _fmt(spec.eigenvalues[k] * scale)] + _vector_cells(
-                spec.eigenvectors[:, k]
-            )
-            buf.write(",".join(row) + "\n")
-    _write_output(args, buf.getvalue())
+        rows = np.column_stack(
+            [np.arange(spec.dim), spec.eigenvalues * scale, _interleaved(spec.eigenvectors.T)]
+        )
+    _write_table(args, header, rows, notes)
     for entry in m.validity_report():
         print(
             f"atom {entry['atom']}: detuning/omega_c = {entry['detuning_ratio']:.3e}, "
@@ -200,29 +193,22 @@ def run_spectrum(args):
 def run_dark_find(args):
     m = _model.load_model(args.model)
     states = _dark.find_dark_states(m, args.subspace, tol=args.tol)
-    dim = (len(states[0]) if states else
-           (m.n_atoms + 1 if args.subspace == _dark.SUBSPACE_SINGLE else m.dim))
-    buf = StringIO()
-    header = (
-        ["index"]
-        + _vector_columns("", dim)
-        + ["emit_residual", "absorb_residual", "photon_support"]
+    single = args.subspace == _dark.SUBSPACE_SINGLE
+    dim = m.n_atoms + 1 if single else m.dim
+    residuals = []
+    for psi in states:
+        if not single:
+            psi = _num.normalize(psi[: 2**m.n_atoms])
+        report = _dark.is_dark(m, psi, args.subspace, tol=args.tol)
+        residuals.append((report.emit_residual, report.absorb_residual, report.photon_support))
+    header = ["index"] + _vector_columns("", dim) + [
+        "emit_residual", "absorb_residual", "photon_support"
+    ]
+    rows = np.column_stack(
+        [np.arange(len(states)), _interleaved(np.reshape(states, (-1, dim))),
+         np.reshape(residuals, (-1, 3))]
     )
-    buf.write(",".join(header) + "\n")
-    for k, psi in enumerate(states):
-        if args.subspace == _dark.SUBSPACE_SINGLE:
-            report = _dark.is_dark(m, psi, args.subspace, tol=args.tol)
-        else:
-            atomic = _num.normalize(psi[: 2**m.n_atoms])
-            report = _dark.is_dark(m, atomic, _dark.SUBSPACE_FULL, tol=args.tol)
-        row = (
-            [str(k)]
-            + _vector_cells(psi)
-            + [_fmt(report.emit_residual), _fmt(report.absorb_residual),
-               _fmt(report.photon_support)]
-        )
-        buf.write(",".join(row) + "\n")
-    _write_output(args, buf.getvalue())
+    _write_table(args, header, rows)
     print(f"{len(states)} dark state(s) in subspace {args.subspace}", file=sys.stderr)
     return EXIT_OK
 
@@ -236,27 +222,16 @@ def run_sweep(args):
     )
     f_scale = args.physical or 1.0
     t_scale = 1.0 / f_scale
-    buf = StringIO()
-    buf.write("ds,dg,p_max,t_star\n")
-    for i, ds in enumerate(result.ds_grid):
-        for j, dg in enumerate(result.dg_grid):
-            buf.write(
-                ",".join(
-                    [
-                        _fmt(ds * f_scale),
-                        _fmt(dg * f_scale),
-                        _fmt(result.p_max[i, j]),
-                        _fmt(result.t_star[i, j] * t_scale),
-                    ]
-                )
-                + "\n"
-            )
-    top = result.global_max()
-    buf.write(
-        f"# global_max,ds={_fmt(top['ds'] * f_scale)},dg={_fmt(top['dg'] * f_scale)},"
-        f"p_max={_fmt(top['p_max'])},t_star={_fmt(top['t_star'] * t_scale)}\n"
+    # row-major in ds
+    rows = np.column_stack(
+        [np.repeat(result.ds_grid * f_scale, dg_n), np.tile(result.dg_grid * f_scale, ds_n),
+         result.p_max.ravel(), result.t_star.ravel() * t_scale]
     )
-    _write_output(args, buf.getvalue())
+    top = result.global_max()
+    note = "global_max,ds=%.17g,dg=%.17g,p_max=%.17g,t_star=%.17g" % (
+        top["ds"] * f_scale, top["dg"] * f_scale, top["p_max"], top["t_star"] * t_scale
+    )
+    _write_table(args, ["ds", "dg", "p_max", "t_star"], rows, [note])
     print(
         f"global max p = {top['p_max']:.6e} at ds = {top['ds']:.6g}, "
         f"dg = {top['dg']:.6g}, t* = {top['t_star']:.6g}",
@@ -267,32 +242,36 @@ def run_sweep(args):
 
 def run_protocol(args):
     cfg = _protocol_config(args)
-    rng = _num.RandomSource(cfg.seed)
+    rng = _num.RandomSource(args.seed)
     trials = _proto.run_trials(cfg, trials=args.trials, max_cycles=args.max_cycles, rng=rng)
     t_star, p_star = _proto.pds_max(cfg)
     p_bar = _proto.mean_yield(cfg)
     successes = sum(t.outcome == _proto.OUTCOME_SUCCESS for t in trials)
-    buf = StringIO()
-    buf.write("trial,cycles_used,outcome\n")
-    for t in trials:
-        buf.write(f"{t.trial_index},{t.cycles_used},{t.outcome}\n")
-    buf.write(f"# p_star,{_fmt(p_star)},t_star,{_fmt(t_star)}\n")
-    buf.write(f"# mean_yield,{_fmt(p_bar)}\n")
-    buf.write(f"# success_rate,{_fmt(successes / len(trials))}\n")
+    notes = [
+        "p_star,%.17g,t_star,%.17g" % (p_star, t_star),
+        "mean_yield,%.17g" % p_bar,
+        "success_rate,%.17g" % (successes / len(trials)),
+    ]
     cycles = np.array([t.cycles_used for t in trials])
     success = np.array([t.outcome == _proto.OUTCOME_SUCCESS for t in trials])
     k = 1
     while k <= args.max_cycles:
         emp = float(np.mean(success & (cycles <= k)))
         ref = _proto.success_after_k(p_bar, k)
-        buf.write(f"# success_by_{k},empirical={_fmt(emp)},closed_form={_fmt(ref)}\n")
+        notes.append("success_by_%d,empirical=%.17g,closed_form=%.17g" % (k, emp, ref))
         k *= 10
     if cfg.ds == 0.0 and cfg.dg == 0.0:
-        buf.write(
-            "# note,zero shift makes the dark state an eigenvector orthogonal to the"
-            " pumped photon; the yield is identically zero and no cycle can succeed\n"
+        notes.append(
+            "note,zero shift makes the dark state an eigenvector orthogonal to the"
+            " pumped photon; the yield is identically zero and no cycle can succeed"
         )
-    _write_output(args, buf.getvalue())
+    _write_table(
+        args,
+        ["trial", "cycles_used", "outcome"],
+        ((t.trial_index, t.cycles_used, t.outcome) for t in trials),
+        notes,
+        row_format="%d,%d,%s",
+    )
     print(
         f"{successes}/{len(trials)} trials succeeded; p_bar = {p_bar:.6e}, "
         f"p_star = {p_star:.6e} at t* = {t_star:.6g}",
@@ -308,18 +287,16 @@ def run_verify(args):
         names = [n for n in (s.strip() for s in args.checks.split(",")) if n]
         if not names:
             raise UsageError("no checks selected")
-    results = _checks.run_checks(names=names, seed=args.seed if args.seed is not None else 20260810)
-    failed = 0
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        failed += not r.passed
-        lines.append(f"{status} {r.name}: {r.detail}")
-    text = "\n".join(lines) + "\n"
-    _write_output(args, text)
+    results = _checks.run_checks(names=names, seed=args.seed)
+    text = _write_table(
+        args,
+        (),
+        (("PASS" if r.passed else "FAIL", r.name, r.detail) for r in results),
+        row_format="%s %s: %s",
+    )
     if args.out:
         sys.stdout.write(text)
-    return EXIT_CHECK_FAILURE if failed else EXIT_OK
+    return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILURE
 
 
 def build_parser():
@@ -328,28 +305,39 @@ def build_parser():
         description="Cavity dark-state spectra and the shift-jump preparation protocol.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, model_required=False):
-        p.add_argument("--model", required=model_required, help="model description file")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument(
-            "--physical",
+    shared = {
+        "--model": dict(help="model description file"),
+        "--out": dict(help="output path (default: stdout)"),
+        "--physical": dict(
             type=_positive_float,
             help="cavity frequency in Hz; rescales reported frequencies and times",
-        )
-        p.add_argument(
-            "--set",
+        ),
+        "--set": dict(
             action="append",
             metavar="KEY=VALUE",
             help=f"override a config value ({', '.join(_OVERRIDE_KEYS)})",
-        )
+        ),
+        "--t-max": dict(type=float, help="waiting-time window (default: one cavity period)"),
+        "--t-steps": dict(
+            type=int, default=_proto.ZSJumpConfig.t_steps, help="yield grid points"
+        ),
+    }
 
-    p_spec = sub.add_parser("spectrum", help="eigen spectrum CSV, analytic vs numeric")
-    common(p_spec, model_required=True)
+    def command(name, help, *flags, required=()):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, required=flag in required, **shared[flag])
+        return p
 
-    p_dark = sub.add_parser("dark-find", help="search eigenvectors for dark states")
-    common(p_dark, model_required=True)
+    command(
+        "spectrum", "eigen spectrum CSV, analytic vs numeric",
+        "--model", "--out", "--physical", required=["--model"],
+    )
+
+    p_dark = command(
+        "dark-find", "search eigenvectors for dark states", "--model", "--out",
+        required=["--model"],
+    )
     p_dark.add_argument(
         "--subspace",
         choices=[_dark.SUBSPACE_SINGLE, _dark.SUBSPACE_FULL],
@@ -357,22 +345,25 @@ def build_parser():
     )
     p_dark.add_argument("--tol", type=float, default=1e-8)
 
-    p_sweep = sub.add_parser("sweep", help="maximal yield over the shift grid")
-    common(p_sweep)
+    p_sweep = command(
+        "sweep", "maximal yield over the shift grid",
+        "--model", "--out", "--physical", "--set", "--t-max", "--t-steps",
+    )
     p_sweep.add_argument("--ds-range", default="0:0.01:50", help="low:high:count")
     p_sweep.add_argument("--dg-range", default="0:0.007:50", help="low:high:count")
-    p_sweep.add_argument("--t-max", type=float, dest="t_max")
-    p_sweep.add_argument("--t-steps", type=int, dest="t_steps")
 
-    p_proto = sub.add_parser("protocol", help="repeat-until-success trials")
-    common(p_proto)
+    p_proto = command(
+        "protocol", "repeat-until-success trials",
+        "--model", "--out", "--set", "--t-max", "--t-steps",
+    )
+    p_proto.add_argument("--seed", type=int, default=0, help="trial stream seed")
     p_proto.add_argument("--trials", type=int, default=1000)
-    p_proto.add_argument("--max-cycles", type=int, default=1000, dest="max_cycles")
-    p_proto.add_argument("--t-max", type=float, dest="t_max")
-    p_proto.add_argument("--t-steps", type=int, dest="t_steps")
+    p_proto.add_argument("--max-cycles", type=int, default=1000)
 
-    p_verify = sub.add_parser("verify", help="run the invariant check suite")
-    common(p_verify)
+    p_verify = command("verify", "run the invariant check suite", "--out")
+    p_verify.add_argument(
+        "--seed", type=int, default=_checks.DEFAULT_SEED, help="seed of the check instances"
+    )
     p_verify.add_argument(
         "--checks",
         help=f"comma-separated subset of: {', '.join(_checks.CHECKS)}",

@@ -49,11 +49,6 @@ class AnalyticSpectrum:
     branch: str
     raw_eigenvectors: np.ndarray
 
-    def block_matrix(self):
-        """Reassembled sum_k lambda_k |v_k><v_k|."""
-        V = self.eigenvectors
-        return (V * self.eigenvalues) @ V.conj().T
-
 
 def dark_state_degenerate(g1, g2):
     """The interference-protected two-atom state (-g2, g1)/norm over

@@ -326,11 +326,8 @@ class RandomSource:
     """
 
     seed: int
-    algorithm: str = "pcg64"
 
     def __post_init__(self):
-        if self.algorithm != "pcg64":
-            raise ValueError(f"unsupported RNG algorithm {self.algorithm!r}")
         object.__setattr__(self, "seed", _bounded_int(self.seed, "seed", 64))
 
     def generator(self):

@@ -55,7 +55,6 @@ class ZSJumpConfig:
     t_steps: int = 1024
     delta_t_distribution: str = DIST_UNIFORM
     delta_t_fixed: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         # reject what CavityModel/AtomParams would reject on the shifted model
@@ -72,7 +71,6 @@ class ZSJumpConfig:
         if self.t_steps < 2:
             raise ValueError("t_steps must be at least 2")
         _num._bounded_int(self.t_steps, "t_steps", 64)
-        _num._bounded_int(self.seed, "seed", 64)
         if self.delta_t_distribution not in (DIST_UNIFORM, DIST_FIXED):
             raise ValueError(
                 f"unknown delta_t distribution {self.delta_t_distribution!r}"

@@ -1,4 +1,6 @@
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -60,6 +62,40 @@ def read_rows(path):
     lines = [l for l in open(path).read().splitlines() if l and not l.startswith("#")]
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
+    return header, rows
+
+
+def equal_atoms(n_atoms, g=0.008):
+    return "omega_c = 1.0\n" + "".join(
+        f"atom.{i}.omega = 1.0\natom.{i}.g = {g}\n" for i in range(1, n_atoms + 1)
+    )
+
+
+def well_formed_csv(argv, tmp_path, capsys):
+    """Run a CSV command to stdout and to --out; check the table and return its rows.
+
+    The two outputs must be the same bytes, every row must have the
+    header's column count, `#` lines may follow the rows but not precede
+    them, and every numeric cell must be a 17-digit round trip.
+    """
+    assert cli.main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "table.csv"
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
+    lines = stdout.splitlines()
+    n_rows = next((i for i, line in enumerate(lines) if line.startswith("#")), len(lines))
+    assert all(line.startswith("#") for line in lines[n_rows:])
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:n_rows]]
+    for row in rows:
+        assert len(row) == len(header)
+        for cell in row:
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            assert f"{value:.17g}" == cell
     return header, rows
 
 
@@ -151,11 +187,9 @@ def test_dark_find_counts(model_file, tmp_path):
 def test_dark_find_full_subspace(model_file, tmp_path):
     out = str(tmp_path / "dark.csv")
     for n_atoms, singlets in ((2, 1), (4, 2)):
-        equal = "omega_c = 1.0\n" + "".join(
-            f"atom.{i}.omega = 1.0\natom.{i}.g = 0.008\n" for i in range(1, n_atoms + 1)
-        )
         rc = cli.main(
-            ["dark-find", "--model", model_file(equal), "--out", out, "--subspace", "full"]
+            ["dark-find", "--model", model_file(equal_atoms(n_atoms)), "--out", out,
+             "--subspace", "full"]
         )
         assert rc == 0
         header, rows = read_rows(out)
@@ -176,18 +210,35 @@ def test_sweep_single_point(tmp_path):
     assert float(rows[0][2]) <= 1e-12
 
 
-def test_sweep_deterministic_and_roundtrip(tmp_path):
+def test_sweep_deterministic_and_roundtrip(tmp_path, capsys):
     args = ["sweep", "--ds-range", "0:0.01:4", "--dg-range", "0:0.007:3"]
     out1, out2 = str(tmp_path / "s1.csv"), str(tmp_path / "s2.csv")
     assert cli.main(args + ["--out", out1]) == 0
     assert cli.main(args + ["--out", out2]) == 0
     assert open(out1, "rb").read() == open(out2, "rb").read()
-    # 17 significant digits re-parse to the identical representation
-    _, rows = read_rows(out1)
-    for row in rows:
-        for cell in row:
-            assert f"{float(cell):.17g}" == cell
+    _, rows = well_formed_csv(args, tmp_path, capsys)
     assert len(rows) == 12  # row-major in ds: 4 x 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--model", "RESONANT"],
+        ["spectrum", "--model", "EQUAL_4"],
+        ["dark-find", "--model", "RESONANT"],
+        ["dark-find", "--model", "EQUAL_4", "--subspace", "full"],
+        ["sweep", "--ds-range", "0:0.01:3", "--dg-range", "0:0.007:2", "--physical", "3e14"],
+        ["protocol", "--trials", "30", "--max-cycles", "300", "--seed", "2",
+         "--set", "ds=0.01", "--set", "dg=0.007", "--t-max", "450"],
+    ],
+    ids=["spectrum-2", "spectrum-4", "dark-find-single", "dark-find-full", "sweep-physical",
+         "protocol"],
+)
+def test_every_csv_command_roundtrips_17_digits(argv, model_file, tmp_path, capsys):
+    models = {"RESONANT": RESONANT, "EQUAL_4": equal_atoms(4)}
+    argv = [model_file(models[a]) if a in models else a for a in argv]
+    header, rows = well_formed_csv(argv, tmp_path, capsys)
+    assert len(header) > 2 and rows
 
 
 def test_sweep_rows_row_major_in_ds(tmp_path):
@@ -324,6 +375,49 @@ def test_domain_errors_are_one_line(argv, model_file):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("cavitydark: error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--model", "RESONANT", "--seed", "1"],
+        ["spectrum", "--model", "RESONANT", "--set", "ds=0.01"],
+        ["dark-find", "--model", "RESONANT", "--seed", "1"],
+        ["dark-find", "--model", "RESONANT", "--physical", "5e14"],
+        ["dark-find", "--model", "RESONANT", "--set", "ds=1"],
+        ["sweep", "--ds-range", "0:0:1", "--dg-range", "0:0:1", "--seed", "1"],
+        ["protocol", "--trials", "1", "--max-cycles", "1", "--physical", "5e14"],
+        ["verify", "--checks", "vieta", "--model", "RESONANT"],
+        ["verify", "--checks", "vieta", "--physical", "5e14"],
+        ["verify", "--checks", "vieta", "--set", "ds=0.01"],
+    ],
+)
+def test_inert_flags_are_usage_errors(argv, model_file, capsys):
+    # each flag used to be accepted by this command and then read by nothing
+    argv = [model_file(RESONANT) if a == "RESONANT" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cavitydark ")
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
+
+
+def test_readme_synopsis_names_each_commands_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    synopsis = {}
+    for line in block.strip().splitlines():
+        if line.startswith("cavitydark "):
+            command = line.split()[1]
+        synopsis[command] = synopsis.get(command, "") + line
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert set(synopsis) == set(subparsers.choices)
+    for command, parser in subparsers.choices.items():
+        flags = {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[a-z][a-z-]*", synopsis[command])) == flags, command
 
 
 @pytest.mark.parametrize("value", ["0", "-2.5", "inf", "nan"])

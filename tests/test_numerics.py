@@ -258,11 +258,6 @@ def test_random_source_spawn_deterministic():
     assert len({k.seed for k in kids1}) == 4
 
 
-def test_random_source_rejects_unknown_algorithm():
-    with pytest.raises(ValueError, match="algorithm"):
-        RandomSource(seed=1, algorithm="xorshift")
-
-
 @pytest.mark.parametrize("bad", [1.5, True, -1, 2**64, np.float64(3.0), "3", None])
 def test_random_source_rejects_a_seed_that_is_not_a_uint64(bad):
     # 1.5 and True used to construct, and generator() then raised TypeError

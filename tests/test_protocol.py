@@ -74,8 +74,6 @@ def test_config_defaults_and_preset():
         # these constructed, then pds_max and run_trials raised TypeError
         dict(t_steps=2.5),
         dict(t_steps=True),
-        dict(seed=1.5),
-        dict(seed=-1),
     ],
 )
 def test_config_rejects_what_the_shifted_model_rejects(kwargs):
