@@ -1,9 +1,11 @@
 """Named self-verification checks, the backing of the `verify` subcommand.
 
 Each check re-derives one documented invariant of the package on fresh
-random instances and reports pass/fail with a short measurement summary.
-The registry is ordered so a full run reads bottom-up through the stack:
-construction, spectra, evolution, protocol, statistics.
+random instances and returns (passed, detail), detail a short
+measurement summary.  CHECKS names every check once; run_checks pairs
+the names with the outcomes.  The registry is ordered so a full run
+reads bottom-up through the stack: construction, spectra, evolution,
+protocol, statistics.
 """
 
 import math
@@ -45,21 +47,27 @@ def _two_atom(w1, w2, g1, g2, wc=1.0):
     )
 
 
-def check_model_hermiticity(gen, model_hook=None):
+def _random_hermitian(gen, dim):
+    X = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+    return (X + X.conj().T) / 2
+
+
+def _random_state(gen, dim):
+    psi = gen.normal(size=dim) + 1j * gen.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+def check_model_hermiticity(gen):
     worst = 0.0
     for _ in range(20):
         m = _random_model(gen, rwa=bool(gen.integers(0, 2)))
         H = _model.build_full_hamiltonian(m)
-        if model_hook is not None:
-            H = model_hook(H)
         scale = max(_num.max_abs(H), 1.0)
         worst = max(worst, _num.hermiticity_residual(H) / scale)
-    return CheckResult(
-        "model-hermiticity", worst <= 1e-14, f"max relative residual {worst:.2e}"
-    )
+    return worst <= 1e-14, f"max relative residual {worst:.2e}"
 
 
-def check_excitation_conservation(gen, model_hook=None):
+def check_excitation_conservation(gen):
     worst_rwa = 0.0
     broken = True
     for _ in range(12):
@@ -72,42 +80,23 @@ def check_excitation_conservation(gen, model_hook=None):
             Hf = _model.build_full_hamiltonian(m_full)
             if np.max(np.abs(Hf @ N - N @ Hf)) == 0.0:
                 broken = False
-    ok = worst_rwa <= 1e-12 and broken
-    return CheckResult(
-        "excitation-conservation",
-        ok,
+    return (
+        worst_rwa <= 1e-12 and broken,
         f"max |[H,N]| under RWA {worst_rwa:.2e}; counter-rotating terms break it",
     )
 
 
-def check_block_consistency(gen, model_hook=None):
+def check_block_consistency(gen):
     for _ in range(15):
         m = _random_model(gen, rwa=True)
         H = _model.build_full_hamiltonian(m)
         idx = _model.single_excitation_indices(m)
         if not np.array_equal(H[np.ix_(idx, idx)], _model.single_excitation_block(m)):
-            return CheckResult("block-consistency", False, "block mismatch found")
-    return CheckResult(
-        "block-consistency", True, "one-excitation block equals the full-matrix restriction"
-    )
+            return False, "block mismatch found"
+    return True, "one-excitation block equals the full-matrix restriction"
 
 
-def _match(analytic, numeric):
-    order = np.argsort(analytic.eigenvalues)
-    dv = max(
-        abs(analytic.eigenvalues[k] - numeric.eigenvalues[pos])
-        for pos, k in enumerate(order)
-    )
-    dvec = max(
-        _num.subspace_distance(
-            analytic.eigenvectors[:, k], numeric.eigenvectors[:, pos]
-        )
-        for pos, k in enumerate(order)
-    )
-    return dv, dvec
-
-
-def check_analytic_numeric(gen, model_hook=None):
+def check_analytic_numeric(gen):
     worst_v, worst_s = 0.0, 0.0
     fallbacks = 0
     for _ in range(300):
@@ -124,65 +113,54 @@ def check_analytic_numeric(gen, model_hook=None):
             H = _model.single_excitation_block(_two_atom(w1, w2, g1, g2))
             if sp.branch == _dark.BRANCH_SHIFTED_FALLBACK:
                 fallbacks += 1
-        dv, dvec = _match(sp, _num.herm_eig(H))
-        worst_v, worst_s = max(worst_v, dv), max(worst_s, dvec)
-    ok = worst_v <= 1e-8 and worst_s <= 1e-7 and fallbacks <= 3
-    return CheckResult(
-        "analytic-numeric",
-        ok,
+        _, _, gaps, distances = _dark._match_numeric(sp, _num.herm_eig(H))
+        worst_v, worst_s = max(worst_v, gaps.max()), max(worst_s, distances.max())
+    return (
+        worst_v <= 1e-8 and worst_s <= 1e-7 and fallbacks <= 3,
         f"max value diff {worst_v:.2e}, max subspace distance {worst_s:.2e}, "
         f"{fallbacks} numeric fallbacks",
     )
 
 
-def check_unitarity(gen, model_hook=None):
+def check_unitarity(gen):
     worst = 0.0
     for _ in range(40):
         dim = int(gen.integers(2, 17))
-        X = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
-        spec = _num.herm_eig((X + X.conj().T) / 2)
-        psi = gen.normal(size=dim) + 1j * gen.normal(size=dim)
-        psi /= np.linalg.norm(psi)
+        spec = _num.herm_eig(_random_hermitian(gen, dim))
+        psi = _random_state(gen, dim)
         for t in (0.1, 1.0, 10.0, 100.0):
             worst = max(worst, abs(np.linalg.norm(_num.evolve(spec, psi, t)) - 1.0))
-    return CheckResult("unitarity", worst <= 1e-10, f"max norm drift {worst:.2e}")
+    return worst <= 1e-10, f"max norm drift {worst:.2e}"
 
 
-def check_group_law(gen, model_hook=None):
+def check_group_law(gen):
     worst = 0.0
     for _ in range(30):
         dim = int(gen.integers(2, 9))
-        X = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
-        spec = _num.herm_eig((X + X.conj().T) / 2)
-        psi = gen.normal(size=dim) + 1j * gen.normal(size=dim)
-        psi /= np.linalg.norm(psi)
+        spec = _num.herm_eig(_random_hermitian(gen, dim))
+        psi = _random_state(gen, dim)
         t1, t2 = gen.uniform(0, 10, size=2)
         delta = _num.evolve(spec, _num.evolve(spec, psi, t1), t2) - _num.evolve(
             spec, psi, t1 + t2
         )
         worst = max(worst, float(np.max(np.abs(delta))))
-    return CheckResult("group-law", worst <= 1e-9, f"max composition error {worst:.2e}")
+    return worst <= 1e-9, f"max composition error {worst:.2e}"
 
 
-def check_spectral_reconstruction(gen, model_hook=None):
+def check_spectral_reconstruction(gen):
     worst = 0.0
     for _ in range(30):
-        dim = int(gen.integers(1, 13))
-        X = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
-        M = (X + X.conj().T) / 2
+        M = _random_hermitian(gen, int(gen.integers(1, 13)))
         spec = _num.herm_eig(M)
         R = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
         worst = max(worst, float(np.max(np.abs(R - M))) / max(_num.max_abs(M), 1e-300))
-    return CheckResult(
-        "spectral-reconstruction", worst <= 1e-9, f"max relative entry error {worst:.2e}"
-    )
+    return worst <= 1e-9, f"max relative entry error {worst:.2e}"
 
 
-def check_cubic_eig_agreement(gen, model_hook=None):
+def check_cubic_eig_agreement(gen):
     worst = 0.0
     for _ in range(1000):
-        X = gen.normal(size=(3, 3)) + 1j * gen.normal(size=(3, 3))
-        M = (X + X.conj().T) / 2
+        M = _random_hermitian(gen, 3)
         numeric = _num.herm_eig(M).eigenvalues
         tr = float(np.trace(M).real)
         tr2 = float(np.trace(M @ M).real)
@@ -192,12 +170,10 @@ def check_cubic_eig_agreement(gen, model_hook=None):
         roots = np.array(_num.cubic_roots(A, B, C))
         scale = max(1.0, float(np.max(np.abs(numeric))))
         worst = max(worst, float(np.max(np.abs(roots - numeric))) / scale)
-    return CheckResult(
-        "cubic-eig-agreement", worst <= 1e-8, f"max relative root error {worst:.2e}"
-    )
+    return worst <= 1e-8, f"max relative root error {worst:.2e}"
 
 
-def check_vieta(gen, model_hook=None):
+def check_vieta(gen):
     worst = 0.0
     for _ in range(300):
         w1, w2 = 1.0 - gen.uniform(-0.05, 0.05, size=2)
@@ -212,10 +188,10 @@ def check_vieta(gen, model_hook=None):
             abs(np.prod(b) + C) / max(abs(C), 1e-300),
         )
         worst = max(worst, float(rel))
-    return CheckResult("vieta", worst <= 1e-9, f"max relative defect {worst:.2e}")
+    return worst <= 1e-9, f"max relative defect {worst:.2e}"
 
 
-def check_dark_eigenpair(gen, model_hook=None):
+def check_dark_eigenpair(gen):
     # equal atomic frequencies on resonance: (-g2, g1, 0) is an exact
     # eigenvector at the cavity frequency
     worst = 0.0
@@ -227,10 +203,10 @@ def check_dark_eigenpair(gen, model_hook=None):
         H = _model.single_excitation_block(_two_atom(wc, wc, g1, g2, wc))
         v = _dark.with_photon_amplitude(_dark.dark_state_degenerate(g1, g2))
         worst = max(worst, float(np.linalg.norm(H @ v - wc * v)))
-    return CheckResult("dark-eigenpair", worst <= 1e-12, f"max residual {worst:.2e}")
+    return worst <= 1e-12, f"max residual {worst:.2e}"
 
 
-def check_darkness_evolution(gen, model_hook=None):
+def check_darkness_evolution(gen):
     for _ in range(40):
         g1, g2 = gen.uniform(0.001, 0.05, size=2)
         wa = 1.0 - float(gen.uniform(-0.05, 0.05))
@@ -240,15 +216,11 @@ def check_darkness_evolution(gen, model_hook=None):
         for t in (1.0, 10.0, 100.0):
             evolved = _num.evolve(spec, psi, t)
             if not _dark.is_dark(m, evolved, _dark.SUBSPACE_SINGLE, 1e-10).is_dark:
-                return CheckResult(
-                    "darkness-evolution", False, f"darkness lost at t={t}"
-                )
-    return CheckResult(
-        "darkness-evolution", True, "dark states stay dark under evolution"
-    )
+                return False, f"darkness lost at t={t}"
+    return True, "dark states stay dark under evolution"
 
 
-def check_no_dark_under_shift(gen, model_hook=None):
+def check_no_dark_under_shift(gen):
     found = 0
     for _ in range(100):
         ds = float(gen.uniform(0.0, 0.01))
@@ -257,19 +229,17 @@ def check_no_dark_under_shift(gen, model_hook=None):
         dg = float(gen.uniform(0.0, 0.007))
         m = _two_atom(1.0 + ds, 1.0, 0.01 + dg, 0.005)
         found += len(_dark.find_dark_states(m, _dark.SUBSPACE_SINGLE, tol=1e-6))
-    return CheckResult(
-        "no-dark-under-shift", found == 0, f"{found} spurious dark states found"
-    )
+    return found == 0, f"{found} spurious dark states found"
 
 
-def check_null_protocol(gen, model_hook=None):
+def check_null_protocol(gen):
     cfg = _proto.ZSJumpConfig(t_steps=512)
     _, ps = _proto.pds_curve(cfg)
     worst = float(np.max(ps))
-    return CheckResult("null-protocol", worst <= 1e-12, f"max yield without shift {worst:.2e}")
+    return worst <= 1e-12, f"max yield without shift {worst:.2e}"
 
 
-def check_scaling_invariance(gen, model_hook=None):
+def check_scaling_invariance(gen):
     worst = 0.0
     for _ in range(100):
         s = float(gen.uniform(0.2, 5.0))
@@ -282,13 +252,13 @@ def check_scaling_invariance(gen, model_hook=None):
         p0 = abs(_proto.dark_amplitude(base, t)) ** 2
         p1 = abs(_proto.dark_amplitude(scaled, t / s)) ** 2
         worst = max(worst, abs(p0 - p1))
-    return CheckResult("scaling-invariance", worst <= 1e-10, f"max yield shift {worst:.2e}")
+    return worst <= 1e-10, f"max yield shift {worst:.2e}"
 
 
 _KS_CRITICAL_1PCT = 1.628
 
 
-def check_cycle_statistics(gen, model_hook=None):
+def check_cycle_statistics(gen):
     # fixed waiting time: success cycle counts are geometric(p(t*))
     base = _proto.ZSJumpConfig(ds=0.01, dg=0.007, t_max=450.0, t_steps=3000)
     t_star, p_star = _proto.pds_max(base)
@@ -303,9 +273,7 @@ def check_cycle_statistics(gen, model_hook=None):
     cycles = np.sort([t.cycles_used for t in trials if t.outcome == _proto.OUTCOME_SUCCESS])
     n = len(cycles)
     if n < n_trials:
-        return CheckResult(
-            "cycle-statistics", False, f"{n_trials - n} trials hit the cycle cap"
-        )
+        return False, f"{n_trials - n} trials hit the cycle cap"
     # discrete KS: both CDFs are right-continuous step functions with the
     # same atoms, so the sup is attained on the integers
     ks = np.arange(1, cycles[-1] + 1)
@@ -313,11 +281,7 @@ def check_cycle_statistics(gen, model_hook=None):
     F = -np.expm1(ks * math.log1p(-p_star))
     D = float(np.max(np.abs(f_emp - F)))
     bound = _KS_CRITICAL_1PCT / math.sqrt(n)
-    return CheckResult(
-        "cycle-statistics",
-        D <= bound,
-        f"KS distance {D:.4f} vs 1% critical {bound:.4f} (p*={p_star:.3e})",
-    )
+    return D <= bound, f"KS distance {D:.4f} vs 1% critical {bound:.4f} (p*={p_star:.3e})"
 
 
 CHECKS = {
@@ -339,11 +303,10 @@ CHECKS = {
 }
 
 
-def run_checks(names=None, seed=DEFAULT_SEED, model_hook=None):
-    """Run the selected checks (all by default) with a seeded RNG."""
-    if names is None:
-        names = list(CHECKS)
-    names = list(names)
+def run_checks(names=None, seed=DEFAULT_SEED):
+    """Run the selected checks (all by default) with a seeded RNG; the
+    seed must be an integer in [0, 2**64)."""
+    names = list(CHECKS if names is None else names)
     if not names:
         raise ValueError("no checks selected")
     unknown = [n for n in names if n not in CHECKS]
@@ -351,5 +314,5 @@ def run_checks(names=None, seed=DEFAULT_SEED, model_hook=None):
         raise ValueError(
             f"unknown checks {unknown}; available: {', '.join(CHECKS)}"
         )
-    gen = np.random.default_rng(seed)
-    return [CHECKS[name](gen, model_hook=model_hook) for name in names]
+    gen = np.random.default_rng(_num._bounded_int(seed, "seed", 64))
+    return [CheckResult(name, *CHECKS[name](gen)) for name in names]

@@ -152,15 +152,8 @@ def run_spectrum(args):
         )
         # rows follow the analytic listing; numeric pairs matched by
         # eigenvalue order
-        order = np.argsort(analytic.eigenvalues, kind="stable")
-        rank = np.empty(3, dtype=int)
-        rank[order] = np.arange(3)
-        lam_n, V_n = numeric.eigenvalues[rank], numeric.eigenvectors[:, rank]
+        lam_n, V_n, gaps, distances = _dark._match_numeric(analytic, numeric)
         lam_a, V_a = analytic.eigenvalues, analytic.eigenvectors
-        disc = [
-            max(abs(lam_n[k] - lam_a[k]), _num.subspace_distance(V_a[:, k], V_n[:, k]))
-            for k in range(3)
-        ]
         header = (
             ["index", "eigenvalue"]
             + _vector_columns("", 3)
@@ -170,7 +163,7 @@ def run_spectrum(args):
         )
         rows = np.column_stack(
             [np.arange(3), lam_n * scale, _interleaved(V_n.T), lam_a * scale,
-             _interleaved(V_a.T), disc]
+             _interleaved(V_a.T), np.maximum(gaps, distances)]
         )
         notes = [f"branch,{analytic.branch}"]
     else:

@@ -60,10 +60,9 @@ def dark_state_degenerate(g1, g2):
     return np.array([-g2, g1], dtype=complex) / norm
 
 
-def with_photon_amplitude(atomic, amplitude=0.0):
-    """Extend an n-component atomic block vector with a photon amplitude."""
-    atomic = np.asarray(atomic, dtype=complex)
-    return np.concatenate([atomic, [amplitude]])
+def with_photon_amplitude(atomic):
+    """Extend an n-component atomic block vector with a zero photon amplitude."""
+    return np.append(np.asarray(atomic, dtype=complex), 0.0)
 
 
 def analytic_spectrum_degenerate(omega_c, omega_a, g1, g2):
@@ -183,6 +182,23 @@ def analytic_spectrum(omega_c, omega_a1, omega_a2, g1, g2):
     return analytic_spectrum_shifted(omega_c, omega_a1, omega_a2, g1, g2)
 
 
+def _match_numeric(analytic, numeric):
+    """Pair a numeric spectrum with an analytic one by eigenvalue rank.
+
+    Returns (values, vectors, gaps, distances): the numeric eigenpairs in
+    the analytic column order, then per column |numeric - analytic|
+    eigenvalue and the subspace distance between the two eigenvectors.
+    """
+    rank = np.empty(len(analytic.eigenvalues), dtype=int)
+    rank[np.argsort(analytic.eigenvalues, kind="stable")] = np.arange(len(rank))
+    values, vectors = numeric.eigenvalues[rank], numeric.eigenvectors[:, rank]
+    gaps = np.abs(values - analytic.eigenvalues)
+    distances = np.array([
+        _num.subspace_distance(a, v) for a, v in zip(analytic.eigenvectors.T, vectors.T)
+    ])
+    return values, vectors, gaps, distances
+
+
 def singlet_ensemble(n, pair_couplings=None):
     """Tensor product of per-pair dark states over n atoms (n even).
 
@@ -257,10 +273,13 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     """Decide darkness of a state relative to the chosen subspace.
 
     single_excitation expects the (n+1)-component block vector and
-    requires both the emission amplitude and the photon support below
-    tol.  full expects a 2^n atomic-sector vector and additionally
-    requires the absorption channel to vanish.  States without atomic
-    excitation are never dark (there is nothing stored to protect).
+    requires the emission amplitude below tol * max_i g_i and the photon
+    support below tol.  full expects a 2^n atomic-sector vector and
+    additionally requires the absorption amplitude below tol * max_i g_i.
+    Channel residuals are thus relative to the coupling scale, as in
+    find_dark_states, so the verdict does not depend on the frequency
+    unit.  States without atomic excitation (weight at or below tol) are
+    never dark (there is nothing stored to protect).
     """
     psi = np.asarray(psi, dtype=complex)
     n = model.n_atoms
@@ -274,7 +293,8 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
         occ, atomic, photon_support = _product_states(n), psi, 0.0
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
-    target, source, amplitude, lowering = _channels(occ, model.couplings(), True)
+    gs = model.couplings()
+    target, source, amplitude, lowering = _channels(occ, gs, True)
     reached = np.zeros(target.max() + 1, dtype=complex)
     np.add.at(reached, target, amplitude * atomic[source])
     emitted = np.zeros(len(reached), dtype=bool)
@@ -283,7 +303,7 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     absorb = float(np.linalg.norm(reached[~emitted]))
     excitation = float(np.abs(atomic) ** 2 @ occ.sum(axis=1))
     gated = absorb if subspace == SUBSPACE_FULL else 0.0
-    dark = max(emit, gated, photon_support) <= tol < excitation
+    dark = max(emit, gated) <= tol * gs.max() and photon_support <= tol < excitation
     return DarknessReport(dark, emit, absorb, photon_support, subspace)
 
 

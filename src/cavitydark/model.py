@@ -32,12 +32,10 @@ MAX_DIM = 8192  # a dense complex matrix of this dimension takes 1 GiB
 
 @dataclass(frozen=True)
 class AtomParams:
-    """One two-level atom: transition frequency, coupling, optional
-    position along the cavity axis (meters, only used to derive g)."""
+    """One two-level atom: transition frequency and coupling."""
 
     omega: float
     g: float
-    position: float | None = None
 
     def __post_init__(self):
         if not (self.omega > 0):
@@ -376,7 +374,6 @@ def parse_model(text):
                     "use one kind for all atoms", entry["g"][1]
                 )
             g = as_float(f"atom.{i}.g", *entry["g"])
-            params.append(AtomParams(omega=omega, g=g, position=None))
         else:
             x_val, lineno = entry["x"]
             x = as_float(f"atom.{i}.x", x_val, lineno)
@@ -390,13 +387,11 @@ def parse_model(text):
                     f"atom {i}: position {x} outside the cavity [0, {L:.6g}]", lineno
                 )
             g = coupling_from_position(x, L, omega_c, dipole, volume)
-            params.append(AtomParams(omega=omega, g=g, position=x))
+        params.append(AtomParams(omega=omega, g=g))
 
     if positional:
         # couplings from the field profile are already in units of omega_c
-        params = [
-            replace(a, omega=a.omega / omega_c, g=a.g) for a in params
-        ]
+        params = [replace(a, omega=a.omega / omega_c) for a in params]
         omega_c = 1.0
 
     return CavityModel(omega_c=omega_c, atoms=tuple(params), photon_cutoff=cutoff, rwa=rwa)

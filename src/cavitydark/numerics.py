@@ -35,18 +35,18 @@ def hermiticity_residual(M):
     return float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
 
 
-def require_hermitian(M, rtol=HERMITICITY_RTOL):
+def require_hermitian(M):
     """Return M as a complex array, raising NonHermitianError if it is not
-    Hermitian within rtol * max|M|."""
+    Hermitian within HERMITICITY_RTOL * max|M|."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     res = hermiticity_residual(M)
-    bound = rtol * max(max_abs(M), 1e-300)
+    bound = HERMITICITY_RTOL * max(max_abs(M), 1e-300)
     if res > bound:
         raise NonHermitianError(
             f"matrix is not Hermitian: max |M - M^H| = {res:.3e} "
-            f"exceeds {bound:.3e} (rtol={rtol:g})"
+            f"exceeds {bound:.3e} (rtol={HERMITICITY_RTOL:g})"
         )
     return M
 
@@ -95,11 +95,6 @@ class Spectrum:
     def dim(self):
         return self.eigenvalues.shape[0]
 
-    def projector(self, indices):
-        """Projector onto the span of the selected eigenvectors."""
-        V = self.eigenvectors[:, list(indices)]
-        return V @ V.conj().T
-
     def clusters(self, scale):
         """Index groups of eigenvalues closer than DEGENERACY_RTOL * scale."""
         return _clusters(self.eigenvalues, scale)
@@ -120,10 +115,10 @@ def _clusters(values, scale):
     return groups
 
 
-def herm_eig(M, rtol=HERMITICITY_RTOL):
+def herm_eig(M):
     """Eigendecomposition of a Hermitian matrix via LAPACK, with the
     package phase convention applied to every column."""
-    M = require_hermitian(M, rtol=rtol)
+    M = require_hermitian(M)
     w, V = np.linalg.eigh(M)
     V = np.column_stack([fix_phase(V[:, k]) for k in range(V.shape[1])])
     return Spectrum(eigenvalues=w, eigenvectors=V)
@@ -202,11 +197,12 @@ def null_space(M, tol):
     """Orthonormal basis of {v : ||Mv|| <= tol * max|M| * ||v||}.
 
     Returns a (possibly empty) list of phase-fixed vectors.  The zero
-    matrix yields the full standard-dimension basis.
+    matrix yields the full standard-dimension basis.  A real M keeps its
+    real SVD, which is several times cheaper than the complex one.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    M = np.atleast_2d(np.asarray(M, dtype=complex))
+    M = np.atleast_2d(np.asarray(M))
     n = M.shape[1]
     scale = max_abs(M)
     if scale == 0.0:

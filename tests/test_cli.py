@@ -321,22 +321,25 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setitem(
         cli._checks.CHECKS,
         "always-fails",
-        lambda gen, model_hook=None: CheckResult("always-fails", False, "negative control"),
+        lambda gen: (False, "negative control"),
     )
     rc = cli.main(["verify", "--checks", "always-fails"])
     assert rc == 2
     assert "FAIL always-fails" in capsys.readouterr().out
 
 
-def test_checks_negative_control_hook():
+def test_checks_negative_control_hook(monkeypatch):
     # injecting a non-Hermitian perturbation must trip the Hermiticity check
-    def corrupt(H):
-        H = H.copy()
+    build = cavitydark.model.build_full_hamiltonian
+
+    def corrupt(m):
+        H = build(m)
         H[0, -1] += 1e-6
         return H
 
-    results = run_checks(["model-hermiticity"], model_hook=corrupt)
-    assert not results[0].passed
+    monkeypatch.setattr(cavitydark.model, "build_full_hamiltonian", corrupt)
+    results = run_checks(["model-hermiticity"])
+    assert results == [CheckResult("model-hermiticity", False, results[0].detail)]
 
 
 def test_unknown_subcommand_exit_code():
@@ -359,6 +362,8 @@ def test_unknown_subcommand_exit_code():
         ["dark-find", "--model", "RESONANT", "--tol", "nan"],
         # dim 12288 passed the old limit; its dense complex matrix takes 2.25 GiB
         ["spectrum", "--model", "TWELVE_ATOMS_CUTOFF_2"],
+        # numpy's own "expected non-negative integer" named neither flag nor value
+        ["verify", "--seed", "-5"],
     ],
 )
 def test_domain_errors_are_one_line(argv, model_file):
@@ -375,6 +380,8 @@ def test_domain_errors_are_one_line(argv, model_file):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("cavitydark: error:")
+    if argv[0] == "verify":
+        assert "seed" in lines[0] and "-5" in lines[0]
 
 
 @pytest.mark.parametrize(

@@ -382,3 +382,35 @@ def test_dark_search_builds_no_hamiltonian(monkeypatch):
     m = chain_model(np.ones(4), np.full(4, 0.01))
     assert len(find_dark_states(m, SUBSPACE_SINGLE, tol=1e-8)) == 3
     assert len(find_dark_states(m, SUBSPACE_FULL, tol=1e-8)) == 2
+
+
+def test_full_search_takes_real_svds(monkeypatch):
+    # the channel matrices are real; a complex SVD of them costs about
+    # twice the time at n = 12
+    svd = np.linalg.svd
+    seen = []
+
+    def spy(M, *args, **kwargs):
+        seen.append(np.asarray(M).dtype)
+        return svd(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    m = chain_model(np.ones(6), np.full(6, 0.01))
+    assert len(find_dark_states(m, SUBSPACE_FULL, tol=1e-8)) == 5
+    assert seen and all(dtype == np.float64 for dtype in seen)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6, 1e15])
+def test_is_dark_accepts_found_states_at_every_frequency_scale(scale):
+    # the channel residuals of a found state are roundoff of the couplings;
+    # compared to tol in absolute terms they failed at optical frequencies
+    rng = np.random.default_rng(1)
+    rejected = 0
+    for _ in range(50):
+        gs = rng.uniform(0.005, 0.02, 3) * scale
+        m = CavityModel(omega_c=scale, atoms=tuple(AtomParams(omega=scale, g=g) for g in gs))
+        for subspace in (SUBSPACE_SINGLE, SUBSPACE_FULL):
+            for v in find_dark_states(m, subspace):
+                psi = v if subspace == SUBSPACE_SINGLE else v[:8]
+                rejected += not is_dark(m, psi, subspace).is_dark
+    assert rejected == 0

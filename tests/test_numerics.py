@@ -217,21 +217,33 @@ def test_null_space_coupling_row():
     assert abs(overlap - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("shape", [(12, 5), (5, 5), (3, 7)], ids=["tall", "square", "wide"])
-def test_null_space_matches_the_full_svd(shape):
-    # a tall matrix takes the thin SVD, a wide one the full one; both must
-    # give the span of the full SVD's trailing right singular vectors
+def _check_null_space_against_the_full_svd(shape, dtype):
     gen = np.random.default_rng(11)
     rows, cols = shape
+    imag = 1j if dtype is complex else 0.0
     for rank in range(min(rows, cols) + 1):
-        M = (gen.normal(size=(rows, rank)) + 1j * gen.normal(size=(rows, rank))) @ (
-            gen.normal(size=(rank, cols)) + 1j * gen.normal(size=(rank, cols)))
+        M = (gen.normal(size=(rows, rank)) + imag * gen.normal(size=(rows, rank))) @ (
+            gen.normal(size=(rank, cols)) + imag * gen.normal(size=(rank, cols)))
+        assert M.dtype == dtype
         basis = null_space(M, tol=1e-10)
         assert len(basis) == cols - rank
         Vh = np.linalg.svd(M)[2]
         want = Vh[rank:].conj().T @ Vh[rank:]
         got = sum((np.outer(v, v.conj()) for v in basis), np.zeros((cols, cols)))
         assert np.allclose(got, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(12, 5), (5, 5), (3, 7)], ids=["tall", "square", "wide"])
+def test_null_space_matches_the_full_svd(shape):
+    # a tall matrix takes the thin SVD, a wide one the full one; both must
+    # give the span of the full SVD's trailing right singular vectors
+    _check_null_space_against_the_full_svd(shape, complex)
+
+
+@pytest.mark.parametrize("shape", [(12, 5), (5, 5), (3, 7)], ids=["tall", "square", "wide"])
+def test_null_space_matches_the_full_svd_for_real_input(shape):
+    # real input keeps its real SVD and must give the same span
+    _check_null_space_against_the_full_svd(shape, float)
 
 
 def test_fix_phase_determinism():

@@ -78,7 +78,7 @@ def test_config_defaults_and_preset():
 )
 def test_config_rejects_what_the_shifted_model_rejects(kwargs):
     # the kernel builds the shifted block without CavityModel/AtomParams,
-    # so the config must refuse the same inputs they refuse
+    # so the config builds the shifted model once to refuse what they refuse
     with pytest.raises(ValueError):
         ZSJumpConfig(**kwargs)
 
