@@ -167,8 +167,10 @@ def run_spectrum(args):
         )
         notes = [f"branch,{analytic.branch}"]
     else:
+        # H conserves the excitation number under RWA, its parity without
         H = _model.build_full_hamiltonian(m)
-        spec = _num.herm_eig(H)
+        excitations = _model.excitation_numbers(m)
+        spec = _num.herm_eig(H, excitations if m.rwa else excitations % 2)
         header = ["index", "eigenvalue"] + _vector_columns("", spec.dim)
         rows = np.column_stack(
             [np.arange(spec.dim), spec.eigenvalues * scale, _interleaved(spec.eigenvectors.T)]

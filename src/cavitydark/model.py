@@ -203,14 +203,19 @@ def single_excitation_block(model):
     return H.astype(complex)
 
 
+def excitation_numbers(model):
+    """Excitation number p + (number of excited atoms) of every full-basis
+    state, in basis order."""
+    _check_scale(model)
+    n = model.n_atoms
+    bits = np.arange(2**n)
+    excited = sum((bits >> i) & 1 for i in range(n))
+    return (np.arange(model.photon_cutoff + 1)[:, None] + excited).ravel()
+
+
 def excitation_number_operator(model):
     """N = a^+ a + sum_i sigma_i^+ sigma_i^- on the full basis."""
-    n = model.n_atoms
-    nmax = model.photon_cutoff
-    N = np.kron(np.diag(np.arange(nmax + 1, dtype=float)), np.eye(2**n))
-    for i in range(n):
-        N += np.kron(np.eye(nmax + 1), _atom_operator(NUMBER_2LVL, i, n))
-    return N.astype(complex)
+    return np.diag(excitation_numbers(model)).astype(complex)
 
 
 def apply_zs_shift(model, atom_index, ds, dg):

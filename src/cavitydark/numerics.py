@@ -115,13 +115,69 @@ def _clusters(values, scale):
     return groups
 
 
-def herm_eig(M):
+def _fix_phase_columns(V):
+    """fix_phase applied to every column of V, bit for bit.
+
+    The pivot magnitude is hypot(re, im), the scalar abs fix_phase uses
+    (numpy's array abs can differ in the last bit), and each column is
+    multiplied by its own factor as a scalar, as fix_phase does.  A zero
+    column is left as it is.
+    """
+    pivot = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    mag = np.hypot(pivot.real, pivot.imag)
+    zero = mag == 0.0
+    factor = pivot.conj() / np.where(zero, 1.0, mag)  # 0, not 0/0, on a zero column
+    out = (V.T * factor[:, None]).T
+    if zero.any():
+        out[:, zero] = V[:, zero]
+    return out
+
+
+def _sector_indices(M, sectors):
+    """Index arrays of the sectors, ascending by label, each in basis order.
+
+    Raises ValueError if M has a nonzero entry between two sectors.
+    """
+    labels = np.asarray(sectors)
+    if labels.shape != (M.shape[0],):
+        raise ValueError(
+            f"sectors needs one label per row: got shape {labels.shape} "
+            f"for a {M.shape[0]}x{M.shape[0]} matrix"
+        )
+    keys, inverse = np.unique(labels, return_inverse=True)
+    if len(keys) > 1:
+        coupled = np.argwhere((M != 0) & (inverse[:, None] != inverse[None, :]))
+        if len(coupled):
+            i, j = coupled[0]
+            raise ValueError(
+                f"sectors {labels[i]} and {labels[j]} are coupled by M[{i}, {j}] != 0"
+            )
+    return [np.flatnonzero(inverse == k) for k in range(len(keys))]
+
+
+def herm_eig(M, sectors=None):
     """Eigendecomposition of a Hermitian matrix via LAPACK, with the
-    package phase convention applied to every column."""
+    package phase convention applied to every column.
+
+    sectors optionally labels each row with a conserved quantity; M must
+    not couple rows with different labels.  Each sector's block is then
+    solved on its own, its eigenvectors are exactly zero outside it, and
+    the eigenvalues of all sectors are merged in ascending order (ties in
+    ascending label order).  Without sectors the matrix is one block.
+    """
     M = require_hermitian(M)
-    w, V = np.linalg.eigh(M)
-    V = np.column_stack([fix_phase(V[:, k]) for k in range(V.shape[1])])
-    return Spectrum(eigenvalues=w, eigenvectors=V)
+    dim = M.shape[0]
+    blocks = [np.arange(dim)] if sectors is None else _sector_indices(M, sectors)
+    solved = [np.linalg.eigh(M[idx[:, None], idx]) for idx in blocks]
+    values = np.concatenate([w for w, _ in solved])
+    order = np.argsort(values, kind="stable")
+    column = np.argsort(order)  # where each solved eigenvector goes
+    V = np.zeros((dim, dim), dtype=complex)
+    start = 0
+    for idx, (_, vectors) in zip(blocks, solved):
+        V[idx[:, None], column[start : start + len(idx)]] = _fix_phase_columns(vectors)
+        start += len(idx)
+    return Spectrum(eigenvalues=values[order], eigenvectors=V)
 
 
 def evolve(spec, psi0, t):

@@ -150,6 +150,21 @@ def test_spectrum_discrepancy_small_on_random_models(model_file, tmp_path):
         assert all(float(r[col]) <= 1e-8 for r in rows)
 
 
+
+def test_spectrum_of_eight_equal_atoms_solves_each_excitation_sector(model_file, tmp_path):
+    out = tmp_path / "spectrum.csv"
+    assert cli.main(["spectrum", "--model", model_file(equal_atoms(8)), "--out", str(out)]) == 0
+    header, rows = read_rows(out)
+    assert len(rows) == 512 and len(header) == 2 + 2 * 512
+    values = [float(row[1]) for row in rows]
+    assert values == sorted(values)
+    # basis state i holds i // 256 photons and the excited atoms in the bits of i % 256
+    excitation = np.array([i // 256 + bin(i % 256).count("1") for i in range(512)])
+    for row in rows:
+        cells = np.array(row[2:]).reshape(512, 2)
+        nonzero = np.any(cells != "0", axis=1)
+        assert len(set(excitation[nonzero])) == 1
+
 def test_spectrum_malformed_model_reports_line(model_file, capsys):
     path = model_file("omega_c = 1.0\natom.1.omega = quick\natom.1.g = 0\n")
     rc = cli.main(["spectrum", "--model", path])

@@ -16,6 +16,7 @@ from cavitydark.model import (
     build_full_hamiltonian,
     coupling_from_position,
     excitation_number_operator,
+    excitation_numbers,
     half_wavelength,
     parse_model,
     single_excitation_block,
@@ -147,6 +148,29 @@ def test_excitation_nonconservation_without_rwa():
         N = excitation_number_operator(m)
         assert np.max(np.abs(H @ N - N @ H)) > 0
 
+
+
+def _kron_excitation_operator(model):
+    """a^+ a + sum_i sigma_i^+ sigma_i^-, one Kronecker product per term."""
+    n, nmax = model.n_atoms, model.photon_cutoff
+    number = np.diag([0.0, 1.0])
+    N = np.kron(np.diag(np.arange(nmax + 1, dtype=float)), np.eye(2**n))
+    for i in range(n):
+        op = np.eye(1)
+        for j in range(n):
+            op = np.kron(op, number if j == i else np.eye(2))
+        N += np.kron(np.eye(nmax + 1), op)
+    return N.astype(complex)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+def test_excitation_number_operator_is_the_kron_construction(n_atoms, cutoff):
+    m = random_model(np.random.default_rng(n_atoms), n_atoms=n_atoms, cutoff=cutoff)
+    N = excitation_number_operator(m)
+    assert N.dtype == complex
+    assert np.array_equal(N, _kron_excitation_operator(m))
+    assert excitation_numbers(m).tolist() == [label.excitation for label in basis_labels(m)]
 
 def test_dimension_guard():
     atoms = tuple(AtomParams(omega=1.0, g=0.0) for _ in range(13))

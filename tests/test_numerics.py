@@ -14,6 +14,14 @@ from cavitydark.numerics import (
     null_space,
 )
 
+from cavitydark.model import (
+    AtomParams,
+    CavityModel,
+    build_full_hamiltonian,
+    excitation_numbers,
+    single_excitation_indices,
+)
+
 from oracles import expm_series, random_hermitian, char_poly_coefficients
 
 
@@ -254,6 +262,104 @@ def test_fix_phase_determinism():
     assert w[k].real > 0
     assert np.allclose(np.abs(w), np.abs(v))
 
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _fix_phase_per_column(V):
+    return np.column_stack([fix_phase(V[:, k]) for k in range(V.shape[1])])
+
+
+def test_fix_phase_columns_is_fix_phase_bit_for_bit():
+    gen = np.random.default_rng(23)
+    for dim in list(range(1, 12)) * 4 + [40, 97]:
+        X = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
+        _, vectors = np.linalg.eigh(X + X.conj().T)
+        for V in (X, vectors, X[:, : max(1, dim // 2)], np.asfortranarray(X)):
+            assert _bits(numerics._fix_phase_columns(V)) == _bits(_fix_phase_per_column(V))
+    # a zero column (signed zeros included) stays as it is; tied
+    # magnitudes pivot on the lowest index
+    V = np.array(
+        [[0.0, 1.0, -1.0, 2j],
+         [-0.0, -1.0, 1j, -2.0],
+         [complex(-0.0, -0.0), 1j, -1j, 2.0]]
+    )
+    fixed = numerics._fix_phase_columns(V)
+    assert _bits(fixed) == _bits(_fix_phase_per_column(V))
+    assert _bits(fixed[:, 0]) == _bits(V[:, 0])
+    assert np.array_equal(fixed[0, 1:], [1.0, 1.0, 2.0])
+
+
+def test_herm_eig_without_sectors_is_the_dense_solve_bit_for_bit():
+    gen = np.random.default_rng(29)
+    for dim in list(range(1, 10)) + [33]:
+        M = random_hermitian(gen, dim)
+        w, V = np.linalg.eigh(M)
+        spec = herm_eig(M)
+        assert _bits(spec.eigenvalues) == _bits(w)
+        assert _bits(spec.eigenvectors) == _bits(_fix_phase_per_column(V))
+
+
+def _sector_models():
+    """(model, labels) pairs: RWA models with excitation numbers, non-RWA
+    models with their parity; equal atoms give degenerate clusters, and
+    some couplings are exactly zero."""
+    gen = np.random.default_rng(31)
+    cases = []
+    for rwa in (True, False):
+        for n in range(1, 7 if rwa else 6):
+            for cutoff in (1, 2, 3):
+                equal = gen.random() < 0.5
+                omegas = np.ones(n) if equal else gen.uniform(0.95, 1.05, n)
+                gs = np.full(n, 0.02) if equal else gen.uniform(0.0, 0.05, n)
+                if gen.random() < 0.3:
+                    gs[gen.random(n) < 0.5] = 0.0
+                atoms = tuple(AtomParams(omega=float(w), g=float(g)) for w, g in zip(omegas, gs))
+                model = CavityModel(1.0, atoms, photon_cutoff=cutoff, rwa=rwa)
+                labels = excitation_numbers(model)
+                cases.append((model, labels if rwa else labels % 2))
+    return cases
+
+
+def test_sector_solve_matches_the_dense_eigh():
+    for model, labels in _sector_models():
+        H = build_full_hamiltonian(model)
+        scale = max_abs(H)
+        w, V = np.linalg.eigh(H)
+        spec = herm_eig(H, labels)
+        assert np.all(np.diff(spec.eigenvalues) >= 0)
+        assert np.max(np.abs(spec.eigenvalues - w)) <= 1e-12 * scale
+        for cluster in numerics._clusters(w, scale):
+            P_dense = V[:, cluster] @ V[:, cluster].conj().T
+            U = spec.eigenvectors[:, cluster]
+            assert np.max(np.abs(U @ U.conj().T - P_dense)) <= 1e-9
+        G = spec.eigenvectors.conj().T @ spec.eigenvectors
+        assert np.max(np.abs(G - np.eye(model.dim))) <= 1e-12
+        # every eigenvector lives in one sector; elsewhere it is +0 exactly
+        for k in range(model.dim):
+            v = spec.eigenvectors[:, k]
+            outside = labels != labels[np.argmax(np.abs(v))]
+            assert not np.any(v[outside])
+            assert not np.any(np.signbit(v[outside].view(float)))
+
+
+def test_sector_labels_that_split_a_coupling_are_rejected():
+    atoms = (AtomParams(1.0, 0.01), AtomParams(1.02, 0.005))
+    rwa = CavityModel(1.0, atoms, photon_cutoff=2)
+    H = build_full_hamiltonian(rwa)
+    labels = excitation_numbers(rwa)
+    wrong = labels.copy()
+    wrong[single_excitation_indices(rwa)[0]] += 7
+    with pytest.raises(ValueError, match="coupled by"):
+        herm_eig(H, wrong)
+    # counter-rotating terms change the excitation number by two
+    full = CavityModel(1.0, atoms, photon_cutoff=2, rwa=False)
+    with pytest.raises(ValueError, match="coupled by"):
+        herm_eig(build_full_hamiltonian(full), labels)
+    with pytest.raises(ValueError, match="one label per row"):
+        herm_eig(H, labels[:-1])
 
 def test_random_source_reproducible():
     a = RandomSource(seed=123).generator().random(8)
