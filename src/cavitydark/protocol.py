@@ -31,6 +31,7 @@ DIST_UNIFORM = "uniform"
 DIST_FIXED = "fixed"
 
 _TRIAL_BLOCK = 4096
+_SWEEP_CHUNK = 4096  # sweep points refined together: the default 50x50 grid is one chunk
 _PAIRS = ([0, 0, 1], [1, 2, 2])  # eigenpairs k < l of the 3x3 block
 
 
@@ -175,7 +176,7 @@ def pds_curve(cfg):
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max(f, lo, hi, xtol=1e-6):
+def _golden_max(f, lo, hi, xtol):
     """Golden-section maxima of f on the brackets [lo, hi], elementwise:
     f maps an array of points to an array of values, and a bracket stops
     shrinking once it is narrower than xtol."""
@@ -197,25 +198,43 @@ def _golden_max(f, lo, hi, xtol=1e-6):
     return x, f(x)
 
 
-def _sweep_row(cfg, ds, dg_values):
-    """(p_max, t_star) at one ds for every dg in dg_values: the argmax on
-    the time grid, refined by golden-section search between its
-    neighbours."""
-    betas, coef = _amplitude_terms(cfg, ds, dg_values)
-    ts = np.linspace(0.0, cfg.window, cfg.t_steps)
+def _sweep_row(betas, coef, ts):
+    """Grid argmax index and maximum of p over the times ts, for every
+    point of one ds row of amplitude terms."""
     ps = _p_of_times(betas, coef, ts)
-    i = np.argmax(ps, axis=-1)
-    p_grid = ps.max(axis=-1)
-    lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, len(ts) - 1)]
-    t_ref, p_ref = _golden_max(lambda t: _p_of_times(betas, coef, t[:, None])[:, 0], lo, hi)
-    refined = p_ref >= p_grid
-    return np.where(refined, p_ref, p_grid), np.where(refined, t_ref, ts[i])
+    return np.argmax(ps, axis=-1), ps.max(axis=-1)
+
+
+def _maxima(cfg, ds_values, dg_values):
+    """(p_max, t_star) on the grid ds_values x dg_values: per point the
+    argmax on the time grid, refined by golden-section search between its
+    neighbours.
+
+    Whole ds rows are taken in chunks of at most _SWEEP_CHUNK points (at
+    least one row): one eigensolve and one golden pass per chunk, the time
+    grid one row at a time.  A converged bracket stays frozen while the
+    others shrink, so each point's result does not depend on its chunk."""
+    ts = np.linspace(0.0, cfg.window, cfg.t_steps)
+    p_max = np.empty((len(ds_values), len(dg_values)))
+    t_star = np.empty_like(p_max)
+    rows = max(1, _SWEEP_CHUNK // len(dg_values))
+    for start in range(0, len(ds_values), rows):
+        chunk = slice(start, start + rows)
+        betas, coef = _amplitude_terms(cfg, ds_values[chunk, None], dg_values)
+        i, p_grid = map(np.array, zip(*(_sweep_row(b, c, ts) for b, c in zip(betas, coef))))
+        lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, len(ts) - 1)]
+        t_ref, p_ref = _golden_max(lambda t: _p_of_times(betas, coef, t[..., None])[..., 0],
+                                   lo, hi, xtol=1e-6 / cfg.omega_c)
+        refined = p_ref >= p_grid
+        p_max[chunk] = np.where(refined, p_ref, p_grid)
+        t_star[chunk] = np.where(refined, t_ref, ts[i])
+    return p_max, t_star
 
 
 def pds_max(cfg):
     """(t_star, p_star): grid argmax refined by golden-section search."""
-    p_star, t_star = _sweep_row(cfg, cfg.ds, [cfg.dg])
-    return float(t_star[0]), float(p_star[0])
+    p_star, t_star = _maxima(cfg, np.array([cfg.ds]), np.array([cfg.dg]))
+    return float(t_star[0, 0]), float(p_star[0, 0])
 
 
 def mean_yield(cfg):
@@ -236,13 +255,14 @@ def sweep(cfg, ds_range=(0.0, 0.01), dg_range=(0.0, 0.007), resolution=50):
     """Maximal yield over a (ds, dg) grid.
 
     ranges are (low, high) in units of omega_c; resolution is the number
-    of points per axis (one int or a pair).  The grid is evaluated one ds
-    row at a time, which bounds the working memory by one row.
+    of points per axis (one int or a pair).  The time grid is evaluated
+    one ds row at a time and the golden refinement runs on chunks of whole
+    rows, at most _SWEEP_CHUNK points, which bounds the working memory.
     """
-    try:
-        n_ds, n_dg = resolution
-    except TypeError:
-        n_ds = n_dg = int(resolution)
+    axes = [resolution] * 2 if np.ndim(resolution) == 0 else list(resolution)
+    if len(axes) != 2:
+        raise ValueError(f"resolution must be one integer or a pair, got {resolution!r}")
+    n_ds, n_dg = (_num._bounded_int(n, "resolution", 32) for n in axes)
     if n_ds < 1 or n_dg < 1:
         raise ValueError("resolution must be at least 1 per axis")
     for low, high in (ds_range, dg_range):
@@ -250,10 +270,7 @@ def sweep(cfg, ds_range=(0.0, 0.01), dg_range=(0.0, 0.007), resolution=50):
             raise ValueError(f"bad range ({low}, {high}): need finite 0 <= low <= high")
     ds_values = np.linspace(ds_range[0], ds_range[1], n_ds)
     dg_values = np.linspace(dg_range[0], dg_range[1], n_dg)
-    rows = [_sweep_row(cfg, ds, dg_values) for ds in ds_values]
-    p_max = np.vstack([r[0] for r in rows])
-    t_star = np.vstack([r[1] for r in rows])
-    return SweepResult(ds_values, dg_values, p_max, t_star)
+    return SweepResult(ds_values, dg_values, *_maxima(cfg, ds_values, dg_values))
 
 
 def _draw_block(gen, cfg, size):

@@ -268,6 +268,106 @@ def test_sweep_rejects_non_finite_ranges(bad):
         sweep(GENERIC, dg_range=bad, resolution=2)
 
 
+@pytest.mark.parametrize("bad", [(2.5, 3), "50", True, (True, 2), -1, (3, 0), (2, 3, 4)])
+def test_sweep_rejects_bad_resolution(bad):
+    # (2.5, 3) and "50" raised TypeError from numpy, and True swept one point
+    with pytest.raises(ValueError, match="resolution"):
+        sweep(GENERIC, resolution=bad)
+
+
+def per_row_sweep(cfg, ds_values, dg_values):
+    """Reference: the sweep as one eigensolve, one grid argmax and one
+    golden-section refinement per ds row."""
+    ts = np.linspace(0.0, cfg.window, cfg.t_steps)
+    p_rows, t_rows = [], []
+    for ds in ds_values:
+        betas, coef = protocol._amplitude_terms(cfg, ds, dg_values)
+        ps = protocol._p_of_times(betas, coef, ts)
+        i = np.argmax(ps, axis=-1)
+        p_grid = ps.max(axis=-1)
+        lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, len(ts) - 1)]
+        t_ref, p_ref = protocol._golden_max(
+            lambda t: protocol._p_of_times(betas, coef, t[:, None])[:, 0], lo, hi, 1e-6
+        )
+        refined = p_ref >= p_grid
+        p_rows.append(np.where(refined, p_ref, p_grid))
+        t_rows.append(np.where(refined, t_ref, ts[i]))
+    return np.vstack(p_rows), np.vstack(t_rows)
+
+
+SWEEP_GRIDS = {
+    "1x1": (GENERIC, dict(ds_range=(0.01, 0.01), dg_range=(0.007, 0.007), resolution=1)),
+    "5x4": (GENERIC, dict(resolution=(5, 4))),
+    "7x5-long-window": (
+        replace(GENERIC, t_max=450.0, t_steps=3000), dict(resolution=(7, 5))
+    ),
+    # the ds = dg = 0 row has p = 0 at every time, so its argmax is the left edge
+    "null-row": (GENERIC, dict(dg_range=(0.0, 0.0), resolution=(3, 2))),
+}
+
+
+@pytest.mark.parametrize("cfg, kwargs", SWEEP_GRIDS.values(), ids=SWEEP_GRIDS.keys())
+def test_sweep_single_pass_matches_per_row_loop(cfg, kwargs):
+    res = sweep(cfg, **kwargs)
+    p_ref, t_ref = per_row_sweep(cfg, res.ds_grid, res.dg_grid)
+    assert np.array_equal(res.p_max, p_ref)
+    assert np.array_equal(res.t_star, t_ref)
+    t_pair = pds_max(replace(cfg, ds=res.ds_grid[-1], dg=res.dg_grid[-1]))
+    assert t_pair == (t_ref[-1, -1], p_ref[-1, -1])
+
+
+def test_sweep_chunks_do_not_change_the_result(monkeypatch):
+    calls = []
+    amplitude_terms = protocol._amplitude_terms
+    monkeypatch.setattr(
+        protocol, "_amplitude_terms", lambda *a: calls.append(1) or amplitude_terms(*a)
+    )
+    monkeypatch.setattr(protocol, "_SWEEP_CHUNK", 8)  # two rows of four per chunk
+    res = sweep(GENERIC, resolution=(5, 4))
+    assert len(calls) == 3
+    p_ref, t_ref = per_row_sweep(GENERIC, res.ds_grid, res.dg_grid)
+    assert np.array_equal(res.p_max, p_ref)
+    assert np.array_equal(res.t_star, t_ref)
+
+
+def test_sweep_solves_and_refines_the_default_grid_once(monkeypatch):
+    # a work count, not a wall clock: the default 50x50 grid is one chunk
+    count = {"_amplitude_terms": 0, "_golden_max": 0, "_sweep_row": 0}
+    for name in count:
+        fn = getattr(protocol, name)
+
+        def counted(*args, name=name, fn=fn, **kwargs):
+            count[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, name, counted)
+    sweep(ZSJumpConfig())
+    assert count == {"_amplitude_terms": 1, "_golden_max": 1, "_sweep_row": 50}
+
+
+@pytest.mark.parametrize("s", [1.0, 1e3, 1e5, 1e7, 1e15])
+def test_refinement_is_scale_invariant(s):
+    # every frequency times s and every time over s: the golden tolerance
+    # is relative to 1 / omega_c, so refinement is not skipped at large s
+    def scaled(s):
+        return ZSJumpConfig(
+            omega_c=s, omega_a=s, g1=0.01 * s, g2=0.005 * s, ds=0.01 * s, dg=0.007 * s,
+            t_max=450.0 / s,
+        )
+
+    def scaled_sweep(s):
+        return sweep(scaled(s), ds_range=(0.005 * s, 0.01 * s),
+                     dg_range=(0.003 * s, 0.007 * s), resolution=(3, 2))
+
+    t_ref, p_ref = pds_max(scaled(1.0))
+    t_s, p_s = pds_max(scaled(s))
+    assert abs(p_s - p_ref) <= 1e-12 * p_ref
+    assert abs(t_s * s - t_ref) <= 1e-5
+    ref, res = scaled_sweep(1.0), scaled_sweep(s)
+    np.testing.assert_allclose(res.p_max, ref.p_max, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.t_star * s, ref.t_star, rtol=0, atol=1e-5)
+
+
 def test_simulate_cycles_null_never_succeeds():
     records = simulate_cycles(ZSJumpConfig(), max_cycles=40, rng=RandomSource(1))
     assert len(records) == 40
