@@ -112,16 +112,31 @@ def _write_output(args, text):
         sys.stdout.write(text)
 
 
+_ZERO_CELLS = bytes.maketrans(b"\x00\x01", b"g0")  # bool mask byte -> template cell
+
+
 def _write_table(args, header, rows, notes=(), row_format=None):
     """Write the header, one line per row and a `# ` line per note; return the text.
 
     Each row is formatted with one %-template, by default "%.17g" per
     header column (integral values print as integers).  Rows are
-    formatted one at a time: a whole-table .tolist() costs memory.
+    formatted one at a time: a whole-table .tolist() costs memory.  With
+    the default template an exact +0.0 cell is written as "0" without
+    formatting it: full-space spectrum tables are mostly such zeros.
     """
-    template = (row_format or ",".join(["%.17g"] * len(header))) + "\n"
     lines = [",".join(header) + "\n"] if header else []
-    lines.extend(template % tuple(row) for row in rows)
+    if row_format is None:
+        rows = np.asarray(rows, dtype=float)
+        zero = (rows == 0) & ~np.signbit(rows)
+        template = ",".join(["%.17g"] * len(header)) + "\n"
+        for row, z, any_zero in zip(rows, zero, zero.any(axis=-1).tolist()):
+            if any_zero:  # one "g" per cell to format, then "g" -> "%.17g"
+                cells = ",".join(z.tobytes().translate(_ZERO_CELLS).decode())
+                lines.append(cells.replace("g", "%.17g") % tuple(row[~z].tolist()) + "\n")
+            else:
+                lines.append(template % tuple(row.tolist()))
+    else:
+        lines.extend(row_format % tuple(row) + "\n" for row in rows)
     lines.extend(f"# {note}\n" for note in notes)
     text = "".join(lines)
     _write_output(args, text)

@@ -275,8 +275,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK128 = (1 << 128) - 1
 
 
 class _Hash:
@@ -330,32 +328,31 @@ def _as_uint64(low, high):
     return low.astype(np.uint64) | high.astype(np.uint64) << np.uint64(32)
 
 
-def _pcg64_states(low, high):
-    """(state, inc) of PCG64(w) for each seed word w = low | high << 32:
-    SeedSequence(w) gives four uint64 words (a 1-word w hashes like its
-    2-word form with a zero high word), read as the 128-bit initstate
-    and initseq of PCG64's own seeding."""
+class _Words:
+    """A numpy seed sequence that hands PCG64 the four uint64 words it
+    seeds from as they are; _pcg64_generators registers it on first use."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("_Words holds the 4 uint64 seeding words of PCG64 only")
+        return self.words
+
+
+def _pcg64_generators(low, high):
+    """Iterator over Generators that draw what PCG64(w) draws, one per seed
+    word w = low | high << 32: the SeedSequence(w) words PCG64 seeds from
+    (a 1-word w hashes like its 2-word form with a zero high word) are
+    computed for all w at once, one C-contiguous row each."""
     s = _seed_state([low, high], 8)
-    v = [_as_uint64(s[2 * k], s[2 * k + 1]).tolist() for k in range(4)]
-    out = []
-    # pcg64 srandom: state 0 and inc = 2 initseq + 1, one step (which
-    # leaves state = inc), add initstate, one more step
-    for s_hi, s_lo, q_hi, q_lo in zip(*v):
-        inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        out.append((state, inc))
-    return out
-
-
-def _reseeded(gen, states):
-    for state, inc in states:
-        gen.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield gen
+    words = np.stack([_as_uint64(s[2 * k], s[2 * k + 1]) for k in range(4)], axis=1)
+    random = np.random  # imported here, on first use, not with the package
+    random.bit_generator.ISeedSequence.register(_Words)
+    return (random.Generator(random.PCG64(_Words(row))) for row in words)
 
 
 def _bounded_int(value, name, bits):
@@ -373,8 +370,8 @@ class RandomSource:
     Thin wrapper around numpy's PCG64 so every stochastic routine takes
     an explicit, reproducible source.  Child j of spawn(n) is seeded with
     the first uint64 word of the j-th SeedSequence(seed) child; those
-    words, and the PCG64 states they seed, are computed for all children
-    in one vectorized pass of numpy's SeedSequence algorithm.
+    words, and the words each child's PCG64 seeds from, are computed for
+    all children in one vectorized pass of numpy's SeedSequence algorithm.
     """
 
     seed: int
@@ -392,8 +389,5 @@ class RandomSource:
 
     def child_generators(self, n):
         """Iterator over the generators of spawn(n), in order: the j-th
-        draws what spawn(n)[j].generator() draws.  One Generator is
-        reseeded in place for each child, so each is valid only until the
-        next is taken."""
-        states = _pcg64_states(*_child_words(self.seed, _bounded_int(n, "n", 32)))
-        return _reseeded(np.random.Generator(np.random.PCG64(0)), states)
+        draws what spawn(n)[j].generator() draws, from a new Generator."""
+        return _pcg64_generators(*_child_words(self.seed, _bounded_int(n, "n", 32)))

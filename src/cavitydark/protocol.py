@@ -283,6 +283,22 @@ def _draw_block(gen, cfg, size):
     return cfg.window * raw[0::2], raw[1::2]
 
 
+def _block_size(p_bar):
+    """Cycles per block at mean yield p_bar: ceil(1 / p_bar), the mean cycle
+    count of a trial, at most _TRIAL_BLOCK (also where 1 / p_bar overflows).
+    Generator.random is chunk-invariant: blocks never change the draws."""
+    if not p_bar * _TRIAL_BLOCK > 1:
+        return _TRIAL_BLOCK
+    return min(_TRIAL_BLOCK, math.ceil(1 / p_bar))
+
+
+def _count(value, name, bits):
+    """value as an int, if it is an integer in [1, 2**bits)."""
+    if _num._bounded_int(value, name, bits) < 1:
+        raise ValueError(f"{name} must be at least 1")
+    return int(value)
+
+
 def simulate_cycles(cfg, max_cycles, rng):
     """One repeat-until-success trial, one record per cycle.
 
@@ -290,15 +306,16 @@ def simulate_cycles(cfg, max_cycles, rng):
     as an ideal projective measurement: success with probability
     p = |lambda(delta_t)|^2 ends the trial, otherwise the photon reaches
     the detector and the cavity is re-pumped.  Cycles are drawn and
-    evaluated a block at a time; the records stop at the first success.
+    evaluated a block at a time (_block_size); the records stop at the
+    first success.
     """
-    if max_cycles < 1:
-        raise ValueError("max_cycles must be at least 1")
+    max_cycles = _count(max_cycles, "max_cycles", 64)
     gen = rng.generator()
     betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
+    size = _block_size(mean_yield(cfg))
     records = []
     while len(records) < max_cycles:
-        dts, us = _draw_block(gen, cfg, min(_TRIAL_BLOCK, max_cycles - len(records)))
+        dts, us = _draw_block(gen, cfg, min(size, max_cycles - len(records)))
         if dts is None:
             dts = np.full(len(us), float(cfg.delta_t_fixed))
         ps = _p_of_times(betas, coef, dts)
@@ -317,7 +334,8 @@ def simulate_cycles(cfg, max_cycles, rng):
 
 def _yield_envelope(cfg, betas, coef):
     """(bound, exact): bound >= p(delta_t) for every waiting time the
-    config draws, and exact when bound equals p there (fixed delta_t).
+    config draws, and exact when bound equals p there (fixed delta_t,
+    where the bound is the mean yield).
 
     For uniform delta_t the bound is the maximum on the t_steps grid over
     [0, window] plus the Lipschitz margin L h / 2, where h is the grid
@@ -325,7 +343,7 @@ def _yield_envelope(cfg, betas, coef):
     slack of a few eps covers the roundoff of the grid values, of the grid
     points and of every later evaluation of p."""
     if cfg.delta_t_distribution == DIST_FIXED:
-        return float(_p_of_times(betas, coef, [cfg.delta_t_fixed])[0]), True
+        return mean_yield(cfg), True
     k, l = _PAIRS
     lipschitz = 2 * np.sum(np.abs(coef[k] * coef[l] * (betas[k] - betas[l])))
     grid_max = _p_of_times(betas, coef, np.linspace(0.0, cfg.window, cfg.t_steps)).max()
@@ -337,26 +355,26 @@ def _yield_envelope(cfg, betas, coef):
 def run_trials(cfg, trials, max_cycles, rng):
     """Many independent trials, vectorized in blocks per trial.
 
-    Trial j draws from the generator of rng.spawn(trials)[j], so results
-    are reproducible and independent of any parallel scheduling; the
-    drawing order within a trial matches simulate_cycles exactly.  A
+    Trial j draws what rng.spawn(trials)[j] draws (rng.child_generators),
+    so results are reproducible and independent of any parallel
+    scheduling; the drawing order within a trial matches simulate_cycles
+    exactly, in blocks of ceil(1 / mean_yield) cycles (_block_size).  A
     cycle can only succeed when its uniform u < p(delta_t) <= bound
     (thinning with an envelope, Lewis & Shedler 1979), so p is evaluated
     only at the few draws under the bound, and the records are those of
     evaluating it at every draw.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    if max_cycles < 1:
-        raise ValueError("max_cycles must be at least 1")
+    trials = _count(trials, "trials", 32)
+    max_cycles = _count(max_cycles, "max_cycles", 64)
     betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
     bound, exact = _yield_envelope(cfg, betas, coef)
+    size = _block_size(bound if exact else mean_yield(cfg))
     out = []
     for idx, gen in enumerate(rng.child_generators(trials)):
         used = 0
         outcome = OUTCOME_EXHAUSTED
         while used < max_cycles:
-            block = min(_TRIAL_BLOCK, max_cycles - used)
+            block = min(size, max_cycles - used)
             dts, us = _draw_block(gen, cfg, block)
             hits = (us < bound).nonzero()[0]
             if hits.size and not exact:

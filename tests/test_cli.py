@@ -471,3 +471,39 @@ def test_import_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy 1.x imports numpy.random with numpy itself, numpy 2.x on first
+    # use; the package's import and the CLI's must not change which
+    proc = run_python(
+        "-c",
+        "import sys, numpy; before = 'numpy.random' in sys.modules; "
+        "import cavitydark; from cavitydark import cli; "
+        "print(before, 'numpy.random' in sys.modules)",
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
+
+
+def test_table_cells_match_per_cell_17g(capsys):
+    # exact +0.0 cells skip the formatting; every cell still reads as "%.17g"
+    rows = np.array(
+        [
+            [0.0, -0.0, 3.0, np.nan, np.inf, -np.inf, 0.1, -2.5e-300],
+            [-0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [1.0, 2.0, 1 / 3, 5e-324, 2.0**60 + 2048, -7.0, 1e22, 12345.0],
+        ]
+    )
+    header = [f"c{i}" for i in range(rows.shape[1])]
+    args = argparse.Namespace(out=None)
+    for table in (rows, rows[:0], np.array([[0, -3], [7, 0]]), [[0, 1, -3, 2**53 + 1]]):
+        width = np.shape(table)[1]
+        text = cli._write_table(args, header[:width], table, ["note"])
+        expected = ",".join(header[:width]) + "\n" + "".join(
+            ",".join("%.17g" % x for x in row) + "\n" for row in np.asarray(table).tolist()
+        ) + "# note\n"
+        assert text == expected
+        assert capsys.readouterr().out == expected
+    assert cli._write_table(args, header, rows).splitlines()[2].startswith("-0,0,0,")

@@ -423,7 +423,17 @@ def test_child_generators_are_the_spawned_pcg64_streams(seed):
 def test_pcg64_seeding_of_words_below_2_32():
     # numpy hashes a seed word below 2**32 as one 32-bit word, the
     # vectorized pass as two with a zero high word; both give one state
-    words = np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
-    low, high = words.astype(np.uint32), (words >> np.uint64(32)).astype(np.uint32)
-    for w, (state, inc) in zip(words.tolist(), numerics._pcg64_states(low, high)):
-        assert np.random.PCG64(w).state["state"] == {"state": state, "inc": inc}
+    seeds = np.array([0, 1, 2**32 - 1, 2**32, 2**64 - 1], dtype=np.uint64)
+    low, high = seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)
+    for w, gen in zip(seeds.tolist(), numerics._pcg64_generators(low, high)):
+        words = gen.bit_generator.seed_seq
+        assert type(words) is numerics._Words
+        assert np.array_equal(words.words, np.random.SeedSequence(w).generate_state(4, np.uint64))
+        assert np.random.PCG64(numerics._Words(words.words)).state == np.random.PCG64(w).state
+        assert gen.bit_generator.state == np.random.PCG64(w).state
+
+
+def test_seeding_words_serve_pcg64_only():
+    gen = next(RandomSource(5).child_generators(1))
+    with pytest.raises(ValueError, match="PCG64 only"):
+        np.random.MT19937(gen.bit_generator.seed_seq)

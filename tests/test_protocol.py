@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cavitydark import protocol
+from cavitydark import numerics, protocol
 from cavitydark.model import single_excitation_block
 from cavitydark.numerics import RandomSource, herm_eig, evolve
 from cavitydark.protocol import (
@@ -389,6 +389,29 @@ def test_run_trials_rejects_zero_cycles():
         run_trials(GENERIC, trials=2, max_cycles=0, rng=RandomSource(1))
 
 
+def test_run_trials_rejects_a_fractional_cycle_count():
+    # used to raise numpy's TypeError from the block draw
+    with pytest.raises(ValueError, match="max_cycles must be an integer"):
+        run_trials(GENERIC, trials=10, max_cycles=10.5, rng=RandomSource(1))
+
+
+def test_simulate_cycles_rejects_a_fractional_cycle_count():
+    with pytest.raises(ValueError, match="max_cycles must be an integer"):
+        simulate_cycles(GENERIC, max_cycles=10.5, rng=RandomSource(1))
+
+
+def test_run_trials_rejects_an_infinite_cycle_count():
+    # the null shift never succeeds, so this used to loop forever
+    with pytest.raises(ValueError, match="max_cycles must be an integer"):
+        run_trials(ZSJumpConfig(), trials=2, max_cycles=math.inf, rng=RandomSource(1))
+
+
+def test_run_trials_rejects_a_fractional_trial_count():
+    # used to name spawn's argument n instead of trials
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        run_trials(GENERIC, trials=2.5, max_cycles=10, rng=RandomSource(1))
+
+
 def test_run_trials_matches_single_trial_semantics():
     cfg = replace(GENERIC, t_max=500.0)
     parent = RandomSource(7)
@@ -459,7 +482,8 @@ def every_draw_replay(cfg, child, max_cycles):
 @pytest.mark.parametrize("cfg", [GENERIC, FIXED_AT_T_STAR], ids=["uniform", "fixed"])
 def test_run_trials_equals_an_every_draw_replay(cfg):
     # default window: successes are rare, so the envelope drops almost
-    # every draw; 5000 = 4096 + 904 cycles end in a partial block
+    # every draw; 5000 cycles end in a partial block (4096 + 904 draws at
+    # uniform delta_t, 2589 + 2411 at fixed)
     parent, n_trials, max_cycles = RandomSource(31), 200, 5000
     trials = run_trials(cfg, trials=n_trials, max_cycles=max_cycles, rng=parent)
     children = parent.spawn(n_trials)
@@ -473,8 +497,9 @@ def test_run_trials_equals_an_every_draw_replay(cfg):
         assert (records[-1].outcome == OUTCOME_SUCCESS) == (outcome == OUTCOME_SUCCESS)
 
 
-def test_run_trials_seeds_one_generator_per_run(monkeypatch):
-    # a work count: no per-trial spawned source, generator() or PCG64
+def test_run_trials_seeds_each_pcg64_from_precomputed_words(monkeypatch):
+    # a work count: no per-trial spawned source or generator(), and one
+    # PCG64 per trial, handed its seeding words rather than a seed to hash
     count = {"generator": 0, "spawn": 0, "PCG64": 0}
     generator, spawn, pcg64 = RandomSource.generator, RandomSource.spawn, np.random.PCG64
 
@@ -485,14 +510,18 @@ def test_run_trials_seeds_one_generator_per_run(monkeypatch):
 
         return wrapper
 
+    def counted_pcg64(seed):
+        assert isinstance(seed, numerics._Words)
+        return counted("PCG64", pcg64)(seed)
+
     monkeypatch.setattr(RandomSource, "generator", counted("generator", generator))
     monkeypatch.setattr(RandomSource, "spawn", counted("spawn", spawn))
-    monkeypatch.setattr(np.random, "PCG64", counted("PCG64", pcg64))
+    monkeypatch.setattr(np.random, "PCG64", counted_pcg64)
     for cfg in (GENERIC, FIXED_AT_T_STAR):
         count.update(generator=0, spawn=0, PCG64=0)
         trials = run_trials(cfg, trials=200, max_cycles=3000, rng=RandomSource(3))
         assert len(trials) == 200
-        assert count["generator"] == 0 and count["spawn"] <= 1 and count["PCG64"] <= 1
+        assert count == {"generator": 0, "spawn": 0, "PCG64": 200}
 
 
 @pytest.mark.parametrize("cfg", [GENERIC, FIXED_AT_T_STAR], ids=["uniform", "fixed"])
@@ -519,6 +548,58 @@ def test_run_trials_evaluates_the_yield_only_under_the_envelope(cfg, monkeypatch
     else:
         assert count["envelope"] <= cfg.t_steps
         assert count["at_draws"] <= 1e-3 * count["drawn"]
+
+
+BLOCK_CONFIGS = {
+    "uniform": GENERIC,
+    "fixed": FIXED_AT_T_STAR,
+    "long-window": replace(GENERIC, t_max=450.0, t_steps=3000),
+}
+
+
+@pytest.mark.parametrize("cfg", BLOCK_CONFIGS.values(), ids=BLOCK_CONFIGS.keys())
+def test_block_size_does_not_change_the_records(cfg, monkeypatch):
+    # Generator.random is chunk-invariant; 3000 cycles end in a partial block
+    def records():
+        trials = run_trials(cfg, trials=8, max_cycles=3000, rng=RandomSource(11))
+        return trials, simulate_cycles(cfg, max_cycles=3000, rng=RandomSource(12))
+
+    trials, cycles = records()
+    for block in (7, 1):
+        monkeypatch.setattr(protocol, "_TRIAL_BLOCK", block)
+        got_trials, got_cycles = records()
+        assert got_trials == trials
+        if block > 1:
+            assert got_cycles == cycles
+        else:
+            # numpy's matmul rounds a one-row yield batch on another path
+            assert [replace(r, p_ds=0.0) for r in got_cycles] == [
+                replace(r, p_ds=0.0) for r in cycles
+            ]
+            np.testing.assert_allclose(
+                [r.p_ds for r in got_cycles], [r.p_ds for r in cycles], rtol=0, atol=1e-16
+            )
+
+
+def test_block_size_is_the_mean_cycle_count_up_to_the_cap():
+    assert protocol._block_size(mean_yield(FIXED_AT_T_STAR)) == 2589
+    assert protocol._block_size(mean_yield(GENERIC)) == protocol._TRIAL_BLOCK
+    assert protocol._block_size(1.0) == 1
+    assert protocol._block_size(0.3) == 4
+    # 1 / p would overflow math.ceil at a subnormal p
+    for p in (0.0, 5e-324, 2.2e-308):
+        assert protocol._block_size(p) == protocol._TRIAL_BLOCK
+
+
+@pytest.mark.parametrize("p_bar", [None, 0.0, 5e-324], ids=["null-shift", "zero", "subnormal"])
+def test_trials_run_at_a_zero_or_subnormal_mean_yield(p_bar, monkeypatch):
+    null = ZSJumpConfig()
+    if p_bar is not None:
+        monkeypatch.setattr(protocol, "mean_yield", lambda cfg: p_bar)
+    trials = run_trials(null, trials=3, max_cycles=5000, rng=RandomSource(4))
+    assert [(t.cycles_used, t.outcome) for t in trials] == [(5000, OUTCOME_EXHAUSTED)] * 3
+    records = simulate_cycles(null, max_cycles=5000, rng=RandomSource(4))
+    assert len(records) == 5000 and records[-1].outcome == OUTCOME_PHOTON
 
 
 def test_cycle_statistics_fixed_delta_t():
