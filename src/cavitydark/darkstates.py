@@ -244,12 +244,6 @@ SUBSPACE_SINGLE = "single_excitation"
 SUBSPACE_FULL = "full"
 
 
-def _product_states(n):
-    """Excitation flags of the 2^n atomic product states, one row per
-    state in basis order (atom 1 the most significant bit)."""
-    return ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
-
-
 def _channels(occ, couplings, absorb):
     """Channel amplitudes of the product states in the rows of occ
     (excitation flags): <t|L|s> = g_i for t = s with excited atom i
@@ -290,7 +284,7 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     elif subspace == SUBSPACE_FULL:
         if psi.shape != (2**n,):
             raise ValueError(f"expected a {2**n}-component atomic vector, got {psi.shape}")
-        occ, atomic, photon_support = _product_states(n), psi, 0.0
+        occ, atomic, photon_support = _model._atomic_flags(n), psi, 0.0
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
     gs = model.couplings()
@@ -333,7 +327,7 @@ def find_dark_states(model, subspace=SUBSPACE_SINGLE, tol=1e-10):
         occ, index, dim = np.eye(n, dtype=bool), np.arange(n), n + 1
     elif subspace == SUBSPACE_FULL:
         _model._check_scale(model)
-        occ, index, dim = _product_states(n)[1:], np.arange(1, 2**n), model.dim
+        occ, index, dim = _model._atomic_flags(n)[1:], np.arange(1, 2**n), model.dim
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
     omegas, gs = model.omegas(), model.couplings()

@@ -4,8 +4,12 @@ A CavityModel is one quantized mode with angular frequency omega_c and n
 two-level atoms with transition frequencies omega_i and real nonnegative
 couplings g_i.  The full Hamiltonian lives on the Fock(cutoff) x (C^2)^n
 product basis, ordered lexicographically with the photon number as the
-major index and atom 1 as the most significant atomic bit.  Restricted to
-one excitation under the rotating-wave approximation it collapses to the
+major index and atom 1 as the most significant atomic bit.  One table of
+atomic excitation flags (_atomic_flags) describes that basis for the
+whole package: build_full_hamiltonian writes each entry at its index
+from it, excitation_numbers counts its rows, and the dark-state search
+reads its channels from it.  Restricted to one excitation under the
+rotating-wave approximation the Hamiltonian collapses to the
 (n+1) x (n+1) block
 
     [[omega_1          g_1      ]
@@ -18,6 +22,7 @@ dark-state analysis and of the shift-jump protocol.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,10 +43,10 @@ class AtomParams:
     g: float
 
     def __post_init__(self):
-        if not (self.omega > 0):
-            raise ValueError(f"atom frequency must be positive, got {self.omega}")
-        if not (self.g >= 0):
-            raise ValueError(f"coupling must be nonnegative, got {self.g}")
+        if not (0 < self.omega < math.inf):
+            raise ValueError(f"atom frequency must be positive and finite, got {self.omega}")
+        if not (0 <= self.g < math.inf):
+            raise ValueError(f"coupling must be nonnegative and finite, got {self.g}")
 
 
 @dataclass(frozen=True)
@@ -53,10 +58,15 @@ class CavityModel:
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        if not (self.omega_c > 0):
-            raise ValueError("cavity frequency must be positive")
-        if self.photon_cutoff < 1:
+        if not (0 < self.omega_c < math.inf):
+            raise ValueError(f"cavity frequency must be positive and finite, got {self.omega_c}")
+        cutoff = self.photon_cutoff
+        if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Integral):
+            raise ValueError(f"photon cutoff must be an integer, got {cutoff!r}")
+        if cutoff < 1:
             raise ValueError("photon cutoff must be at least 1")
+        if not isinstance(self.rwa, (bool, np.bool_)):
+            raise ValueError(f"rwa must be a bool, got {self.rwa!r}")
         if len(self.atoms) < 1:
             raise ValueError("model needs at least one atom")
 
@@ -136,17 +146,10 @@ def _check_scale(model):
         )
 
 
-def _atom_operator(op, i, n):
-    """Lift a single-atom 2x2 operator to the n-atom product space."""
-    out = np.eye(1)
-    for j in range(n):
-        out = np.kron(out, op if j == i else np.eye(2))
-    return out
-
-
-SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]])  # |0><1|
-SIGMA_PLUS = SIGMA_MINUS.T
-NUMBER_2LVL = np.array([[0.0, 0.0], [0.0, 1.0]])
+def _atomic_flags(n):
+    """Excitation flags of the 2^n atomic product states, one row per
+    state in basis order (atom 1 the most significant bit)."""
+    return ((np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(bool)
 
 
 def build_full_hamiltonian(model):
@@ -154,32 +157,25 @@ def build_full_hamiltonian(model):
 
     With rwa=True the interaction is sum_i g_i (a^+ sigma_i^- + a sigma_i^+);
     with rwa=False the full sum_i g_i (sigma_i^+ + sigma_i^-)(a^+ + a).
-    Construction is exactly symmetric, so the result is Hermitian to the
-    last bit for real couplings.
+    Entries are written by index: the diagonal p omega_c + sum_i omega_i n_i
+    (summed atom by atom, so block extraction stays bit-exact), and
+    g_i sqrt(p+1) at both (p, s) <-> (p+1, s ^ bit_i), for the states s
+    with atom i excited under RWA and for every s without.  Construction
+    is exactly symmetric, so the result is Hermitian to the last bit.
     """
     _check_scale(model)
-    n = model.n_atoms
-    nmax = model.photon_cutoff
-    a = np.diag(np.sqrt(np.arange(1.0, nmax + 1)), k=1)
-    ad = a.T
-    eye_p = np.eye(nmax + 1)
-    eye_a = np.eye(2**n)
-
-    # diagonal assembled entrywise to keep block extraction bit-exact
-    H = np.kron(np.diag(np.arange(nmax + 1) * model.omega_c), eye_a)
+    n, flags = model.n_atoms, _atomic_flags(model.n_atoms)
+    photons, states = np.arange(model.photon_cutoff + 1), np.arange(2**n)
+    energy = photons[:, None] * model.omega_c + np.zeros(2**n)
     for i, atom in enumerate(model.atoms):
-        H += atom.omega * np.kron(eye_p, _atom_operator(NUMBER_2LVL, i, n))
-
-    if model.rwa:
-        X = np.zeros_like(H)
-        for i, atom in enumerate(model.atoms):
-            X += atom.g * np.kron(ad, _atom_operator(SIGMA_MINUS, i, n))
-        H += X + X.T
-    else:
-        field = ad + a
-        for i, atom in enumerate(model.atoms):
-            H += atom.g * np.kron(field, _atom_operator(SIGMA_MINUS + SIGMA_PLUS, i, n))
-    return H.astype(complex)
+        energy[:, flags[:, i]] += atom.omega
+    H = np.diag(energy.ravel().astype(complex))
+    for i, atom in enumerate(model.atoms):
+        source = states[flags[:, i]] if model.rwa else states
+        lower = (photons[:-1, None] * 2**n + source).ravel()
+        upper = (photons[1:, None] * 2**n + (source ^ (1 << (n - 1 - i)))).ravel()
+        H[lower, upper] = H[upper, lower] = np.repeat(atom.g * np.sqrt(photons[1:]), len(source))
+    return H
 
 
 def single_excitation_indices(model):
@@ -207,9 +203,7 @@ def excitation_numbers(model):
     """Excitation number p + (number of excited atoms) of every full-basis
     state, in basis order."""
     _check_scale(model)
-    n = model.n_atoms
-    bits = np.arange(2**n)
-    excited = sum((bits >> i) & 1 for i in range(n))
+    excited = _atomic_flags(model.n_atoms).sum(axis=1)
     return (np.arange(model.photon_cutoff + 1)[:, None] + excited).ravel()
 
 

@@ -40,6 +40,49 @@ def char_poly_coefficients(M):
     return A, B, C
 
 
+def _lift(op, i, n):
+    """A single-atom 2x2 operator on atom i of n, by Kronecker products."""
+    out = np.eye(1)
+    for j in range(n):
+        out = np.kron(out, op if j == i else np.eye(2))
+    return out
+
+
+_LOWER = np.array([[0.0, 1.0], [0.0, 0.0]])  # sigma^- = |0><1|
+_NUMBER = np.diag([0.0, 1.0])
+
+
+def kron_hamiltonian(model):
+    """The full Hamiltonian as a sum of 2n+1 Kronecker products: the
+    photon energy, each atom's energy, and each atom's coupling
+    g_i (a^+ sigma_i^- + a sigma_i^+) under RWA, or
+    g_i (a^+ + a)(sigma_i^+ + sigma_i^-) without."""
+    n, nmax = model.n_atoms, model.photon_cutoff
+    a = np.diag(np.sqrt(np.arange(1.0, nmax + 1)), k=1)
+    eye_p = np.eye(nmax + 1)
+    H = np.kron(np.diag(np.arange(nmax + 1) * model.omega_c), np.eye(2**n))
+    for i, atom in enumerate(model.atoms):
+        H += atom.omega * np.kron(eye_p, _lift(_NUMBER, i, n))
+    if model.rwa:
+        X = np.zeros_like(H)
+        for i, atom in enumerate(model.atoms):
+            X += atom.g * np.kron(a.T, _lift(_LOWER, i, n))
+        H += X + X.T
+    else:
+        for i, atom in enumerate(model.atoms):
+            H += atom.g * np.kron(a.T + a, _lift(_LOWER + _LOWER.T, i, n))
+    return H.astype(complex)
+
+
+def kron_excitation_operator(model):
+    """a^+ a + sum_i sigma_i^+ sigma_i^-, one Kronecker product per term."""
+    n, nmax = model.n_atoms, model.photon_cutoff
+    N = np.kron(np.diag(np.arange(nmax + 1, dtype=float)), np.eye(2**n))
+    for i in range(n):
+        N += np.kron(np.eye(nmax + 1), _lift(_NUMBER, i, n))
+    return N.astype(complex)
+
+
 def subspace_distance(u, v):
     """sin of the principal angle between two unit vectors, computed as
     the projection residual so tiny angles stay resolvable."""

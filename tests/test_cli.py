@@ -59,7 +59,7 @@ def run_python(*args):
 
 
 def read_rows(path):
-    lines = [l for l in open(path).read().splitlines() if l and not l.startswith("#")]
+    lines = [l for l in Path(path).read_text().splitlines() if l and not l.startswith("#")]
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
@@ -230,7 +230,7 @@ def test_sweep_deterministic_and_roundtrip(tmp_path, capsys):
     out1, out2 = str(tmp_path / "s1.csv"), str(tmp_path / "s2.csv")
     assert cli.main(args + ["--out", out1]) == 0
     assert cli.main(args + ["--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
     _, rows = well_formed_csv(args, tmp_path, capsys)
     assert len(rows) == 12  # row-major in ds: 4 x 3
 
@@ -287,7 +287,7 @@ def test_protocol_null_flagged(tmp_path):
         ["protocol", "--trials", "20", "--max-cycles", "30", "--seed", "5", "--out", out]
     )
     assert rc == 0
-    text = open(out).read()
+    text = Path(out).read_text()
     header, rows = read_rows(out)
     assert header == ["trial", "cycles_used", "outcome"]
     assert len(rows) == 20
@@ -304,10 +304,10 @@ def test_protocol_seed_reproducibility(tmp_path):
     out1, out2 = str(tmp_path / "p1.csv"), str(tmp_path / "p2.csv")
     assert cli.main(args + ["--out", out1]) == 0
     assert cli.main(args + ["--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
     other = str(tmp_path / "p3.csv")
     assert cli.main(args[:-6] + ["--seed", "12", "--out", other]) == 0
-    assert open(out1, "rb").read() != open(other, "rb").read()
+    assert Path(out1).read_bytes() != Path(other).read_bytes()
 
 
 def test_protocol_model_with_split_frequencies_rejected(model_file, capsys):
@@ -456,7 +456,7 @@ def test_scaled_config_through_set_keeps_the_reference_yield(tmp_path):
     scaled = ["omega_c=2", "omega_a=2", "g1=0.02", "g2=0.01", "ds=0.02", "dg=0.014"]
     argv = ["protocol", "--trials", "1", "--max-cycles", "1", "--out", out]
     assert cli.main(argv + [arg for pair in scaled for arg in ("--set", pair)]) == 0
-    fields = next(l for l in open(out).read().splitlines() if l.startswith("# p_star,"))
+    fields = next(l for l in Path(out).read_text().splitlines() if l.startswith("# p_star,"))
     _, p_star, _, t_star = fields[2:].split(",")
     t_ref, p_ref = pds_max(ZSJumpConfig(ds=0.01, dg=0.007))
     assert float(p_star) == pytest.approx(p_ref, rel=1e-9)

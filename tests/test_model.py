@@ -22,6 +22,7 @@ from cavitydark.model import (
     single_excitation_block,
     single_excitation_indices,
 )
+from oracles import kron_excitation_operator, kron_hamiltonian
 
 
 def two_atom_model(w1=1.0, w2=1.0, g1=0.01, g2=0.005, wc=1.0, cutoff=1, rwa=True):
@@ -125,8 +126,7 @@ def test_hermiticity_of_built_matrices():
         for _ in range(10):
             m = random_model(gen, rwa=rwa)
             H = build_full_hamiltonian(m)
-            res = np.max(np.abs(H - H.conj().T))
-            assert res <= 1e-14 * max(np.max(np.abs(H)), 1.0)
+            assert np.array_equal(H, H.conj().T)
 
 
 def test_excitation_conservation_under_rwa():
@@ -150,27 +150,22 @@ def test_excitation_nonconservation_without_rwa():
 
 
 
-def _kron_excitation_operator(model):
-    """a^+ a + sum_i sigma_i^+ sigma_i^-, one Kronecker product per term."""
-    n, nmax = model.n_atoms, model.photon_cutoff
-    number = np.diag([0.0, 1.0])
-    N = np.kron(np.diag(np.arange(nmax + 1, dtype=float)), np.eye(2**n))
-    for i in range(n):
-        op = np.eye(1)
-        for j in range(n):
-            op = np.kron(op, number if j == i else np.eye(2))
-        N += np.kron(np.eye(nmax + 1), op)
-    return N.astype(complex)
-
-
 @pytest.mark.parametrize("cutoff", [1, 2, 3])
-@pytest.mark.parametrize("n_atoms", [1, 2, 3, 4])
+@pytest.mark.parametrize("n_atoms", range(1, 9))
 def test_excitation_number_operator_is_the_kron_construction(n_atoms, cutoff):
-    m = random_model(np.random.default_rng(n_atoms), n_atoms=n_atoms, cutoff=cutoff)
+    # the index-built Hamiltonian (with and without RWA) and excitation
+    # number operator are the Kronecker-product sums to the last bit
+    gen = np.random.default_rng(n_atoms)
+    for rwa in (True, False):
+        m = random_model(gen, n_atoms=n_atoms, cutoff=cutoff, rwa=rwa)
+        H = build_full_hamiltonian(m)
+        assert H.dtype == complex
+        assert np.array_equal(H, kron_hamiltonian(m))
     N = excitation_number_operator(m)
     assert N.dtype == complex
-    assert np.array_equal(N, _kron_excitation_operator(m))
+    assert np.array_equal(N, kron_excitation_operator(m))
     assert excitation_numbers(m).tolist() == [label.excitation for label in basis_labels(m)]
+
 
 def test_dimension_guard():
     atoms = tuple(AtomParams(omega=1.0, g=0.0) for _ in range(13))
@@ -313,3 +308,35 @@ def test_atom_params_validation():
         AtomParams(omega=-1.0, g=0.0)
     with pytest.raises(ValueError):
         AtomParams(omega=1.0, g=-0.1)
+
+
+ATOM = AtomParams(omega=1.0, g=0.01)
+
+
+@pytest.mark.parametrize(
+    "build,fragment",
+    [
+        (lambda: AtomParams(omega=math.inf, g=0.01), "atom frequency"),
+        (lambda: AtomParams(omega=math.nan, g=0.01), "atom frequency"),
+        (lambda: AtomParams(omega=1.0, g=math.inf), "coupling"),
+        (lambda: AtomParams(omega=1.0, g=math.nan), "coupling"),
+        (lambda: CavityModel(math.inf, (ATOM,)), "cavity frequency"),
+        (lambda: CavityModel(math.nan, (ATOM,)), "cavity frequency"),
+        (lambda: CavityModel(1.0, (ATOM,), photon_cutoff=1.5), "photon cutoff"),
+        (lambda: CavityModel(1.0, (ATOM,), photon_cutoff=np.float64(2.0)), "photon cutoff"),
+        (lambda: CavityModel(1.0, (ATOM,), photon_cutoff=True), "photon cutoff"),
+        (lambda: CavityModel(1.0, (ATOM,), photon_cutoff="2"), "photon cutoff"),
+        (lambda: CavityModel(1.0, (ATOM,), rwa="no"), "rwa"),
+        (lambda: CavityModel(1.0, (ATOM,), rwa=1), "rwa"),
+        (lambda: CavityModel(1.0, (ATOM,), rwa=None), "rwa"),
+    ],
+)
+def test_model_inputs_are_validated_at_construction(build, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        build()
+
+
+def test_numpy_integer_cutoff_and_bool_rwa_are_accepted():
+    m = CavityModel(1.0, (ATOM,), photon_cutoff=np.int64(2), rwa=np.False_)
+    assert m.dim == 6
+    assert np.array_equal(build_full_hamiltonian(m), kron_hamiltonian(m))
