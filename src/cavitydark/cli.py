@@ -182,10 +182,7 @@ def run_spectrum(args):
         )
         notes = [f"branch,{analytic.branch}"]
     else:
-        # H conserves the excitation number under RWA, its parity without
-        H = _model.build_full_hamiltonian(m)
-        excitations = _model.excitation_numbers(m)
-        spec = _num.herm_eig(H, excitations if m.rwa else excitations % 2)
+        spec = _num.herm_eig(_model.build_full_hamiltonian(m))
         header = ["index", "eigenvalue"] + _vector_columns("", spec.dim)
         rows = np.column_stack(
             [np.arange(spec.dim), spec.eigenvalues * scale, _interleaved(spec.eigenvectors.T)]
@@ -391,8 +388,9 @@ _RUNNERS = {
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the parser holds reference cycles: dropped before the command runs, it
+    # is freed by the next young-generation collection, not kept until a full one
+    args = build_parser().parse_args(argv)
     try:
         return _RUNNERS[args.command](args)
     except (ValueError, OSError) as exc:

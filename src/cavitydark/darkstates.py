@@ -174,12 +174,13 @@ def analytic_spectrum_shifted(omega_c, omega_a1, omega_a2, g1, g2):
 
 
 def analytic_spectrum(omega_c, omega_a1, omega_a2, g1, g2):
-    """Dispatch on the frequency split, mirroring the applicability rule
-    of the two closed forms."""
-    scale = max(abs(omega_c), abs(omega_a1), abs(omega_a2), abs(g1), abs(g2), 1e-300)
-    if abs(omega_a1 - omega_a2) <= DEGENERATE_SPLIT_RTOL * scale:
+    """Dispatch on the frequency split: the shifted closed form, or the
+    equal-frequency one where the shifted form rejects the split as
+    degenerate (its DEGENERATE_SPLIT_RTOL test is the only split rule)."""
+    try:
+        return analytic_spectrum_shifted(omega_c, omega_a1, omega_a2, g1, g2)
+    except DegenerateFrequenciesError:
         return analytic_spectrum_degenerate(omega_c, omega_a1, g1, g2)
-    return analytic_spectrum_shifted(omega_c, omega_a1, omega_a2, g1, g2)
 
 
 def _match_numeric(analytic, numeric):
@@ -287,9 +288,11 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
         occ, atomic, photon_support = _model._atomic_flags(n), psi, 0.0
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
+    support = np.flatnonzero(atomic)  # a zero amplitude adds to no channel
+    occ, atomic = occ[support], atomic[support]
     gs = model.couplings()
     target, source, amplitude, lowering = _channels(occ, gs, True)
-    reached = np.zeros(target.max() + 1, dtype=complex)
+    reached = np.zeros(target.max(initial=-1) + 1, dtype=complex)
     np.add.at(reached, target, amplitude * atomic[source])
     emitted = np.zeros(len(reached), dtype=bool)
     emitted[target] = lowering

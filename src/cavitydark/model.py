@@ -7,8 +7,8 @@ product basis, ordered lexicographically with the photon number as the
 major index and atom 1 as the most significant atomic bit.  One table of
 atomic excitation flags (_atomic_flags) describes that basis for the
 whole package: build_full_hamiltonian writes each entry at its index
-from it, excitation_numbers counts its rows, and the dark-state search
-reads its channels from it.  Restricted to one excitation under the
+from it, excitation_number_operator counts its rows, and the dark-state
+search reads its channels from it.  Restricted to one excitation under the
 rotating-wave approximation the Hamiltonian collapses to the
 (n+1) x (n+1) block
 
@@ -199,17 +199,13 @@ def single_excitation_block(model):
     return H.astype(complex)
 
 
-def excitation_numbers(model):
-    """Excitation number p + (number of excited atoms) of every full-basis
-    state, in basis order."""
+def excitation_number_operator(model):
+    """N = a^+ a + sum_i sigma_i^+ sigma_i^- on the full basis: diagonal,
+    p plus the number of excited atoms of each state."""
     _check_scale(model)
     excited = _atomic_flags(model.n_atoms).sum(axis=1)
-    return (np.arange(model.photon_cutoff + 1)[:, None] + excited).ravel()
-
-
-def excitation_number_operator(model):
-    """N = a^+ a + sum_i sigma_i^+ sigma_i^- on the full basis."""
-    return np.diag(excitation_numbers(model)).astype(complex)
+    numbers = np.arange(model.photon_cutoff + 1)[:, None] + excited
+    return np.diag(numbers.ravel()).astype(complex)
 
 
 def apply_zs_shift(model, atom_index, ds, dg):

@@ -37,10 +37,12 @@ def hermiticity_residual(M):
 
 def require_hermitian(M):
     """Return M as a complex array, raising NonHermitianError if it is not
-    Hermitian within HERMITICITY_RTOL * max|M|."""
+    Hermitian within HERMITICITY_RTOL * max|M| (ValueError if not finite)."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError("matrix has a non-finite entry")
     res = hermiticity_residual(M)
     bound = HERMITICITY_RTOL * max(max_abs(M), 1e-300)
     if res > bound:
@@ -133,50 +135,45 @@ def _fix_phase_columns(V):
     return out
 
 
-def _sector_indices(M, sectors):
-    """Index arrays of the sectors, ascending by label, each in basis order.
-
-    Raises ValueError if M has a nonzero entry between two sectors.
-    """
-    labels = np.asarray(sectors)
-    if labels.shape != (M.shape[0],):
-        raise ValueError(
-            f"sectors needs one label per row: got shape {labels.shape} "
-            f"for a {M.shape[0]}x{M.shape[0]} matrix"
-        )
-    keys, inverse = np.unique(labels, return_inverse=True)
-    if len(keys) > 1:
-        coupled = np.argwhere((M != 0) & (inverse[:, None] != inverse[None, :]))
-        if len(coupled):
-            i, j = coupled[0]
-            raise ValueError(
-                f"sectors {labels[i]} and {labels[j]} are coupled by M[{i}, {j}] != 0"
-            )
-    return [np.flatnonzero(inverse == k) for k in range(len(keys))]
+def _blocks(M):
+    """Index arrays of the connected blocks of M, the rows that a chain of
+    nonzero entries joins: each in basis order, ordered by first row."""
+    linked = (M != 0) | (M.T != 0)
+    seen, blocks = bytearray(len(M)), []
+    for root in range(len(M)):
+        if not seen[root]:
+            seen[root] = 1
+            members = [root]
+            for i in members:  # members grows as it is read: a breadth-first search
+                # a row at a time: all edges as Python ints at once fragment the heap
+                for j in np.flatnonzero(linked[i]).tolist():
+                    if not seen[j]:
+                        seen[j] = 1
+                        members.append(j)
+            blocks.append(np.array(sorted(members)))
+    return blocks
 
 
-def herm_eig(M, sectors=None):
+def herm_eig(M):
     """Eigendecomposition of a Hermitian matrix via LAPACK, with the
     package phase convention applied to every column.
 
-    sectors optionally labels each row with a conserved quantity; M must
-    not couple rows with different labels.  Each sector's block is then
-    solved on its own, its eigenvectors are exactly zero outside it, and
-    the eigenvalues of all sectors are merged in ascending order (ties in
-    ascending label order).  Without sectors the matrix is one block.
+    Each connected block of M (see _blocks) is solved on its own, so an
+    eigenvector is exactly +0 outside its block, and the eigenvalues merge
+    in ascending order, ties in block order; a dense M is one block.  The
+    blocks of a cavity Hamiltonian with no zero coupling are its excitation
+    number sectors under RWA, and their parities without it.
     """
     M = require_hermitian(M)
-    dim = M.shape[0]
-    blocks = [np.arange(dim)] if sectors is None else _sector_indices(M, sectors)
+    blocks = _blocks(M)
     solved = [np.linalg.eigh(M[idx[:, None], idx]) for idx in blocks]
     values = np.concatenate([w for w, _ in solved])
     order = np.argsort(values, kind="stable")
     column = np.argsort(order)  # where each solved eigenvector goes
-    V = np.zeros((dim, dim), dtype=complex)
-    start = 0
+    V = np.zeros(M.shape, dtype=complex)
     for idx, (_, vectors) in zip(blocks, solved):
-        V[idx[:, None], column[start : start + len(idx)]] = _fix_phase_columns(vectors)
-        start += len(idx)
+        V[idx[:, None], column[: len(idx)]] = _fix_phase_columns(vectors)
+        column = column[len(idx) :]
     return Spectrum(eigenvalues=values[order], eigenvectors=V)
 
 

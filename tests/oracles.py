@@ -74,6 +74,16 @@ def kron_hamiltonian(model):
     return H.astype(complex)
 
 
+def kron_collective_lowering(gs):
+    """L = sum_i g_i sigma_i^- on the 2^n atomic states, one Kronecker
+    product per atom; its transpose is the raising R = sum_i g_i sigma_i^+."""
+    n = len(gs)
+    L = np.zeros((2**n, 2**n))
+    for i, g in enumerate(gs):
+        L += g * _lift(_LOWER, i, n)
+    return L
+
+
 def kron_excitation_operator(model):
     """a^+ a + sum_i sigma_i^+ sigma_i^-, one Kronecker product per term."""
     n, nmax = model.n_atoms, model.photon_cutoff

@@ -1,8 +1,10 @@
 import argparse
+import gc
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -320,6 +322,33 @@ def test_verify_subset_passes(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "PASS null-protocol" in out and "PASS dark-eigenpair" in out
+
+
+def test_verify_runs_and_passes_every_check(capsys):
+    assert cli.main(["verify"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name in cli._checks.CHECKS]
+
+
+def test_main_frees_its_parser_before_the_command_runs(monkeypatch):
+    # a parser that stays referenced through a long command is promoted to
+    # the oldest GC generation and lingers there as garbage
+    build, parsers, alive = cli.build_parser, [], []
+
+    def tracked_build():
+        parser = build()
+        parsers.append(weakref.ref(parser))
+        return parser
+
+    def command(args):
+        gc.collect()
+        alive.append(parsers[0]() is not None)
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "build_parser", tracked_build)
+    monkeypatch.setitem(cli._RUNNERS, "verify", command)
+    assert cli.main(["verify"]) == 0
+    assert alive == [False]
 
 
 def test_verify_empty_selection(capsys):

@@ -27,7 +27,7 @@ from cavitydark.model import (
 )
 from cavitydark.numerics import evolve, herm_eig, max_abs
 
-from oracles import dark_kernel_count, subspace_distance
+from oracles import dark_kernel_count, kron_collective_lowering, subspace_distance
 
 
 def block_model(w1=1.0, w2=1.0, g1=0.01, g2=0.005, wc=1.0, cutoff=1):
@@ -168,6 +168,15 @@ def test_dispatcher_routes_by_frequency_split():
     assert analytic_spectrum(1.0, 1.0 + 1e-12, 1.0, 0.01, 0.005).branch.startswith(
         "degenerate"
     )
+    # the dispatcher goes degenerate exactly where the shifted form refuses
+    for split in (0.5e-9, 0.99e-9, 1.01e-9, 2e-9):
+        try:
+            analytic_spectrum_shifted(1.0, 1.0, 1.0 + split, 0.01, 0.005)
+            refused = False
+        except DegenerateFrequenciesError:
+            refused = True
+        branch = analytic_spectrum(1.0, 1.0, 1.0 + split, 0.01, 0.005).branch
+        assert branch.startswith("degenerate") == refused == (split < 1e-9)
 
 
 def test_vieta_relations():
@@ -260,6 +269,20 @@ def test_is_dark_ground_state_excluded():
     ground = np.zeros(4, dtype=complex)
     ground[0] = 1.0
     assert not is_dark(m, ground, SUBSPACE_FULL, tol=1e-10).is_dark
+
+
+def test_is_dark_residuals_are_the_norms_of_the_collective_operators():
+    gen = np.random.default_rng(43)
+    for n in range(1, 9):
+        gs = gen.uniform(0.001, 0.05, n)
+        m = CavityModel(1.0, tuple(AtomParams(omega=1.0, g=float(g)) for g in gs))
+        L = kron_collective_lowering(gs)
+        for density in (1.0, 0.5, 0.1):
+            psi = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+            psi[gen.random(2**n) >= density] = 0.0
+            report = is_dark(m, psi, SUBSPACE_FULL)
+            assert np.isclose(report.emit_residual, np.linalg.norm(L @ psi), rtol=1e-12, atol=0)
+            assert np.isclose(report.absorb_residual, np.linalg.norm(L.T @ psi), rtol=1e-12, atol=0)
 
 
 def test_is_dark_dimension_mismatch():

@@ -17,9 +17,8 @@ from cavitydark.numerics import (
 from cavitydark.model import (
     AtomParams,
     CavityModel,
+    basis_labels,
     build_full_hamiltonian,
-    excitation_numbers,
-    single_excitation_indices,
 )
 
 from oracles import expm_series, random_hermitian, char_poly_coefficients
@@ -292,7 +291,7 @@ def test_fix_phase_columns_is_fix_phase_bit_for_bit():
     assert np.array_equal(fixed[0, 1:], [1.0, 1.0, 2.0])
 
 
-def test_herm_eig_without_sectors_is_the_dense_solve_bit_for_bit():
+def test_herm_eig_of_a_dense_matrix_is_the_dense_solve_bit_for_bit():
     gen = np.random.default_rng(29)
     for dim in list(range(1, 10)) + [33]:
         M = random_hermitian(gen, dim)
@@ -300,6 +299,19 @@ def test_herm_eig_without_sectors_is_the_dense_solve_bit_for_bit():
         spec = herm_eig(M)
         assert _bits(spec.eigenvalues) == _bits(w)
         assert _bits(spec.eigenvectors) == _bits(_fix_phase_per_column(V))
+
+
+@pytest.mark.parametrize(
+    "M",
+    [[[np.nan]], [[1.0, np.inf], [np.inf, 1.0]], [[1.0, complex(0.0, np.nan)], [0.0, 1.0]]],
+)
+def test_herm_eig_rejects_non_finite_entries(M):
+    with pytest.raises(ValueError, match="non-finite"):
+        herm_eig(M)
+
+
+def _excitation_numbers(model):
+    return np.array([label.excitation for label in basis_labels(model)])
 
 
 def _sector_models():
@@ -318,9 +330,13 @@ def _sector_models():
                     gs[gen.random(n) < 0.5] = 0.0
                 atoms = tuple(AtomParams(omega=float(w), g=float(g)) for w, g in zip(omegas, gs))
                 model = CavityModel(1.0, atoms, photon_cutoff=cutoff, rwa=rwa)
-                labels = excitation_numbers(model)
+                labels = _excitation_numbers(model)
                 cases.append((model, labels if rwa else labels % 2))
     return cases
+
+
+def _coupled(model):
+    return all(atom.g != 0.0 for atom in model.atoms)
 
 
 def test_sector_solve_matches_the_dense_eigh():
@@ -328,7 +344,7 @@ def test_sector_solve_matches_the_dense_eigh():
         H = build_full_hamiltonian(model)
         scale = max_abs(H)
         w, V = np.linalg.eigh(H)
-        spec = herm_eig(H, labels)
+        spec = herm_eig(H)
         assert np.all(np.diff(spec.eigenvalues) >= 0)
         assert np.max(np.abs(spec.eigenvalues - w)) <= 1e-12 * scale
         for cluster in numerics._clusters(w, scale):
@@ -345,21 +361,58 @@ def test_sector_solve_matches_the_dense_eigh():
             assert not np.any(np.signbit(v[outside].view(float)))
 
 
-def test_sector_labels_that_split_a_coupling_are_rejected():
-    atoms = (AtomParams(1.0, 0.01), AtomParams(1.02, 0.005))
-    rwa = CavityModel(1.0, atoms, photon_cutoff=2)
-    H = build_full_hamiltonian(rwa)
-    labels = excitation_numbers(rwa)
-    wrong = labels.copy()
-    wrong[single_excitation_indices(rwa)[0]] += 7
-    with pytest.raises(ValueError, match="coupled by"):
-        herm_eig(H, wrong)
-    # counter-rotating terms change the excitation number by two
-    full = CavityModel(1.0, atoms, photon_cutoff=2, rwa=False)
-    with pytest.raises(ValueError, match="coupled by"):
-        herm_eig(build_full_hamiltonian(full), labels)
-    with pytest.raises(ValueError, match="one label per row"):
-        herm_eig(H, labels[:-1])
+def test_blocks_of_a_fully_coupled_model_are_its_sectors():
+    cases = [(m, labels) for m, labels in _sector_models() if _coupled(m)]
+    assert len(cases) > 20
+    for model, labels in cases:
+        blocks = numerics._blocks(build_full_hamiltonian(model))
+        sectors = [np.flatnonzero(labels == k) for k in np.unique(labels)]
+        assert [b.tolist() for b in blocks] == [s.tolist() for s in sectors]
+
+
+def test_a_zero_coupling_splits_the_sectors_into_finer_blocks():
+    cases = [(m, labels) for m, labels in _sector_models() if not _coupled(m)]
+    for rwa in (True, False):
+        for gs in ((0.02, 0.0, 0.02), (0.0, 0.0, 0.0)):
+            atoms = tuple(AtomParams(omega=1.0, g=g) for g in gs)
+            model = CavityModel(1.0, atoms, photon_cutoff=2, rwa=rwa)
+            labels = _excitation_numbers(model)
+            cases.append((model, labels if rwa else labels % 2))
+    for model, labels in cases:
+        blocks = numerics._blocks(build_full_hamiltonian(model))
+        assert len(blocks) > len(np.unique(labels))
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(model.dim))
+        assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+        for b in blocks:
+            assert np.all(np.diff(b) > 0)
+            assert len(np.unique(labels[b])) == 1
+
+
+def test_eigenvectors_are_positive_zero_outside_their_block():
+    for model, _ in _sector_models():
+        H = build_full_hamiltonian(model)
+        block_of = np.empty(model.dim, dtype=int)
+        for k, b in enumerate(numerics._blocks(H)):
+            block_of[b] = k
+        V = herm_eig(H).eigenvectors
+        for k in range(model.dim):
+            outside = block_of != block_of[np.argmax(np.abs(V[:, k]))]
+            assert not np.any(V[outside, k])
+            assert not np.any(np.signbit(V[outside, k].view(float)))
+
+
+def test_a_zero_row_is_its_own_block_and_ties_go_in_block_order():
+    M = np.zeros((4, 4))
+    M[1:3, 1:3] = [[2.0, 1.0], [1.0, 2.0]]
+    assert [b.tolist() for b in numerics._blocks(M)] == [[0], [1, 2], [3]]
+    spec = herm_eig(M)
+    # the zero rows tie at eigenvalue 0 and keep block order; [1, 2] lies above
+    assert np.array_equal(spec.eigenvalues[:2], [0.0, 0.0])
+    assert np.all(spec.eigenvalues[2:] > 0.5)
+    assert _bits(spec.eigenvectors[:, :2]) == _bits(np.eye(4, dtype=complex)[:, [0, 3]])
+    outside = spec.eigenvectors[[0, 3], 2:]
+    assert not np.any(outside) and not np.any(np.signbit(outside.view(float)))
+
 
 def test_random_source_reproducible():
     a = RandomSource(seed=123).generator().random(8)
