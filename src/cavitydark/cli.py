@@ -288,12 +288,9 @@ def run_protocol(args):
 
 
 def run_verify(args):
-    if args.checks is None:
-        names = None
-    else:
+    names = None
+    if args.checks is not None:  # run_checks refuses an empty selection
         names = [n for n in (s.strip() for s in args.checks.split(",")) if n]
-        if not names:
-            raise UsageError("no checks selected")
     results = _checks.run_checks(names=names, seed=args.seed)
     text = _write_table(
         args,

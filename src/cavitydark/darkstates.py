@@ -19,8 +19,6 @@ import numpy as np
 from . import model as _model
 from . import numerics as _num
 
-# route to the equal-frequency branch below this relative frequency split
-DEGENERATE_SPLIT_RTOL = 1e-9
 # formula eigenvectors worse than this residual fall back to the numeric path
 _FORMULA_RESIDUAL_RTOL = 1e-9
 
@@ -38,10 +36,11 @@ class DegenerateFrequenciesError(ValueError):
 class AnalyticSpectrum:
     """Closed-form eigensystem of the 3x3 one-excitation block.
 
-    eigenvectors holds normalized, phase-fixed columns.  raw_eigenvectors
-    keeps the unnormalized textbook form (third component 1 where the
-    formula applies, the bare dark vector in the first degenerate column)
-    for direct comparison against the closed formulas.
+    eigenvectors holds the normalized columns, phase-fixed by one fix_phase
+    call.  raw_eigenvectors keeps the unnormalized textbook form (third
+    component 1 where the formula applies, the bare dark vector in the
+    first degenerate column) for direct comparison against the closed
+    formulas.
     """
 
     eigenvalues: np.ndarray
@@ -94,9 +93,8 @@ def analytic_spectrum_degenerate(omega_c, omega_a, g1, g2):
             np.array([2 * g1 / (S + d), 2 * g2 / (S + d), 1.0]),
         ]
     ).astype(complex)
-    vectors = np.column_stack(
-        [_num.fix_phase(_num.normalize(raw[:, k])) for k in range(3)]
-    )
+    # one norm per column: norm(axis=0) can round differently
+    vectors = _num.fix_phase(raw / [np.linalg.norm(r) for r in raw.T])
     return AnalyticSpectrum(values, vectors, BRANCH_DEGENERATE, raw)
 
 
@@ -118,12 +116,13 @@ def analytic_spectrum_shifted(omega_c, omega_a1, omega_a2, g1, g2):
           g2 / (alpha - omega_a2),
           1 )
 
-    per root alpha.  Where that expression is singular (g1 = 0, or a root
-    hitting omega_a2) or numerically degraded, the numeric eigenvector is
-    substituted and the branch tag says so.
+    per root alpha, all three at once.  Where that expression is singular
+    (g1 = 0, or a root hitting omega_a2) or numerically degraded, the
+    column comes from one numeric solve of the block instead, and the
+    branch tag says so.
     """
     scale = max(abs(omega_c), abs(omega_a1), abs(omega_a2), abs(g1), abs(g2), 1e-300)
-    if abs(omega_a1 - omega_a2) <= DEGENERATE_SPLIT_RTOL * scale:
+    if abs(omega_a1 - omega_a2) <= _num.DEGENERACY_RTOL * scale:
         raise DegenerateFrequenciesError(
             "atomic frequencies are equal within tolerance; "
             "use analytic_spectrum_degenerate"
@@ -140,43 +139,29 @@ def analytic_spectrum_shifted(omega_c, omega_a1, omega_a2, g1, g2):
             ),
         )
     )
-    hscale = _num.max_abs(H)
-    numeric = None
-    raw = np.zeros((3, 3), dtype=complex)
-    vectors = np.zeros((3, 3), dtype=complex)
-    fallback = False
-    for k, alpha in enumerate(roots):
-        denom = alpha - omega_a2
-        candidate = None
-        if g1 != 0.0 and denom != 0.0:
-            v = np.array(
-                [
-                    (alpha - omega_c) / g1 - g2 * g2 / (g1 * denom),
-                    g2 / denom,
-                    1.0,
-                ],
-                dtype=complex,
-            )
-            residual = np.linalg.norm(H @ v - alpha * v)
-            if residual <= _FORMULA_RESIDUAL_RTOL * hscale * np.linalg.norm(v):
-                candidate = v
-        if candidate is None:
-            fallback = True
-            if numeric is None:
-                numeric = _num.herm_eig(H)
-            vec = numeric.eigenvectors[:, k]  # roots and eigh share ascending order
-            candidate = vec if abs(vec[2]) < 1e-12 else vec / vec[2]
-        raw[:, k] = candidate
-        vectors[:, k] = _num.fix_phase(_num.normalize(candidate))
-
-    branch = BRANCH_SHIFTED_FALLBACK if fallback else BRANCH_SHIFTED
+    # the resolvent form of all three roots at once; where g1 = 0 or a
+    # root hits omega_a2 it is not finite, and that column fails
+    denom = roots - omega_a2
+    raw = np.ones((3, 3), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        raw[0] = (roots - omega_c) / g1 - g2 * g2 / (g1 * denom)
+        raw[1] = g2 / denom
+        residual = np.linalg.norm(H @ raw - raw * roots, axis=0)
+    bound = _FORMULA_RESIDUAL_RTOL * _num.max_abs(H) * np.linalg.norm(raw, axis=0)
+    failed = (g1 == 0.0) | (denom == 0.0) | ~(residual <= bound)
+    if failed.any():  # roots and eigh share ascending order
+        vec = _num.herm_eig(H).eigenvectors[:, failed]
+        bare = np.abs(vec[2]) < 1e-12
+        raw[:, failed] = np.where(bare, vec, vec / np.where(bare, 1.0, vec[2]))
+    vectors = _num.fix_phase(raw / [np.linalg.norm(r) for r in raw.T])
+    branch = BRANCH_SHIFTED_FALLBACK if failed.any() else BRANCH_SHIFTED
     return AnalyticSpectrum(roots, vectors, branch, raw)
 
 
 def analytic_spectrum(omega_c, omega_a1, omega_a2, g1, g2):
     """Dispatch on the frequency split: the shifted closed form, or the
     equal-frequency one where the shifted form rejects the split as
-    degenerate (its DEGENERATE_SPLIT_RTOL test is the only split rule)."""
+    degenerate (its DEGENERACY_RTOL test is the only split rule)."""
     try:
         return analytic_spectrum_shifted(omega_c, omega_a1, omega_a2, g1, g2)
     except DegenerateFrequenciesError:
@@ -300,7 +285,7 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     absorb = float(np.linalg.norm(reached[~emitted]))
     excitation = float(np.abs(atomic) ** 2 @ occ.sum(axis=1))
     gated = absorb if subspace == SUBSPACE_FULL else 0.0
-    dark = max(emit, gated) <= tol * gs.max() and photon_support <= tol < excitation
+    dark = bool(max(emit, gated) <= tol * gs.max() and photon_support <= tol < excitation)
     return DarknessReport(dark, emit, absorb, photon_support, subspace)
 
 

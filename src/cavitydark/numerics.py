@@ -53,15 +53,26 @@ def require_hermitian(M):
     return M
 
 
-def fix_phase(v):
-    """Rotate the global phase so the largest-magnitude component is real
-    and positive.  Deterministic: ties break on the lowest index."""
-    v = np.asarray(v, dtype=complex)
-    k = int(np.argmax(np.abs(v)))
-    a = v[k]
-    if abs(a) == 0.0:
-        return v.copy()
-    return v * (a.conjugate() / abs(a))
+def fix_phase(V):
+    """Rotate the phase of each column of V, or of the vector V, so its
+    largest-magnitude entry is real and positive, the lowest index on ties;
+    a zero column is left as it is.  The pivot magnitude is hypot(re, im),
+    the scalar abs (numpy's array abs can differ in the last bit), so a
+    column gets the same bits alone or inside a matrix."""
+    V = np.asarray(V, dtype=complex)
+    if V.ndim == 1:
+        return fix_phase(V[:, None])[:, 0]
+    if not V.size:  # no column, or empty columns: no pivot to take
+        return V.copy()
+    pivot = V[np.abs(V).argmax(axis=0), np.arange(V.shape[1])]
+    mag = np.hypot(pivot.real, pivot.imag)
+    zero = mag == 0.0
+    mag[zero] = 1.0  # 0, not 0/0, on a zero column
+    # each column times its factor as a scalar: V * factor can round differently
+    out = (V.T * (pivot.conj() / mag)[:, None]).T
+    if zero.any():
+        out[:, zero] = V[:, zero]
+    return out
 
 
 def normalize(v):
@@ -117,24 +128,6 @@ def _clusters(values, scale):
     return groups
 
 
-def _fix_phase_columns(V):
-    """fix_phase applied to every column of V, bit for bit.
-
-    The pivot magnitude is hypot(re, im), the scalar abs fix_phase uses
-    (numpy's array abs can differ in the last bit), and each column is
-    multiplied by its own factor as a scalar, as fix_phase does.  A zero
-    column is left as it is.
-    """
-    pivot = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
-    mag = np.hypot(pivot.real, pivot.imag)
-    zero = mag == 0.0
-    factor = pivot.conj() / np.where(zero, 1.0, mag)  # 0, not 0/0, on a zero column
-    out = (V.T * factor[:, None]).T
-    if zero.any():
-        out[:, zero] = V[:, zero]
-    return out
-
-
 def _blocks(M):
     """Index arrays of the connected blocks of M, the rows that a chain of
     nonzero entries joins: each in basis order, ordered by first row."""
@@ -156,7 +149,7 @@ def _blocks(M):
 
 def herm_eig(M):
     """Eigendecomposition of a Hermitian matrix via LAPACK, with the
-    package phase convention applied to every column.
+    package phase convention applied by one fix_phase call per block.
 
     Each connected block of M (see _blocks) is solved on its own, so an
     eigenvector is exactly +0 outside its block, and the eigenvalues merge
@@ -172,7 +165,7 @@ def herm_eig(M):
     column = np.argsort(order)  # where each solved eigenvector goes
     V = np.zeros(M.shape, dtype=complex)
     for idx, (_, vectors) in zip(blocks, solved):
-        V[idx[:, None], column[: len(idx)]] = _fix_phase_columns(vectors)
+        V[idx[:, None], column[: len(idx)]] = fix_phase(vectors)
         column = column[len(idx) :]
     return Spectrum(eigenvalues=values[order], eigenvectors=V)
 
@@ -249,9 +242,10 @@ def cubic_roots(A, B, C):
 def null_space(M, tol):
     """Orthonormal basis of {v : ||Mv|| <= tol * max|M| * ||v||}.
 
-    Returns a (possibly empty) list of phase-fixed vectors.  The zero
-    matrix yields the full standard-dimension basis.  A real M keeps its
-    real SVD, which is several times cheaper than the complex one.
+    Returns a (possibly empty) list of vectors, the columns of one
+    fix_phase call.  The zero matrix yields the full standard-dimension
+    basis.  A real M keeps its real SVD, which is several times cheaper
+    than the complex one.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -259,12 +253,12 @@ def null_space(M, tol):
     n = M.shape[1]
     scale = max_abs(M)
     if scale == 0.0:
-        return [fix_phase(e) for e in np.eye(n, dtype=complex)]
+        return list(fix_phase(np.eye(n, dtype=complex)).T)
     # a tall M has all n rows of Vh in the thin SVD; a wide one keeps its
     # null rows beyond min(rows, n) only in the full one
     _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < n)
     rank = int(np.sum(s > tol * scale))
-    return [fix_phase(Vh[i].conj()) for i in range(rank, n)]
+    return list(fix_phase(Vh[rank:].conj().T).T)
 
 
 # numpy's SeedSequence constants (pool of 4 uint32 words)

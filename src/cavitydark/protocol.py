@@ -65,9 +65,8 @@ class ZSJumpConfig:
         self.shifted_model()
         if self.t_max is not None and not (self.t_max > 0):
             raise ValueError("t_max must be positive")
-        if self.t_steps < 2:
+        if _num._bounded_int(self.t_steps, "t_steps", 64) < 2:
             raise ValueError("t_steps must be at least 2")
-        _num._bounded_int(self.t_steps, "t_steps", 64)
         if self.delta_t_distribution not in (DIST_UNIFORM, DIST_FIXED):
             raise ValueError(
                 f"unknown delta_t distribution {self.delta_t_distribution!r}"

@@ -24,6 +24,18 @@ def expm_series(M, terms=30):
     return out
 
 
+def fix_phase(v):
+    """The package phase convention on one vector, in scalar steps: rotate
+    the global phase so the largest-magnitude component is real and
+    positive, ties on the lowest index; a zero vector stays as it is."""
+    v = np.asarray(v, dtype=complex)
+    k = int(np.argmax(np.abs(v)))
+    a = v[k]
+    if abs(a) == 0.0:
+        return v.copy()
+    return v * (a.conjugate() / abs(a))
+
+
 def random_hermitian(gen, dim, scale=1.0):
     X = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     return scale * (X + X.conj().T) / 2

@@ -4,6 +4,7 @@ import pytest
 from cavitydark.darkstates import (
     BRANCH_DEGENERATE,
     BRANCH_SHIFTED,
+    BRANCH_SHIFTED_FALLBACK,
     DegenerateFrequenciesError,
     SUBSPACE_FULL,
     SUBSPACE_SINGLE,
@@ -161,6 +162,25 @@ def test_shifted_spectrum_has_no_dark_vector():
     assert np.all(np.abs(sp.eigenvectors[2, :]) > 1e-6)
 
 
+@pytest.mark.parametrize(
+    "g1, g2, formula",
+    [(0.01, 0.0, [0, 1]), (1e-9, 0.005, [0]), (0.0, 0.005, [])],
+    ids=["g2=0", "g1=1e-9", "g1=0"],
+)
+def test_shifted_fallback_replaces_only_the_failing_columns(g1, g2, formula):
+    # g2 = 0 decouples atom 2, whose eigenvector the resolvent form misses;
+    # g1 = 1e-9 degrades the form; g1 = 0 makes it singular
+    wc, w1, w2 = 1.0, 0.98, 1.03
+    sp = analytic_spectrum_shifted(wc, w1, w2, g1, g2)
+    assert sp.branch == BRANCH_SHIFTED_FALLBACK
+    for k in formula:  # the resolvent form itself, third component 1
+        a = sp.eigenvalues[k]
+        resolvent = [(a - wc) / g1 - g2 * g2 / (g1 * (a - w2)), g2 / (a - w2), 1.0]
+        assert np.array_equal(sp.raw_eigenvectors[:, k], resolvent)
+    numeric = herm_eig(single_excitation_block(block_model(w1, w2, g1, g2, wc)))
+    assert np.abs(sp.eigenvectors - numeric.eigenvectors).max() <= 1e-9
+
+
 def test_dispatcher_routes_by_frequency_split():
     assert analytic_spectrum(1.0, 1.0, 1.0, 0.01, 0.005).branch.startswith("degenerate")
     assert analytic_spectrum(1.0, 1.01, 1.0, 0.01, 0.005).branch.startswith("shifted")
@@ -269,6 +289,23 @@ def test_is_dark_ground_state_excluded():
     ground = np.zeros(4, dtype=complex)
     ground[0] = 1.0
     assert not is_dark(m, ground, SUBSPACE_FULL, tol=1e-10).is_dark
+
+
+@pytest.mark.parametrize("subspace", [SUBSPACE_SINGLE, SUBSPACE_FULL])
+def test_is_dark_verdict_is_a_python_bool(subspace):
+    # the verdict was a numpy bool where a residual comparison decided it
+    m = block_model(g1=0.01, g2=0.01)
+    s = 2**-0.5
+    if subspace == SUBSPACE_SINGLE:  # (|10>, |01>, photon): ground atoms hold no excitation
+        states = dict(zero=[0, 0, 0], ground=[0, 0, 1], dark=[-s, s, 0], bright=[s, s, 0])
+    else:  # the four two-atom product states, ground first
+        states = dict(
+            zero=[0, 0, 0, 0], ground=[1, 0, 0, 0], dark=[0, s, -s, 0], bright=[0, s, s, 0]
+        )
+    for name, psi in states.items():
+        verdict = is_dark(m, np.array(psi, dtype=complex), subspace).is_dark
+        assert verdict == (name == "dark"), name
+        assert type(verdict) is bool, name
 
 
 def test_is_dark_residuals_are_the_norms_of_the_collective_operators():

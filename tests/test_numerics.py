@@ -22,6 +22,7 @@ from cavitydark.model import (
 )
 
 from oracles import expm_series, random_hermitian, char_poly_coefficients
+from oracles import fix_phase as oracle_fix_phase
 
 
 def test_herm_eig_identity():
@@ -268,27 +269,39 @@ def _bits(a):
 
 
 def _fix_phase_per_column(V):
-    return np.column_stack([fix_phase(V[:, k]) for k in range(V.shape[1])])
+    return np.column_stack([oracle_fix_phase(V[:, k]) for k in range(V.shape[1])])
 
 
-def test_fix_phase_columns_is_fix_phase_bit_for_bit():
+@pytest.mark.parametrize("kind", ["vector", "square", "tall", "fortran", "zero-and-ties"])
+def test_fix_phase_is_the_scalar_oracle_bit_for_bit(kind):
+    if kind == "zero-and-ties":
+        # a zero column (signed zeros included) stays as it is; tied
+        # magnitudes pivot on the lowest index
+        V = np.array(
+            [[0.0, 1.0, -1.0, 2j],
+             [-0.0, -1.0, 1j, -2.0],
+             [complex(-0.0, -0.0), 1j, -1j, 2.0]]
+        )
+        fixed = fix_phase(V)
+        assert _bits(fixed) == _bits(_fix_phase_per_column(V))
+        assert _bits(fixed[:, 0]) == _bits(V[:, 0])
+        assert np.array_equal(fixed[0, 1:], [1.0, 1.0, 2.0])
+        return
     gen = np.random.default_rng(23)
     for dim in list(range(1, 12)) * 4 + [40, 97]:
         X = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
         _, vectors = np.linalg.eigh(X + X.conj().T)
-        for V in (X, vectors, X[:, : max(1, dim // 2)], np.asfortranarray(X)):
-            assert _bits(numerics._fix_phase_columns(V)) == _bits(_fix_phase_per_column(V))
-    # a zero column (signed zeros included) stays as it is; tied
-    # magnitudes pivot on the lowest index
-    V = np.array(
-        [[0.0, 1.0, -1.0, 2j],
-         [-0.0, -1.0, 1j, -2.0],
-         [complex(-0.0, -0.0), 1j, -1j, 2.0]]
-    )
-    fixed = numerics._fix_phase_columns(V)
-    assert _bits(fixed) == _bits(_fix_phase_per_column(V))
-    assert _bits(fixed[:, 0]) == _bits(V[:, 0])
-    assert np.array_equal(fixed[0, 1:], [1.0, 1.0, 2.0])
+        if kind == "vector":
+            for v in [*X.T, *vectors.T, X[0]]:  # strided and contiguous
+                assert _bits(fix_phase(v)) == _bits(oracle_fix_phase(v))
+            continue
+        matrices = {
+            "square": (X, vectors),
+            "tall": (X[:, : max(1, dim // 2)],),
+            "fortran": (np.asfortranarray(X),),
+        }[kind]
+        for V in matrices:
+            assert _bits(fix_phase(V)) == _bits(_fix_phase_per_column(V))
 
 
 def test_herm_eig_of_a_dense_matrix_is_the_dense_solve_bit_for_bit():

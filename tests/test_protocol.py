@@ -74,6 +74,9 @@ def test_config_defaults_and_preset():
         # these constructed, then pds_max and run_trials raised TypeError
         dict(t_steps=2.5),
         dict(t_steps=True),
+        # these raised TypeError from the "at least 2" comparison
+        dict(t_steps=None),
+        dict(t_steps="8"),
     ],
 )
 def test_config_rejects_what_the_shifted_model_rejects(kwargs):

@@ -1,0 +1,75 @@
+"""Print sha256 digests of a fixed set of cavitydark CLI invocations.
+
+Usage: python3 tools/cli_digests.py
+
+Each invocation runs in a fresh Python process against the `src/` of the
+checkout this script sits in, with model files written to a temporary
+directory.  One line per invocation: its label, the sha256 of stdout,
+of stderr and of the --out file ("-" when none was written), and the
+exit code.  Diffing the output of two checkouts shows whether a change
+keeps every CLI byte.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MAIN = "import sys; from cavitydark.cli import main; sys.exit(main())"
+
+DISTINCT = [1.0 + 0.013 * k * (-1) ** k for k in range(8)]
+MODELS = {  # name -> (omega_c, omegas, gs, extra lines)
+    "equal8": (1.0, [1.0] * 8, [0.01] * 8, []),
+    "distinct8": (1.0, DISTINCT, [0.004 + 0.001 * k for k in range(8)], []),
+    "equal6": (1.0, [1.0] * 6, [0.02] * 6, []),
+    "degenerate2": (1.0, [1.0, 1.0], [0.01, 0.005], []),
+    "shifted2": (1.0, [1.0, 1.01], [0.01, 0.012], []),
+    "uncoupled2": (1.0, [1.0, 1.0], [0.0, 0.0], []),
+    "nonrwa3": (1.0, [0.9, 1.0, 1.1], [0.05, 0.03, 0.04], ["rwa = false", "photon_cutoff = 2"]),
+}
+
+
+def write_model(path, omega_c, omegas, gs, extra):
+    lines = [f"omega_c = {omega_c!r}", *extra]
+    for i, (w, g) in enumerate(zip(omegas, gs), start=1):
+        lines += [f"atom.{i}.omega = {w!r}", f"atom.{i}.g = {g!r}"]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def invocations(workdir):
+    for name, spec in MODELS.items():
+        path = workdir / f"{name}.model"
+        write_model(path, *spec)
+        yield f"spectrum:{name}", ["spectrum", "--model", str(path)]
+        for sub in ("single_excitation", "full"):
+            yield f"dark-find:{sub}:{name}", ["dark-find", "--model", str(path), "--subspace", sub]
+    yield "verify", ["verify"]
+    yield "sweep:7x5", ["sweep", "--ds-range", "0:0.01:7", "--dg-range", "0:0.007:5"]
+    yield "protocol", ["protocol", "--seed", "3", "--trials", "200"]
+
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def main():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("CAVITYDARK_WORKERS", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        for label, args in invocations(workdir):
+            out = workdir / "out"
+            run = subprocess.run(
+                [sys.executable, "-c", MAIN, *args, "--out", str(out)],
+                env=env, cwd=tmp, capture_output=True,
+            )
+            written = digest(out.read_bytes()) if out.exists() else "-"
+            out.unlink(missing_ok=True)
+            print(label, digest(run.stdout), digest(run.stderr), written, run.returncode)
+
+
+if __name__ == "__main__":
+    main()
