@@ -206,8 +206,14 @@ def cubic_roots(A, B, C):
     q2 = (q / 2) ** 2
     p3 = (p / 3) ** 3
     disc = q2 + p3
-    # rounding can push a multiple-root discriminant slightly positive
-    fuzz = 64 * np.finfo(np.longdouble).eps * max(q2, abs(p3), np.longdouble(1e-300))
+    # rounding can push a multiple-root discriminant slightly positive: the
+    # long double arithmetic here, and the float64 rounding of A, B and C,
+    # which moves p by dp and q by dq, so disc by p^2/9 dp + |q|/2 dq
+    eps = np.finfo(float).eps
+    dp = eps * (abs(Bl) + 2 * abs(Al * shift))
+    dq = eps * (6 * abs(shift) ** 3 + 2 * abs(Bl * shift) + abs(Cl))
+    fuzz = (64 * np.finfo(np.longdouble).eps * max(q2, abs(p3), np.longdouble(1e-300))
+            + 8 * (p * p / 9 * dp + abs(q) / 2 * dq))
     if disc > fuzz:
         raise ComplexRootsError(
             f"discriminant {float(disc):.3e} > 0: cubic has complex roots "
@@ -217,14 +223,18 @@ def cubic_roots(A, B, C):
         # disc <= fuzz forces p and q both ~ 0: a (near-)triple root
         t0 = np.cbrt(-q)
         ts = np.array([t0, t0, t0], dtype=np.longdouble)
+        polish = 2
     else:
         m = 2 * np.sqrt(-p / 3)
-        arg = np.clip(3 * q / (p * m), -1.0, 1.0)
-        theta = np.arccos(arg) / 3
+        arg = 3 * q / (p * m)
+        theta = np.arccos(np.clip(arg, -1.0, 1.0)) / 3
         k = np.arange(3, dtype=np.longdouble)
         ts = m * np.cos(theta - 2 * np.pi * k / 3)
+        # |arg| >= 1 makes two roots coincide; at a double root f and df are
+        # both rounding noise and a Newton step can land anywhere
+        polish = 2 if abs(arg) < 1 else 0
     roots = ts - shift
-    for _ in range(2):  # Newton polish against the monic cubic
+    for _ in range(polish):  # Newton polish against the monic cubic
         f = ((roots + Al) * roots + Bl) * roots + Cl
         df = (3 * roots + 2 * Al) * roots + Bl
         ok = np.abs(df) > 0

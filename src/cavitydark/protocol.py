@@ -32,7 +32,7 @@ DIST_FIXED = "fixed"
 
 _TRIAL_BLOCK = 4096
 _SWEEP_CHUNK = 4096  # sweep points refined together: the default 50x50 grid is one chunk
-_PAIRS = ([0, 0, 1], [1, 2, 2])  # eigenpairs k < l of the 3x3 block
+_PAIRS = (np.array([0, 0, 1]), np.array([1, 2, 2]))  # eigenpairs k < l of the 3x3 block
 
 
 @dataclass(frozen=True)
@@ -159,11 +159,14 @@ def _p_of_times(betas, coef, ts):
     """Yield p(t) = sum_k c_k^2 + 2 sum_{k<l} c_k c_l cos((beta_k - beta_l) t).
 
     betas and coef have shape S + (3,); ts broadcasts against S + (T,),
-    and so does the result."""
+    and so does the result.  Each value is rounded the same whatever the
+    batch shape (an elementwise sum, where matmul takes another path for
+    one row), so a point alone, on a grid or in a golden bracket agrees
+    bit for bit."""
     k, l = _PAIRS
     phase = np.asarray(ts, dtype=float)[..., None] * (betas[..., k] - betas[..., l])[..., None, :]
-    beats = np.cos(phase) @ (2 * coef[..., k] * coef[..., l])[..., None]
-    return np.clip(np.sum(coef**2, axis=-1)[..., None] + beats[..., 0], 0.0, 1.0)
+    beats = np.add.reduce(np.cos(phase) * (2 * coef[..., k] * coef[..., l])[..., None, :], axis=-1)
+    return np.clip(np.add.reduce(coef**2, axis=-1)[..., None] + beats, 0.0, 1.0)
 
 
 def pds_curve(cfg):
@@ -198,21 +201,77 @@ def _golden_max(f, lo, hi, xtol):
 
 
 def _sweep_row(betas, coef, ts):
-    """Grid argmax index and maximum of p over the times ts, for every
-    point of one ds row of amplitude terms."""
-    ps = _p_of_times(betas, coef, ts)
-    return np.argmax(ps, axis=-1), ps.max(axis=-1)
+    """Grid argmax index (the lowest on ties) and maximum of p over the
+    times ts, for every point of a batch of amplitude terms (shape S + (3,)):
+    what np.argmax of the full grid of p gives, from a few evaluations.
+
+    Lipschitz branch-and-bound (Piyavskii 1972; Shubert 1972) on index
+    ranges of ts, bisected in rounds over the whole batch at once.
+    With beta_m the middle eigenfrequency, |lambda(t)| =
+    |sum_k c_k exp(-i (beta_k - beta_m) t)| has the Lipschitz constant
+    L = sum_k |c_k| |beta_k - beta_m|, so inside [t_a, t_b]
+
+        |lambda| <= (sqrt(p_a + delta) + sqrt(p_b + delta) + L (t_b - t_a)) / 2,
+
+    where delta covers the roundoff of the computed p.  A range is dropped
+    only when that bound squared plus delta is strictly below the best grid
+    value found, so every grid point that could reach or tie the maximum is
+    evaluated.  _p_of_times rounds a point the same in any batch, so the
+    values are those of the full grid."""
+    shape = betas.shape[:-1]
+    betas, coef = betas.reshape(-1, 3), coef.reshape(-1, 3)
+    n, last = len(betas), len(ts) - 1
+    lipschitz = np.sum(np.abs(coef) * np.abs(betas - betas[:, 1:2]), axis=-1)
+    lam_max = np.sum(np.abs(coef), axis=-1)  # bounds |lambda|; ts runs from 0 to ts[-1]
+    delta = 8 * np.finfo(float).eps * lam_max * (lam_max + lipschitz * ts[-1])
+    # the first round spreads about one time grid of points over the batch
+    # (one point gets its whole grid), so small batches take few rounds
+    edges = np.append(np.arange(0, last, -(-last // max(1, last // n))), last)
+    p_edges = _p_of_times(betas, coef, ts[edges])
+    best, arg = p_edges.max(axis=-1), edges[np.argmax(p_edges, axis=-1)]
+    # open ranges (a, b) of point pt, with p known at both ends.  Rounds
+    # split at most `cap` ranges, the newest first, and the rest wait, so the
+    # working set stays near cap log2(T) ranges even where nothing is pruned
+    # (a grid that aliases the beats), not n T / 2
+    pt = np.repeat(np.arange(n), len(edges) - 1)
+    todo = [(pt, np.tile(edges[:-1], n), np.tile(edges[1:], n),
+             p_edges[:, :-1].ravel(), p_edges[:, 1:].ravel())]
+    cap = len(pt) * last.bit_length()
+    while todo:
+        pt, a, b, pa, pb = todo.pop()
+        slack = delta[pt]
+        bound = (np.sqrt(pa + slack) + np.sqrt(pb + slack) + lipschitz[pt] * (ts[b] - ts[a])) / 2
+        keep = (b - a > 1) & (bound * bound + slack >= best[pt])
+        pt, a, b, pa, pb = (x[keep] for x in (pt, a, b, pa, pb))
+        if len(pt) > cap:
+            todo.append(tuple(x[cap:] for x in (pt, a, b, pa, pb)))
+            pt, a, b, pa, pb = (x[:cap] for x in (pt, a, b, pa, pb))
+        if not pt.size:
+            continue
+        m = (a + b) // 2
+        pm = _p_of_times(betas[pt], coef[pt], ts[m][:, None])[:, 0]
+        top = best.copy()
+        np.maximum.at(top, pt, pm)
+        arg[top > best] = last + 1
+        tie = pm == top[pt]
+        np.minimum.at(arg, pt[tie], m[tie])
+        best = top
+        todo.append((np.concatenate([pt, pt]), np.concatenate([a, m]), np.concatenate([m, b]),
+                     np.concatenate([pa, pm]), np.concatenate([pm, pb])))
+    return arg.reshape(shape), best.reshape(shape)
 
 
 def _maxima(cfg, ds_values, dg_values):
     """(p_max, t_star) on the grid ds_values x dg_values: per point the
-    argmax on the time grid, refined by golden-section search between its
-    neighbours.
+    argmax on the time grid (the lowest index on ties, found by _sweep_row's
+    branch-and-bound without evaluating the whole grid), refined by
+    golden-section search between its neighbours.
 
     Whole ds rows are taken in chunks of at most _SWEEP_CHUNK points (at
-    least one row): one eigensolve and one golden pass per chunk, the time
-    grid one row at a time.  A converged bracket stays frozen while the
-    others shrink, so each point's result does not depend on its chunk."""
+    least one row): one eigensolve, one grid search and one golden pass per
+    chunk.  The grid argmax is exact, and a converged bracket stays frozen
+    while the others shrink, so each point's result does not depend on its
+    chunk."""
     ts = np.linspace(0.0, cfg.window, cfg.t_steps)
     p_max = np.empty((len(ds_values), len(dg_values)))
     t_star = np.empty_like(p_max)
@@ -220,7 +279,7 @@ def _maxima(cfg, ds_values, dg_values):
     for start in range(0, len(ds_values), rows):
         chunk = slice(start, start + rows)
         betas, coef = _amplitude_terms(cfg, ds_values[chunk, None], dg_values)
-        i, p_grid = map(np.array, zip(*(_sweep_row(b, c, ts) for b, c in zip(betas, coef))))
+        i, p_grid = _sweep_row(betas, coef, ts)
         lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, len(ts) - 1)]
         t_ref, p_ref = _golden_max(lambda t: _p_of_times(betas, coef, t[..., None])[..., 0],
                                    lo, hi, xtol=1e-6 / cfg.omega_c)
@@ -254,9 +313,11 @@ def sweep(cfg, ds_range=(0.0, 0.01), dg_range=(0.0, 0.007), resolution=50):
     """Maximal yield over a (ds, dg) grid.
 
     ranges are (low, high) in units of omega_c; resolution is the number
-    of points per axis (one int or a pair).  The time grid is evaluated
-    one ds row at a time and the golden refinement runs on chunks of whole
-    rows, at most _SWEEP_CHUNK points, which bounds the working memory.
+    of points per axis (one int or a pair).  Each point's maximum on the
+    time grid is found by branch-and-bound, typically from a few dozen of
+    its t_steps values, and refined by golden-section search; both run on
+    chunks of whole rows, at most _SWEEP_CHUNK points, which bounds the
+    working memory.
     """
     axes = [resolution] * 2 if np.ndim(resolution) == 0 else list(resolution)
     if len(axes) != 2:

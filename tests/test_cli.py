@@ -123,6 +123,16 @@ def test_spectrum_decoupled_bare_frequencies(model_file, tmp_path):
     assert values == pytest.approx([0.98, 1.0, 1.01], abs=1e-12)
 
 
+def test_spectrum_of_an_uncoupled_double_root(model_file, tmp_path):
+    # omega_c on atom 1's frequency, both couplings zero: eigenvalue 1.0 twice
+    text = "omega_c = 1.0\natom.1.omega = 1.0\natom.1.g = 0.0\natom.2.omega = 1.01\natom.2.g = 0.0\n"
+    out = str(tmp_path / "spec.csv")
+    assert cli.main(["spectrum", "--model", model_file(text), "--out", out]) == 0
+    header, rows = read_rows(out)
+    assert sorted(float(r[1]) for r in rows) == [1.0, 1.0, 1.01]
+    assert all(float(r[header.index("discrepancy")]) <= 1e-8 for r in rows)
+
+
 def test_spectrum_physical_rescaling(model_file, tmp_path):
     base, scaled = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     path = model_file(RESONANT)

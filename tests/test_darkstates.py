@@ -131,6 +131,18 @@ def test_shifted_spectrum_decoupled_cubic_factors():
     assert np.allclose(sp.eigenvalues, [1.0, 1.01, 1.02], atol=1e-10)
 
 
+@pytest.mark.parametrize("s", [1e-3, 1.0, 1e3, 1e8, 1e15])
+@pytest.mark.parametrize("wc, w1, w2", [(1.0, 1.0, 1.01), (1.01, 1.0, 1.01), (1.0, 1.0, 0.99)])
+def test_uncoupled_double_root_is_solved(wc, w1, w2, s):
+    # g = 0 with omega_c on an atomic frequency: an exact double root, whose
+    # discriminant the float64 rounding of A, B and C pushed positive, so
+    # it raised ComplexRootsError.  That rounding moves a double root by
+    # about sqrt(eps) relative, hence the tolerance.
+    sp = analytic_spectrum_shifted(wc * s, w1 * s, w2 * s, 0.0, 0.0)
+    H = single_excitation_block(block_model(w1 * s, w2 * s, 0.0, 0.0, wc * s))
+    np.testing.assert_allclose(sp.eigenvalues, herm_eig(H).eigenvalues, rtol=0, atol=1e-6 * s)
+
+
 def test_shifted_spectrum_generic_matches_numeric():
     sp = analytic_spectrum_shifted(1.0, 1.01, 1.0, 0.01, 0.005)
     numeric = herm_eig(single_excitation_block(block_model(1.01, 1.0, 0.01, 0.005)))

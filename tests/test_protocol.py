@@ -334,9 +334,11 @@ def test_sweep_chunks_do_not_change_the_result(monkeypatch):
 
 
 def test_sweep_solves_and_refines_the_default_grid_once(monkeypatch):
-    # a work count, not a wall clock: the default 50x50 grid is one chunk
-    count = {"_amplitude_terms": 0, "_golden_max": 0, "_sweep_row": 0}
-    for name in count:
+    # a work count, not a wall clock: the default 50x50 grid is one chunk,
+    # and its (shift, time) pairs handed to the yield kernel (the full time
+    # grid plus the golden pass would be about 2.6 million)
+    count = {"_amplitude_terms": 0, "_golden_max": 0, "pairs": 0}
+    for name in ("_amplitude_terms", "_golden_max"):
         fn = getattr(protocol, name)
 
         def counted(*args, name=name, fn=fn, **kwargs):
@@ -344,8 +346,124 @@ def test_sweep_solves_and_refines_the_default_grid_once(monkeypatch):
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(protocol, name, counted)
+    p_of_times = protocol._p_of_times
+
+    def counted_p(betas, coef, ts):
+        p = p_of_times(betas, coef, ts)
+        count["pairs"] += p.size
+        return p
+
+    monkeypatch.setattr(protocol, "_p_of_times", counted_p)
     sweep(ZSJumpConfig())
-    assert count == {"_amplitude_terms": 1, "_golden_max": 1, "_sweep_row": 50}
+    assert count["_amplitude_terms"] == 1 and count["_golden_max"] == 1
+    assert count["pairs"] <= 200_000
+
+
+def grid_argmax_cases():
+    """(cfg, ds_values, dg_values) sets for the grid search's exactness."""
+    gen = np.random.default_rng(2026)
+    ds, dg = np.linspace(0.0, 0.01, 50), np.linspace(0.0, 0.007, 50)
+    long = replace(GENERIC, t_max=450.0, t_steps=3000)
+    cases = {
+        "default": (ZSJumpConfig(), ds, dg),
+        "null-row": (GENERIC, np.zeros(1), dg),
+        "ds=0-long-window": (long, np.zeros(1), np.linspace(0.0, 0.007, 200)),
+        "long-window": (long, ds[::7], dg[::10]),
+        "aliasing-64-steps": (ZSJumpConfig(g1=3.0, g2=1.5, t_steps=64), ds, dg),
+    }
+    for seed in (1, 2):  # g1 as the sweep benchmark draws it
+        g1 = float(np.random.default_rng([seed, 0]).uniform(0.008, 0.012))
+        cases[f"bench-g1-{seed}"] = (ZSJumpConfig(g1=g1, g2=g1 / 2), ds, dg)
+    for s in (1e3, 1e15):
+        cfg = ZSJumpConfig(omega_c=s, omega_a=s, g1=0.01 * s, g2=0.005 * s, t_max=450.0 / s,
+                           t_steps=3000)
+        cases[f"scale-{s:g}"] = (cfg, ds[::7] * s, dg[::10] * s)
+    for k in range(6):
+        g1 = float(10 ** gen.uniform(-3, 0.5))
+        cfg = ZSJumpConfig(omega_a=float(gen.uniform(0.5, 1.5)), g1=g1,
+                           g2=g1 * float(gen.uniform(0.1, 2.0)),
+                           t_max=float(10 ** gen.uniform(0, 3)), t_steps=int(gen.integers(2, 4000)))
+        cases[f"random-{k}"] = (cfg, np.linspace(0.0, float(gen.uniform(0, 0.1)), 6),
+                                np.linspace(0.0, float(gen.uniform(0, 0.1)), 4))
+    return cases
+
+
+GRID_ARGMAX_CASES = grid_argmax_cases()
+
+
+@pytest.mark.parametrize("cfg, ds, dg", GRID_ARGMAX_CASES.values(), ids=GRID_ARGMAX_CASES.keys())
+def test_grid_search_is_the_argmax_of_the_full_grid(cfg, ds, dg):
+    betas, coef = protocol._amplitude_terms(cfg, ds[:, None], dg)
+    grid = protocol._p_of_times(betas, coef, np.linspace(0.0, cfg.window, cfg.t_steps))
+    i, p = protocol._sweep_row(betas, coef, np.linspace(0.0, cfg.window, cfg.t_steps))
+    assert np.array_equal(i, np.argmax(grid, axis=-1))
+    assert np.array_equal(p, grid.max(axis=-1))
+
+
+def test_grid_search_working_set_stays_bounded_where_nothing_prunes(monkeypatch):
+    # a 64-step grid over 1e5 time units aliases the beats, so every grid
+    # value is needed; rounds split at most 100 points x 6 bits = 600 ranges,
+    # where splitting them all would hand 3200 to the kernel at the last level
+    cfg = replace(GENERIC, t_max=1e5, t_steps=64)
+    betas, coef = protocol._amplitude_terms(cfg, np.linspace(0.0, 0.01, 10)[:, None],
+                                            np.linspace(0.0, 0.007, 10))
+    ts = np.linspace(0.0, cfg.window, cfg.t_steps)
+    grid = protocol._p_of_times(betas, coef, ts)
+    calls = []
+    p_of_times = protocol._p_of_times
+
+    def counted_p(*args):
+        p = p_of_times(*args)
+        calls.append(p.size)
+        return p
+
+    monkeypatch.setattr(protocol, "_p_of_times", counted_p)
+    i, p = protocol._sweep_row(betas, coef, ts)
+    assert sum(calls) == grid.size and max(calls) <= 600
+    assert np.array_equal(i, np.argmax(grid, axis=-1)) and np.array_equal(p, grid.max(axis=-1))
+
+
+def tied_terms():
+    """(betas, coef, ts) built by hand so that the grid maximum is tied
+    exactly, in batches large enough that the search starts from the grid
+    ends alone."""
+    # p = 1 at every odd t and 1/9 at every even t
+    odd = (np.tile([0.0, math.pi, 2 * math.pi], (9, 1)), np.tile([1.0, -1.0, 1.0], (9, 1)) / 3,
+           np.arange(9.0))
+    # two nearly equal frequencies with cancelling weights: p = (1 - cos(e t)) / 2
+    # rises in steps of one rounding unit, so runs of neighbours tie, and the
+    # steps are larger than the Lipschitz margin over one grid step
+    e = 10 ** np.random.default_rng(7).uniform(-12, -7, 64)
+    stairs = (np.stack([0 * e, e, 1 + 0 * e], -1), np.tile([0.5, -0.5, 0.0], (64, 1)),
+              np.linspace(0.0, 300.0, 2000))
+    return {"odd-times": odd, "roundoff-stairs": stairs}
+
+
+TIED_TERMS = tied_terms()
+
+
+@pytest.mark.parametrize("betas, coef, ts", TIED_TERMS.values(), ids=TIED_TERMS.keys())
+def test_grid_search_takes_the_lowest_index_of_exact_ties(betas, coef, ts):
+    grid = protocol._p_of_times(betas, coef, ts)
+    assert np.any(np.count_nonzero(grid == grid.max(axis=-1, keepdims=True), axis=-1) > 1)
+    i, p = protocol._sweep_row(betas, coef, ts)
+    assert np.array_equal(i, np.argmax(grid, axis=-1))
+    assert np.array_equal(p, grid.max(axis=-1))
+
+
+def test_p_of_times_rounds_a_point_the_same_in_any_batch():
+    # numpy's matmul took another path for a one-row batch, so a point
+    # alone was rounded differently from the same point on a grid
+    betas, coef = protocol._amplitude_terms(GENERIC, np.linspace(0.0, 0.01, 7)[:, None],
+                                            np.linspace(0.0, 0.007, 5))
+    ts = np.linspace(0.0, 450.0, 3000)
+    grid = protocol._p_of_times(betas, coef, ts)
+    picks = np.random.default_rng(5).integers(0, len(ts), size=(7, 5))
+    golden = protocol._p_of_times(betas, coef, ts[picks][..., None])[..., 0]
+    assert np.array_equal(golden, np.take_along_axis(grid, picks[..., None], -1)[..., 0])
+    for (r, c), j in np.ndenumerate(picks):
+        alone = protocol._p_of_times(betas[r, c], coef[r, c], ts[j:j + 1])
+        assert alone.shape == (1,) and alone[0] == grid[r, c, j]
 
 
 @pytest.mark.parametrize("s", [1.0, 1e3, 1e5, 1e7, 1e15])
@@ -572,16 +690,7 @@ def test_block_size_does_not_change_the_records(cfg, monkeypatch):
         monkeypatch.setattr(protocol, "_TRIAL_BLOCK", block)
         got_trials, got_cycles = records()
         assert got_trials == trials
-        if block > 1:
-            assert got_cycles == cycles
-        else:
-            # numpy's matmul rounds a one-row yield batch on another path
-            assert [replace(r, p_ds=0.0) for r in got_cycles] == [
-                replace(r, p_ds=0.0) for r in cycles
-            ]
-            np.testing.assert_allclose(
-                [r.p_ds for r in got_cycles], [r.p_ds for r in cycles], rtol=0, atol=1e-16
-            )
+        assert got_cycles == cycles  # p_ds too, exactly, even in one-cycle blocks
 
 
 def test_block_size_is_the_mean_cycle_count_up_to_the_cap():

@@ -47,7 +47,12 @@ def invocations(workdir):
         for sub in ("single_excitation", "full"):
             yield f"dark-find:{sub}:{name}", ["dark-find", "--model", str(path), "--subspace", sub]
     yield "verify", ["verify"]
-    yield "sweep:7x5", ["sweep", "--ds-range", "0:0.01:7", "--dg-range", "0:0.007:5"]
+    grid = ["--ds-range", "0:0.01:7", "--dg-range", "0:0.007:5"]
+    yield "sweep:7x5", ["sweep", *grid]
+    # interior maxima in a long window, and beats that alias on a coarse grid
+    yield "sweep:7x5:long-window", ["sweep", *grid, "--t-max", "450", "--t-steps", "3000"]
+    yield "sweep:7x5:64-steps", ["sweep", *grid, "--set", "g1=3", "--set", "g2=1.5",
+                                 "--t-steps", "64"]
     yield "protocol", ["protocol", "--seed", "3", "--trials", "200"]
 
 
