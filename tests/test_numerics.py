@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,9 @@ from cavitydark.model import (
     build_full_hamiltonian,
 )
 
-from oracles import expm_series, random_hermitian, char_poly_coefficients
+from cavitydark.darkstates import shifted_cubic_coefficients
+
+from oracles import expm_series, random_hermitian, char_poly_coefficients, scalar_cubic_roots
 from oracles import fix_phase as oracle_fix_phase
 
 
@@ -194,15 +198,145 @@ def test_cubic_roots_random_hermitian_agreement():
 
 
 def test_cubic_roots_complex_pair_rejected():
-    with pytest.raises(ComplexRootsError):
+    with pytest.raises(ComplexRootsError, match=r"> 0: cubic"):  # no index on one cubic
         cubic_roots(0.0, 0.0, 1.0)  # x^3 = -1 has a complex pair
     with pytest.raises(ComplexRootsError):
         cubic_roots(0.0, 1.0, 0.0)  # x^3 + x
 
 
 def test_cubic_roots_rejects_non_finite():
-    with pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="coefficient A must be finite, got nan$"):
         cubic_roots(np.nan, 0.0, 0.0)
+
+
+def _scalar_roots(A, B, C):
+    """The oracle solver on every cubic of broadcast coefficient arrays."""
+    A, B, C = np.broadcast_arrays(A, B, C)
+    out = [scalar_cubic_roots(*abc) for abc in zip(A.ravel(), B.ravel(), C.ravel())]
+    return np.array(out, dtype=float).reshape(A.shape + (3,))
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))  # -0.0 too
+
+
+def _hermitian_triples(gen, n):
+    """Characteristic coefficients of n random Hermitian 3x3 matrices,
+    entries scaled by 10^-4 ... 10^4."""
+    X = gen.normal(size=(n, 3, 3)) + 1j * gen.normal(size=(n, 3, 3))
+    M = (X + X.conj().swapaxes(-1, -2)) / 2 * 10.0 ** gen.integers(-4, 5, size=(n, 1, 1))
+    tr = np.trace(M, axis1=-2, axis2=-1).real
+    tr2 = np.trace(M @ M, axis1=-2, axis2=-1).real
+    return -tr, (tr * tr - tr2) / 2, -np.linalg.det(M).real
+
+
+# (0,0,0), the triple root (x-1)^3, the double root x(x-1)^2, and the
+# g = 0 double roots of the shifted block at (omega_c, omega_1, omega_2)
+EDGE_CUBICS = [
+    (0.0, 0.0, 0.0),
+    (-3.0, 3.0, -1.0),
+    (-2.0, 1.0, 0.0),
+    shifted_cubic_coefficients(1.0, 1.0, 0.99, 0.0, 0.0),
+    shifted_cubic_coefficients(0.001, 0.001, 0.00101, 0.0, 0.0),
+]
+
+
+def test_cubic_roots_pinned_to_scalar_oracle_on_hermitian_triples():
+    A, B, C = _hermitian_triples(np.random.default_rng(23), 10_000)
+    roots = cubic_roots(A, B, C)
+    assert roots.shape == (10_000, 3)
+    _assert_same_bits(roots, _scalar_roots(A, B, C))
+
+
+def test_cubic_roots_pinned_to_scalar_oracle_on_shifted_blocks():
+    gen = np.random.default_rng(29)
+    n = 2000
+    wc = gen.uniform(0.5, 2.0, size=n)
+    w1, w2 = wc * (1.0 - gen.uniform(-0.05, 0.05, size=(2, n)))
+    g1, g2 = wc * gen.uniform(0.0, 0.05, size=(2, n))
+    g1[:100] = g2[:100] = 0.0  # uncoupled: the roots are wc, w1 and w2
+    A, B, C = shifted_cubic_coefficients(wc, w1, w2, g1, g2)
+    _assert_same_bits(cubic_roots(A, B, C), _scalar_roots(A, B, C))
+
+
+@pytest.mark.parametrize("abc", EDGE_CUBICS)
+def test_cubic_roots_edge_cases_pinned_alone_and_in_a_batch(abc):
+    alone = cubic_roots(*abc)
+    assert isinstance(alone, tuple) and all(type(r) is float for r in alone)
+    _assert_same_bits(alone, scalar_cubic_roots(*abc))
+    A, B, C = np.array(EDGE_CUBICS).T
+    batch = cubic_roots(A, B, C)
+    _assert_same_bits(batch[EDGE_CUBICS.index(abc)], alone)
+
+
+def test_cubic_roots_shapes_and_broadcasting():
+    A, B, C = _hermitian_triples(np.random.default_rng(31), 12)
+    assert isinstance(cubic_roots(A[0], B[0], C[0]), tuple)
+    assert isinstance(cubic_roots(np.float64(A[0]), B[0], np.array(C[0])), tuple)
+    # (N, 1) x (1, M): with B <= -5 every cubic has three real roots, near
+    # +-sqrt(-B) and -C/B, whichever A in [-1, 1] and C in [-1, 1]
+    A = np.linspace(-1.0, 1.0, 7)[:, None]
+    B = np.linspace(-10.0, -5.0, 5)[None, :]
+    C = np.linspace(-1.0, 1.0, 5)[None, :]
+    roots = cubic_roots(A, B, C)
+    assert roots.shape == (7, 5, 3)
+    _assert_same_bits(roots, _scalar_roots(A, B, C))
+    rows = cubic_roots(np.full((4, 1), -6.0), np.full((1, 3), 11.0), -6.0)
+    assert rows.shape == (4, 3, 3)
+    _assert_same_bits(rows, np.broadcast_to(scalar_cubic_roots(-6.0, 11.0, -6.0), (4, 3, 3)))
+    assert cubic_roots(np.zeros(0), 0.0, 0.0).shape == (0, 3)
+
+
+def test_cubic_roots_batch_errors_name_the_first_bad_cubic():
+    good = (-6.0, 11.0, -6.0)
+    # x^3 = -1 and x^3 + x have complex pairs; the first sits at index 2
+    A, B, C = np.array([good, good, (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)]).T
+    with pytest.raises(ComplexRootsError, match=r"> 0 at index 2: cubic has complex roots"):
+        cubic_roots(A, B, C)
+    with pytest.raises(ComplexRootsError, match=r"at index \(1, 0\)"):
+        cubic_roots(A[1:3, None], B[1:3, None], C[1:3, None])
+    B = np.array([11.0, np.inf, np.nan])
+    with pytest.raises(ValueError, match="coefficient B must be finite, got inf at index 1"):
+        cubic_roots(-6.0, B, -6.0)
+    with pytest.raises(ValueError, match="coefficient C must be finite, got nan at index 2"):
+        cubic_roots([-6.0, -6.0, -6.0], 11.0, [-6.0, -6.0, np.nan])
+    # roots near +-1e6 and 1e-9: the float64 roots leave a residual far
+    # above 1e-8 * max(1, |C|)
+    wide = (-367174.97355758405, -171843800415.945, 7.041046069629387)
+    with pytest.raises(ArithmeticError, match="exceeds 7.041e-08$"):
+        scalar_cubic_roots(*wide)
+    with pytest.raises(ArithmeticError, match="exceeds 7.041e-08$"):
+        cubic_roots(*wide)
+    A, B, C = np.array([good, good, good, wide]).T
+    with pytest.raises(ArithmeticError, match="exceeds 7.041e-08 at index 3$"):
+        cubic_roots(A, B, C)
+
+
+def test_cubic_roots_masked_branches_raise_no_warning():
+    # triple-root rows (p >= 0) have no sqrt(-p/3), double-root rows
+    # (|arg| >= 1) take no Newton step, and no row may warn for another
+    A, B, C = np.array(EDGE_CUBICS + [(-6.0, 11.0, -6.0)] * 3).T
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        roots = cubic_roots(A, B, C)
+        for abc in EDGE_CUBICS:
+            cubic_roots(*abc)
+    _assert_same_bits(roots, _scalar_roots(A, B, C))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("rel_split", [1e-2, 1e-4])
+def test_cubic_roots_double_root_limit(scale, rel_split):
+    # the documented limit: rounding A, B and C to float64 moves a double
+    # root by about sqrt(eps * scale / split) * scale, split the distance
+    # to the third root
+    wc, w = scale, scale * (1.0 + rel_split)
+    roots = np.array(cubic_roots(*shifted_cubic_coefficients(wc, wc, w, 0.0, 0.0)))
+    limit = np.sqrt(np.finfo(float).eps / rel_split) * scale
+    assert np.max(np.abs(roots - [wc, wc, w])) <= 4 * limit
 
 
 def test_null_space_zero_matrix():

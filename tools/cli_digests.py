@@ -47,6 +47,9 @@ def invocations(workdir):
         for sub in ("single_excitation", "full"):
             yield f"dark-find:{sub}:{name}", ["dark-find", "--model", str(path), "--subspace", sub]
     yield "verify", ["verify"]
+    # other seeds draw other instances: a drift in how a check draws them shows
+    for seed in ("1", "7"):
+        yield f"verify:seed-{seed}", ["verify", "--seed", seed]
     grid = ["--ds-range", "0:0.01:7", "--dg-range", "0:0.007:5"]
     yield "sweep:7x5", ["sweep", *grid]
     # interior maxima in a long window, and beats that alias on a coarse grid
