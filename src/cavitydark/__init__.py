@@ -34,11 +34,9 @@ from .model import (
     single_excitation_indices,
 )
 from .numerics import (
-    ComplexRootsError,
     NonHermitianError,
     RandomSource,
     Spectrum,
-    cubic_roots,
     evolve,
     herm_eig,
     null_space,

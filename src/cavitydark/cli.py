@@ -165,8 +165,8 @@ def run_spectrum(args):
         analytic = _dark.analytic_spectrum(
             m.omega_c, m.atoms[0].omega, m.atoms[1].omega, m.atoms[0].g, m.atoms[1].g
         )
-        # rows follow the analytic listing; numeric pairs matched by
-        # eigenvalue order
+        # rows follow the analytic listing, numeric pairs matched by eigenvalue
+        # order; discrepancy: the eigenvalue gap over max|H| or the subspace distance
         lam_n, V_n, gaps, distances = _dark._match_numeric(analytic, numeric)
         lam_a, V_a = analytic.eigenvalues, analytic.eigenvectors
         header = (
@@ -178,7 +178,7 @@ def run_spectrum(args):
         )
         rows = np.column_stack(
             [np.arange(3), lam_n * scale, _interleaved(V_n.T), lam_a * scale,
-             _interleaved(V_a.T), np.maximum(gaps, distances)]
+             _interleaved(V_a.T), np.maximum(gaps / _num.max_abs(H), distances)]
         )
         notes = [f"branch,{analytic.branch}"]
     else:

@@ -10,8 +10,10 @@ omega_a, plus two polaritons at (omega_c + omega_a -/+ S)/2 with
 S = sqrt(4 g1^2 + 4 g2^2 + d^2), d = omega_c - omega_a.  Detuning the
 atoms from each other (a static-field level shift) removes the dark
 eigenvector entirely, which is what the preparation protocol exploits.
+Split frequencies are solved through the block's secular equation.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,28 +21,18 @@ import numpy as np
 from . import model as _model
 from . import numerics as _num
 
-# formula eigenvectors worse than this residual fall back to the numeric path
-_FORMULA_RESIDUAL_RTOL = 1e-9
-
 BRANCH_DEGENERATE = "degenerate"
 BRANCH_DEGENERATE_CLUSTER = "degenerate-cluster"
 BRANCH_SHIFTED = "shifted"
-BRANCH_SHIFTED_FALLBACK = "shifted-fallback"
-
-
-class DegenerateFrequenciesError(ValueError):
-    """Shifted-branch formulas are singular for equal atomic frequencies."""
 
 
 @dataclass(frozen=True)
 class AnalyticSpectrum:
-    """Closed-form eigensystem of the 3x3 one-excitation block.
-
-    eigenvectors holds the normalized columns, phase-fixed by one fix_phase
-    call.  raw_eigenvectors keeps the unnormalized textbook form (third
-    component 1 where the formula applies, the bare dark vector in the
-    first degenerate column) for direct comparison against the closed
-    formulas.
+    """Analytic eigensystem of the 3x3 one-excitation block, or of a batch
+    of them along leading axes.  eigenvectors holds the normalized columns,
+    phase-fixed as fix_phase does; raw_eigenvectors keeps the unnormalized
+    textbook form (third component 1 where the formula applies, the dark
+    vector where it deflates or comes first) to compare with the formulas.
     """
 
     eigenvalues: np.ndarray
@@ -70,10 +62,14 @@ def analytic_spectrum_degenerate(omega_c, omega_a, g1, g2):
     Column order follows the physics: dark state first (eigenvalue
     omega_a; it carries one atomic excitation and no photon), then the
     lower and upper polaritons.  Note the dark eigenvalue equals omega_c
-    only at zero detuning.
+    only at zero detuning.  The formulas run on the block divided by the
+    power of two of its largest entry (exact), so no square under- or
+    overflows.
     """
-    d = omega_c - omega_a
-    gsq = g1 * g1 + g2 * g2
+    e = math.frexp(max(abs(omega_c), abs(omega_a), abs(g1), abs(g2)))[1]
+    wc, wa, s1, s2 = (math.ldexp(x, -e) for x in (omega_c, omega_a, g1, g2))
+    d = wc - wa
+    gsq = s1 * s1 + s2 * s2
     if gsq == 0.0:
         # decoupled: bare atomic levels plus the bare photon
         values = np.array([omega_a, omega_a, omega_c])
@@ -81,91 +77,109 @@ def analytic_spectrum_degenerate(omega_c, omega_a, g1, g2):
         branch = BRANCH_DEGENERATE_CLUSTER if d == 0.0 else BRANCH_DEGENERATE
         return AnalyticSpectrum(values, vectors, branch, vectors.copy())
 
-    S = float(np.sqrt(4 * gsq + d * d))
-    values = np.array(
-        [omega_a, 0.5 * (omega_c + omega_a - S), 0.5 * (omega_c + omega_a + S)]
-    )
+    S = math.sqrt(4 * gsq + d * d)
+    values = np.ldexp([wa, 0.5 * (wc + wa - S), 0.5 * (wc + wa + S)], e)
     # S > |d| whenever any coupling is nonzero, so both denominators are safe
     raw = np.column_stack(
         [
-            np.array([-g2, g1, 0.0]),
-            np.array([-2 * g1 / (S - d), -2 * g2 / (S - d), 1.0]),
-            np.array([2 * g1 / (S + d), 2 * g2 / (S + d), 1.0]),
+            np.array([-s2, s1, 0.0]),
+            np.array([-2 * s1 / (S - d), -2 * s2 / (S - d), 1.0]),
+            np.array([2 * s1 / (S + d), 2 * s2 / (S + d), 1.0]),
         ]
     ).astype(complex)
     # one norm per column: norm(axis=0) can round differently
     vectors = _num.fix_phase(raw / [np.linalg.norm(r) for r in raw.T])
+    raw[:, 0] = [-g2, g1, 0.0]
     return AnalyticSpectrum(values, vectors, BRANCH_DEGENERATE, raw)
 
 
-def shifted_cubic_coefficients(omega_c, omega_a1, omega_a2, g1, g2):
-    """(A, B, C) of the characteristic polynomial x^3 + A x^2 + B x + C."""
-    A = -(omega_c + omega_a1 + omega_a2)
-    B = omega_c * omega_a1 + omega_c * omega_a2 + omega_a1 * omega_a2 - g1 * g1 - g2 * g2
-    C = g1 * g1 * omega_a2 + g2 * g2 * omega_a1 - omega_c * omega_a1 * omega_a2
-    return A, B, C
+def _secular(mu, dc, d, g):
+    """f(p + mu) for the secular function f(x) = x - wc - sum_i g_i^2 / (x - w_i),
+    from the pole's differences dc = p - wc and d_i = p - w_i; an infinite
+    d_i drops the term of a zero coupling."""
+    return mu + dc - g[0] * g[0] / (mu + d[0]) - g[1] * g[1] / (mu + d[1])
+
+
+def _secular_roots(wc, w, g, deflate):
+    """(p, mu, d): per interlacing bracket (below, between and above the
+    poles w; first axis of p and mu, second of d), the pole p its root x is
+    measured from, mu = x - p, and d_i = p - w_i.  The middle root is
+    measured from the nearer pole, as f at the midpoint tells; where
+    deflate is set, it is the dark pair's own pole (mu = 0) and the outer
+    roots are measured from the bright pole.  Each mu is 64 bisection
+    steps on the bit pattern of |mu|: the float where f changes sign.
+    """
+    bright = np.where((g[1] == 0) & (g[0] != 0), 0, 1)
+    lo, hi = np.argmin(w, axis=0), np.argmax(w, axis=0)
+    w_lo, gap = np.minimum(w[0], w[1]), abs(w[0] - w[1])
+    near_lo = _secular(gap / 2, w_lo - wc, w_lo - w, g) >= 0
+    pole = np.where(deflate, [bright, 1 - bright, bright], [lo, np.where(near_lo, lo, hi), hi])
+    p = np.where(pole == 0, w[0], w[1])
+    sign = np.stack([-np.ones_like(wc), np.where(near_lo, 1.0, -1.0), np.ones_like(wc)])
+    # outer roots lie within 2 (|wc - p| + |g1| + |g2|) of their pole, where
+    # f has the sign of the far side; the middle one lies before the other pole
+    reach = 2 * (abs(wc - p) + abs(g[0]) + abs(g[1]))
+    width = np.stack([reach[0], np.where(deflate, 0.0, gap), reach[2]])
+    # f in long double: a root whose near term is not f's largest one
+    # needs the extra bits to come within an ulp of mu
+    pl, gl = p.astype(np.longdouble), g.astype(np.longdouble)
+    d = np.where(g[:, None] == 0, np.inf, pl - w[:, None])
+    a, b = np.zeros(width.shape, np.int64), width.view(np.int64)
+    for _ in range(64):
+        m = a + (b - a) // 2
+        low = sign * _secular(sign * m.view(float), pl - wc, d, gl) < 0
+        a, b = np.where(low, m, a), np.where(low, b, m)
+    return p, sign * b.view(float), d.astype(float)
 
 
 def analytic_spectrum_shifted(omega_c, omega_a1, omega_a2, g1, g2):
-    """Closed-form eigensystem for split atomic frequencies.
+    """Eigensystem of the block [[w1, 0, g1], [0, w2, g2], [g1, g2, wc]]
+    from its secular equation f(x) = x - wc - sum_i g_i^2 / (x - w_i) = 0.
 
-    Eigenvalues are the ascending real roots of the characteristic cubic.
-    Eigenvectors come from the resolvent form
-
-        ( (alpha - omega_c)/g1 - g2^2 / (g1 (alpha - omega_a2)),
-          g2 / (alpha - omega_a2),
-          1 )
-
-    per root alpha, all three at once.  Where that expression is singular
-    (g1 = 0, or a root hitting omega_a2) or numerically degraded, the
-    column comes from one numeric solve of the block instead, and the
-    branch tag says so.
+    The arguments broadcast to a shape S; eigenvalues are S + (3,),
+    ascending, eigenvector columns S + (3, 3).  Each block is divided by
+    the power of two of its largest entry (exact) and every step is
+    elementwise, so a block scaled by 2^k gives the same bits times 2^k,
+    and alone the same bits as in any batch.  Root x has the raw vector
+    (g1 / (x - w1), g2 / (x - w2), 1), each difference taken from its
+    pole.  A zero coupling g_i deflates to e_i at w_i, exactly equal
+    poles to (-g2, g1, 0)/G; with both couplings zero H is diagonal.
     """
-    scale = max(abs(omega_c), abs(omega_a1), abs(omega_a2), abs(g1), abs(g2), 1e-300)
-    if abs(omega_a1 - omega_a2) <= _num.DEGENERACY_RTOL * scale:
-        raise DegenerateFrequenciesError(
-            "atomic frequencies are equal within tolerance; "
-            "use analytic_spectrum_degenerate"
-        )
-    A, B, C = shifted_cubic_coefficients(omega_c, omega_a1, omega_a2, g1, g2)
-    roots = np.array(_num.cubic_roots(A, B, C))
-
-    H = _model.single_excitation_block(
-        _model.CavityModel(
-            omega_c=omega_c,
-            atoms=(
-                _model.AtomParams(omega=omega_a1, g=g1),
-                _model.AtomParams(omega=omega_a2, g=g2),
-            ),
-        )
-    )
-    # the resolvent form of all three roots at once; where g1 = 0 or a
-    # root hits omega_a2 it is not finite, and that column fails
-    denom = roots - omega_a2
-    raw = np.ones((3, 3), dtype=complex)
+    block = np.array(np.broadcast_arrays(omega_c, omega_a1, omega_a2, g1, g2), dtype=float)
+    if not np.isfinite(block).all():
+        raise ValueError("block entries must be finite")
+    e = np.frexp(np.abs(block).max(axis=0))[1]
+    block = np.ldexp(block, -e)
+    wc, w, g = block[0], block[1:3], block[3:]
+    G = np.hypot(*g)
+    deflate = (g[0] == 0) | (g[1] == 0) | (w[0] == w[1])
+    # a root nearer its pole than the least subnormal probes the pole
+    # itself, and masked rows divide by zero; np.where drops both
     with np.errstate(divide="ignore", invalid="ignore"):
-        raw[0] = (roots - omega_c) / g1 - g2 * g2 / (g1 * denom)
-        raw[1] = g2 / denom
-        residual = np.linalg.norm(H @ raw - raw * roots, axis=0)
-    bound = _FORMULA_RESIDUAL_RTOL * _num.max_abs(H) * np.linalg.norm(raw, axis=0)
-    failed = (g1 == 0.0) | (denom == 0.0) | ~(residual <= bound)
-    if failed.any():  # roots and eigh share ascending order
-        vec = _num.herm_eig(H).eigenvectors[:, failed]
-        bare = np.abs(vec[2]) < 1e-12
-        raw[:, failed] = np.where(bare, vec, vec / np.where(bare, 1.0, vec[2]))
-    vectors = _num.fix_phase(raw / [np.linalg.norm(r) for r in raw.T])
-    branch = BRANCH_SHIFTED_FALLBACK if failed.any() else BRANCH_SHIFTED
-    return AnalyticSpectrum(roots, vectors, branch, raw)
+        p, mu, d = _secular_roots(wc, w, g, deflate)
+        raw = np.ones((3,) + mu.shape)
+        raw[:2] = g[:, None] / (mu + d)
+        raw[:, 1] = np.where(deflate, np.stack([-g[1], g[0], np.zeros_like(wc)]) / G, raw[:, 1])
+    values = np.where(G == 0, block[[1, 2, 0]], p + mu)  # a diagonal block
+    raw = np.where(G == 0, np.eye(3).reshape((3, 3) + (1,) * wc.ndim), raw)
+    order = np.argsort(values, axis=0, kind="stable")
+    values, raw = np.take_along_axis(values, order, 0), np.take_along_axis(raw, order[None], 1)
+    # dividing by the largest entry with its sign (the first on ties) is
+    # fix_phase's convention for real vectors, and no square overflows
+    unit = raw / np.take_along_axis(raw, np.abs(raw).argmax(axis=0)[None], 0)
+    unit /= np.sqrt(unit[0] * unit[0] + unit[1] * unit[1] + unit[2] * unit[2])
+    unit, raw = (np.moveaxis(v, (0, 1), (-2, -1)).astype(complex) for v in (unit, raw))
+    return AnalyticSpectrum(np.moveaxis(np.ldexp(values, e), 0, -1), unit, BRANCH_SHIFTED, raw)
 
 
 def analytic_spectrum(omega_c, omega_a1, omega_a2, g1, g2):
-    """Dispatch on the frequency split: the shifted closed form, or the
-    equal-frequency one where the shifted form rejects the split as
-    degenerate (its DEGENERACY_RTOL test is the only split rule)."""
-    try:
-        return analytic_spectrum_shifted(omega_c, omega_a1, omega_a2, g1, g2)
-    except DegenerateFrequenciesError:
+    """The equal-frequency closed form where the atomic frequencies agree
+    within DEGENERACY_RTOL of the largest entry, the secular solver
+    otherwise."""
+    scale = max(abs(omega_c), abs(omega_a1), abs(omega_a2), abs(g1), abs(g2))
+    if abs(omega_a1 - omega_a2) <= _num.DEGENERACY_RTOL * scale:
         return analytic_spectrum_degenerate(omega_c, omega_a1, g1, g2)
+    return analytic_spectrum_shifted(omega_c, omega_a1, omega_a2, g1, g2)
 
 
 def _match_numeric(analytic, numeric):

@@ -19,10 +19,6 @@ class NonHermitianError(ValueError):
     """Input matrix fails the Hermiticity tolerance."""
 
 
-class ComplexRootsError(ValueError):
-    """Cubic has a complex-conjugate root pair (not a Hermitian spectrum)."""
-
-
 def max_abs(M):
     """Largest entry magnitude, 0.0 for an empty matrix."""
     M = np.asarray(M)
@@ -182,108 +178,6 @@ def evolve(spec, psi0, t):
     phases = np.exp(-1j * spec.eigenvalues * t)
     V = spec.eigenvectors
     return V @ (phases * (V.conj().T @ psi0))
-
-
-_ROOT_ANGLES = 2 * np.pi * np.arange(3, dtype=np.longdouble) / 3
-
-
-def _first(mask):
-    """Index of the first True entry of a nonempty boolean array, and the
-    ' at index ...' phrase that names it ('' for a 0-d array)."""
-    idx = np.unravel_index(np.argmax(mask), mask.shape)
-    if not idx:
-        return idx, ""
-    named = tuple(int(i) for i in idx)
-    return idx, f" at index {named[0] if len(named) == 1 else named}"
-
-
-def cubic_roots(A, B, C):
-    """All-real roots of x^3 + A x^2 + B x + C, ascending.
-
-    A, B and C broadcast to one shape S, and the result is an S + (3,)
-    float array of each cubic's roots; three scalars give a tuple of
-    three Python floats instead.  Each cubic is solved on its own by the
-    same elementwise steps, so a cubic gets the same bits alone or
-    inside any batch.
-
-    Uses the trigonometric solution of the depressed cubic, then Newton
-    polish in extended precision; clustered eigenvalues of 3x3 Hermitian
-    blocks stay accurate this way.  A double root is only as exact as the
-    float64 coefficients allow: rounding A, B and C moves f by about
-    eps * scale^3, and f grows like split * (x - x0)^2 near a double root
-    x0 whose third root is split away, so the double root moves by about
-    sqrt(eps * scale / split) * scale (1.5e-7 at roots (1, 1, 0.99)),
-    whatever the solver.
-
-    A genuinely complex root pair raises ComplexRootsError, a non-finite
-    coefficient ValueError, and a root residual above 1e-8 * max(1, |C|)
-    ArithmeticError; in a batch the message names the first offending
-    index, and one bad cubic fails the whole call.
-    """
-    # [()] turns a 0-d array into a numpy scalar, whose arithmetic is
-    # several times cheaper; the three roots run along a leading axis, so
-    # the per-cubic values broadcast against them as they are
-    A, B, C = (np.asarray(c, dtype=float)[()] for c in (A, B, C))
-    bad = ~(np.isfinite(A) & np.isfinite(B) & np.isfinite(C))
-    if np.count_nonzero(bad):
-        idx, at = _first(bad)
-        for name, c in zip("ABC", (A, B, C)):
-            val = np.broadcast_to(c, bad.shape)[idx]
-            if not np.isfinite(val):
-                raise ValueError(f"coefficient {name} must be finite, got {float(val)!r}{at}")
-    Al, Bl, Cl = A.astype(np.longdouble), B.astype(np.longdouble), C.astype(np.longdouble)
-    shift = Al / 3
-    p = Bl - Al * shift
-    q = (2 * shift * shift - Bl) * shift + Cl
-    q2 = (q / 2) ** 2
-    p3 = (p / 3) ** 3
-    disc = q2 + p3
-    # rounding can push a multiple-root discriminant slightly positive: the
-    # long double arithmetic here, and the float64 rounding of A, B and C,
-    # which moves p by dp and q by dq, so disc by p^2/9 dp + |q|/2 dq
-    eps = np.finfo(float).eps
-    dp = eps * (abs(Bl) + 2 * abs(Al * shift))
-    dq = eps * (6 * abs(shift) ** 3 + 2 * abs(Bl * shift) + abs(Cl))
-    fuzz = (64 * np.finfo(np.longdouble).eps * np.maximum(np.maximum(q2, abs(p3)), 1e-300)
-            + 8 * (p * p / 9 * dp + abs(q) / 2 * dq))
-    complex_pair = disc > fuzz
-    if np.count_nonzero(complex_pair):
-        idx, at = _first(complex_pair)
-        raise ComplexRootsError(
-            f"discriminant {float(disc[idx]):.3e} > 0{at}: cubic has complex roots "
-            "(coefficients are not from a Hermitian characteristic polynomial)"
-        )
-    # p >= 0 with disc <= fuzz forces p and q both ~ 0: a (near-)triple
-    # root at cbrt(-q); the other cubics take the trigonometric form, which
-    # a triple-root cubic evaluates at p = -3 and discards, warning-free
-    triple = p >= 0
-    p_trig = np.where(triple, -3, p)[()]
-    m = 2 * np.sqrt(-p_trig / 3)
-    arg = 3 * q / (p_trig * m)
-    theta = np.arccos(arg.clip(-1.0, 1.0)) / 3
-    angles = _ROOT_ANGLES.reshape((3,) + (1,) * np.ndim(theta))
-    ts = np.where(triple, np.cbrt(-q), m * np.cos(theta - angles))
-    # |arg| >= 1 makes two roots coincide; at a double root f and df are
-    # both rounding noise and a Newton step can land anywhere, so only a
-    # triple root or |arg| < 1 is polished
-    polish = triple | (abs(arg) < 1)
-    roots = ts - shift
-    for _ in range(2):  # Newton polish against the monic cubic
-        f = ((roots + Al) * roots + Bl) * roots + Cl
-        df = (3 * roots + 2 * Al) * roots + Bl
-        ok = polish & (df != 0)
-        roots = np.where(ok, roots - f / np.where(ok, df, 1), roots)
-    out = np.sort(roots.astype(float), axis=0)
-    bound = 1e-8 * np.maximum(1.0, abs(C))
-    worst = abs(((out + A) * out + B) * out + C).max(axis=0)
-    over = worst > bound
-    if np.count_nonzero(over):
-        idx, at = _first(over)
-        raise ArithmeticError(
-            f"cubic root residual {worst[idx]:.3e} exceeds "
-            f"{np.broadcast_to(bound, over.shape)[idx]:.3e}{at}"
-        )
-    return tuple(out.tolist()) if out.ndim == 1 else np.moveaxis(out, 0, -1)
 
 
 def null_space(M, tol):

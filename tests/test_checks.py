@@ -1,12 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from cavitydark import numerics
+from cavitydark import darkstates
 from cavitydark.checks import CHECKS, DEFAULT_SEED, run_checks
 
 import oracles
 
-# the checks that solve their cubics as one batch, and their one-cubic-at-a-time forms
+# the checks that solve their blocks as one batch, and their one-block-at-a-time forms
 BATCHED = {
     "cubic-eig-agreement": oracles.cubic_eig_agreement,
     "vieta": oracles.vieta,
@@ -24,14 +26,15 @@ def test_batched_check_matches_reference_loop(name, seed):
 
 @pytest.mark.parametrize("name", sorted(BATCHED))
 def test_batched_check_fails_on_one_perturbed_root(name, monkeypatch):
-    solve = numerics.cubic_roots
+    solve = darkstates.analytic_spectrum_shifted
 
-    def perturbed(A, B, C):
-        roots = solve(A, B, C).copy()
+    def perturbed(*block):
+        sp = solve(*block)
+        roots = sp.eigenvalues.copy()
         roots[17, 1] += 1e-6
-        return roots
+        return replace(sp, eigenvalues=roots)
 
     assert run_checks([name])[0].passed
-    monkeypatch.setattr(numerics, "cubic_roots", perturbed)
+    monkeypatch.setattr(darkstates, "analytic_spectrum_shifted", perturbed)
     (result,) = run_checks([name])
     assert not result.passed, result.detail

@@ -163,6 +163,46 @@ def test_spectrum_discrepancy_small_on_random_models(model_file, tmp_path):
 
 
 
+def two_atom_text(wc, omegas, gs):
+    lines = [f"omega_c = {wc!r}"]
+    for i, (w, g) in enumerate(zip(omegas, gs), start=1):
+        lines += [f"atom.{i}.omega = {w!r}", f"atom.{i}.g = {g!r}"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("k", [-300, -30, 30, 300])
+@pytest.mark.parametrize("omega_2", [1.0, 1.01])
+def test_spectrum_discrepancy_is_dimensionless(k, omega_2, model_file, tmp_path):
+    # the eigenvalue gap is taken in units of max|H|, so scaling every
+    # frequency by 2^k (exact) leaves the column bit for bit
+    columns = []
+    for scale in (1.0, 2.0**k):
+        text = two_atom_text(scale, [scale, omega_2 * scale], [0.01 * scale, 0.007 * scale])
+        out = str(tmp_path / f"spec{scale!r}.csv")
+        assert cli.main(["spectrum", "--model", model_file(text, f"{scale!r}.txt"),
+                         "--out", out]) == 0
+        header, rows = read_rows(out)
+        columns.append([row[header.index("discrepancy")] for row in rows])
+    assert columns[0] == columns[1]
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e150], ids=["tiny2", "huge2"])
+def test_spectrum_far_from_unit_scale(scale, model_file):
+    # the characteristic cubic's coefficients underflowed at 1e-200 (wrong
+    # analytic eigenvalues, exit 0) and overflowed at 1e150 (exit 1)
+    text = two_atom_text(scale, [scale, 1.01 * scale], [0.01 * scale, 0.007 * scale])
+    run = run_python("-W", "error", "-m", "cavitydark.cli", "spectrum",
+                     "--model", model_file(text))
+    assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
+    lines = run.stdout.splitlines()
+    assert lines[-1] == "# branch,shifted"
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:-1]]
+    for row in rows:
+        numeric = float(row[header.index("eigenvalue")])
+        analytic = float(row[header.index("analytic_eigenvalue")])
+        assert analytic == pytest.approx(numeric, rel=1e-12, abs=0.0)
+
+
 def test_spectrum_of_eight_equal_atoms_solves_each_excitation_sector(model_file, tmp_path):
     out = tmp_path / "spectrum.csv"
     assert cli.main(["spectrum", "--model", model_file(equal_atoms(8)), "--out", str(out)]) == 0

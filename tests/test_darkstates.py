@@ -1,11 +1,11 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from cavitydark.darkstates import (
     BRANCH_DEGENERATE,
     BRANCH_SHIFTED,
-    BRANCH_SHIFTED_FALLBACK,
-    DegenerateFrequenciesError,
     SUBSPACE_FULL,
     SUBSPACE_SINGLE,
     analytic_spectrum,
@@ -14,10 +14,10 @@ from cavitydark.darkstates import (
     dark_state_degenerate,
     find_dark_states,
     is_dark,
-    shifted_cubic_coefficients,
     singlet_ensemble,
     with_photon_amplitude,
 )
+from cavitydark import darkstates as darkstates_module
 from cavitydark import model as model_module
 from cavitydark import numerics as numerics_module
 from cavitydark.model import (
@@ -134,13 +134,12 @@ def test_shifted_spectrum_decoupled_cubic_factors():
 @pytest.mark.parametrize("s", [1e-3, 1.0, 1e3, 1e8, 1e15])
 @pytest.mark.parametrize("wc, w1, w2", [(1.0, 1.0, 1.01), (1.01, 1.0, 1.01), (1.0, 1.0, 0.99)])
 def test_uncoupled_double_root_is_solved(wc, w1, w2, s):
-    # g = 0 with omega_c on an atomic frequency: an exact double root, whose
-    # discriminant the float64 rounding of A, B and C pushed positive, so
-    # it raised ComplexRootsError.  That rounding moves a double root by
-    # about sqrt(eps) relative, hence the tolerance.
+    # g = 0 with omega_c on an atomic frequency: an exact double root.  The
+    # characteristic cubic's rounded coefficients moved it by about
+    # sqrt(eps) relative; the uncoupled block is its own eigensystem.
     sp = analytic_spectrum_shifted(wc * s, w1 * s, w2 * s, 0.0, 0.0)
     H = single_excitation_block(block_model(w1 * s, w2 * s, 0.0, 0.0, wc * s))
-    np.testing.assert_allclose(sp.eigenvalues, herm_eig(H).eigenvalues, rtol=0, atol=1e-6 * s)
+    np.testing.assert_allclose(sp.eigenvalues, herm_eig(H).eigenvalues, rtol=0, atol=1e-15 * s)
 
 
 def test_shifted_spectrum_generic_matches_numeric():
@@ -162,9 +161,15 @@ def test_shifted_raw_vectors_are_eigenvectors():
         assert res <= 1e-8 * max_abs(H)
 
 
-def test_shifted_spectrum_rejects_equal_frequencies():
-    with pytest.raises(DegenerateFrequenciesError, match="degenerate"):
-        analytic_spectrum_shifted(1.0, 1.0, 1.0, 0.01, 0.005)
+def test_shifted_spectrum_deflates_equal_frequencies():
+    # exactly equal poles deflate to the dark vector at the atomic frequency
+    wc, wa, g1, g2 = 1.0, 0.99, 0.01, 0.005
+    sp = analytic_spectrum_shifted(wc, wa, wa, g1, g2)
+    assert sp.eigenvalues[1] == wa
+    dark = with_photon_amplitude(dark_state_degenerate(g1, g2))
+    assert subspace_distance(sp.eigenvectors[:, 1], dark) <= 1e-15
+    closed = analytic_spectrum_degenerate(wc, wa, g1, g2)
+    np.testing.assert_allclose(sp.eigenvalues, np.sort(closed.eigenvalues), rtol=1e-15)
 
 
 def test_shifted_spectrum_has_no_dark_vector():
@@ -175,22 +180,22 @@ def test_shifted_spectrum_has_no_dark_vector():
 
 
 @pytest.mark.parametrize(
-    "g1, g2, formula",
-    [(0.01, 0.0, [0, 1]), (1e-9, 0.005, [0]), (0.0, 0.005, [])],
-    ids=["g2=0", "g1=1e-9", "g1=0"],
+    "g1, g2", [(0.01, 0.0), (1e-9, 0.005), (0.0, 0.005)], ids=["g2=0", "g1=1e-9", "g1=0"]
 )
-def test_shifted_fallback_replaces_only_the_failing_columns(g1, g2, formula):
-    # g2 = 0 decouples atom 2, whose eigenvector the resolvent form misses;
-    # g1 = 1e-9 degrades the form; g1 = 0 makes it singular
+def test_small_and_zero_couplings_match_eigh(g1, g2):
+    # g = 0 decouples an atom, whose eigenvector is then e_i (deflation);
+    # at g1 = 1e-9 the root sits 5e-17 from its pole, below the pole's ulp,
+    # so x - w1 is only resolved relative to the pole
     wc, w1, w2 = 1.0, 0.98, 1.03
     sp = analytic_spectrum_shifted(wc, w1, w2, g1, g2)
-    assert sp.branch == BRANCH_SHIFTED_FALLBACK
-    for k in formula:  # the resolvent form itself, third component 1
-        a = sp.eigenvalues[k]
-        resolvent = [(a - wc) / g1 - g2 * g2 / (g1 * (a - w2)), g2 / (a - w2), 1.0]
-        assert np.array_equal(sp.raw_eigenvectors[:, k], resolvent)
+    assert sp.branch == BRANCH_SHIFTED
     numeric = herm_eig(single_excitation_block(block_model(w1, w2, g1, g2, wc)))
+    np.testing.assert_allclose(sp.eigenvalues, numeric.eigenvalues, rtol=0, atol=1e-15)
     assert np.abs(sp.eigenvectors - numeric.eigenvectors).max() <= 1e-9
+    for i, g in enumerate((g1, g2)):
+        if g == 0.0:
+            (k,) = np.flatnonzero(sp.eigenvalues == (w1, w2)[i])
+            assert np.array_equal(sp.eigenvectors[:, k], np.eye(3)[i])
 
 
 def test_dispatcher_routes_by_frequency_split():
@@ -200,15 +205,10 @@ def test_dispatcher_routes_by_frequency_split():
     assert analytic_spectrum(1.0, 1.0 + 1e-12, 1.0, 0.01, 0.005).branch.startswith(
         "degenerate"
     )
-    # the dispatcher goes degenerate exactly where the shifted form refuses
+    # the dispatcher goes degenerate exactly at splits within DEGENERACY_RTOL
     for split in (0.5e-9, 0.99e-9, 1.01e-9, 2e-9):
-        try:
-            analytic_spectrum_shifted(1.0, 1.0, 1.0 + split, 0.01, 0.005)
-            refused = False
-        except DegenerateFrequenciesError:
-            refused = True
         branch = analytic_spectrum(1.0, 1.0, 1.0 + split, 0.01, 0.005).branch
-        assert branch.startswith("degenerate") == refused == (split < 1e-9)
+        assert branch.startswith("degenerate") == (split < 1e-9)
 
 
 def test_vieta_relations():
@@ -219,11 +219,91 @@ def test_vieta_relations():
         if abs(w1 - w2) < 1e-6:
             continue
         g1, g2 = gen.uniform(0.001, 0.05, size=2)
-        A, B, C = shifted_cubic_coefficients(wc, w1, w2, g1, g2)
+        A = -(wc + w1 + w2)
+        B = wc * w1 + wc * w2 + w1 * w2 - g1 * g1 - g2 * g2
+        C = g1 * g1 * w2 + g2 * g2 * w1 - wc * w1 * w2
         b = analytic_spectrum_shifted(wc, w1, w2, g1, g2).eigenvalues
         assert np.isclose(b.sum(), -A, rtol=1e-9)
         assert np.isclose(b[0] * b[1] + b[0] * b[2] + b[1] * b[2], B, rtol=1e-9)
         assert np.isclose(np.prod(b), -C, rtol=1e-9)
+
+
+def _exact_secular(x, wc, w, g):
+    """The secular function x - wc - sum_i g_i^2 / (x - w_i) in exact
+    rational arithmetic, at the Fraction x and the exact float entries."""
+    return x - Fraction(wc) - sum(Fraction(gi) ** 2 / (x - Fraction(wi)) for wi, gi in zip(w, g))
+
+
+def _ulps(x, n):
+    """The float n steps of one ulp away from x (toward +inf for n > 0)."""
+    for _ in range(abs(n)):
+        x = np.nextafter(x, np.copysign(np.inf, n))
+    return x
+
+
+def test_roots_certified_by_the_exact_secular_sign_change():
+    # independent of any eigensolver: across each root's bracket f rises,
+    # so the exact f must change sign within 2 ulps of each offset mu from
+    # its pole.  Poles within a factor 2 of each other differ exactly in
+    # float (Sterbenz), so the roots are those of the exact block.
+    gen = np.random.default_rng(53)
+    n = 200
+    wc = gen.uniform(0.9, 1.1, size=n)
+    w1 = gen.uniform(0.9, 1.1, size=n)
+    w2 = w1 + gen.choice([-1.0, 1.0], size=n) * 10.0 ** gen.uniform(-12, np.log10(5e-2), size=n)
+    g1, g2 = 10.0 ** gen.uniform(-8, np.log10(5e-2), size=(2, n))
+    w, g = np.stack([w1, w2]), np.stack([g1, g2])
+    p, mu, _ = darkstates_module._secular_roots(wc, w, g, np.zeros(n, dtype=bool))
+    for k in range(n):
+        for j in range(3):
+            below, above = (
+                _exact_secular(Fraction(p[j, k]) + Fraction(_ulps(mu[j, k], step)),
+                               wc[k], w[:, k], g[:, k])
+                for step in (-2, 2)
+            )
+            assert below <= 0 <= above, (k, j)
+
+
+@pytest.mark.parametrize(
+    "wc, w1, w2", [(1.0, 1.0, 0.99), (0.001, 0.001, 0.00101), (1.0, 1.0, 1.0 + 1e-6)]
+)
+def test_uncoupled_double_roots_are_exact(wc, w1, w2):
+    # the characteristic cubic lost half the digits of these double roots
+    sp = analytic_spectrum_shifted(wc, w1, w2, 0.0, 0.0)
+    assert sp.eigenvalues.tolist() == sorted([wc, w1, w2])
+
+
+BINARY_SCALES = np.arange(-1000, 1001)
+
+
+@pytest.mark.parametrize(
+    "block",
+    [(1.0, 1.0, 1.01, 0.01, 0.007), (1.0, 0.98, 1.03, 1e-6, 0.005), (1.0, 1.0, 0.99, 0.0, 0.0),
+     (1.0, 0.99, 0.99, 0.01, 0.005)],
+    ids=["shifted", "small-g1", "uncoupled", "equal"],
+)
+def test_two_atom_spectrum_at_every_binary_scale(block):
+    # multiplying every entry by 2^k is exact while no entry leaves the
+    # normal range (all are above 2^-22 here): the secular solver gives the
+    # same bits times 2^k, and within 1e-12 of max|H| from eigh, for every
+    # k in [-1000, 1000]
+    scaled = np.ldexp(np.array(block)[:, None], BINARY_SCALES)
+    sp = analytic_spectrum_shifted(*scaled)
+    base = analytic_spectrum_shifted(*block)
+    assert np.array_equal(sp.eigenvalues, np.ldexp(base.eigenvalues, BINARY_SCALES[:, None]))
+    assert (sp.eigenvectors == base.eigenvectors).all()
+    wc, w1, w2, g1, g2 = scaled
+    H = np.zeros((len(BINARY_SCALES), 3, 3))
+    H[:, 0, 0], H[:, 1, 1], H[:, 2, 2] = w1, w2, wc
+    H[:, 0, 2] = H[:, 2, 0] = g1
+    H[:, 1, 2] = H[:, 2, 1] = g2
+    numeric = np.linalg.eigvalsh(H)
+    size = np.abs(scaled).max(axis=0)[:, None]
+    assert (np.abs(sp.eigenvalues - numeric) <= 1e-12 * size).all()
+    # and through the dispatcher, which routes "equal" to the closed form
+    for k in range(0, len(BINARY_SCALES), 50):
+        values = np.sort(analytic_spectrum(*scaled[:, k]).eigenvalues)
+        assert (np.abs(values - numeric[k]) <= 1e-12 * size[k]).all(), BINARY_SCALES[k]
 
 
 def test_analytic_numeric_equivalence_sample():

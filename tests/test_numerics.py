@@ -5,10 +5,8 @@ import pytest
 
 from cavitydark import numerics
 from cavitydark.numerics import (
-    ComplexRootsError,
     NonHermitianError,
     RandomSource,
-    cubic_roots,
     evolve,
     fix_phase,
     herm_eig,
@@ -23,9 +21,9 @@ from cavitydark.model import (
     build_full_hamiltonian,
 )
 
-from cavitydark.darkstates import shifted_cubic_coefficients
+from cavitydark.darkstates import analytic_spectrum_shifted
 
-from oracles import expm_series, random_hermitian, char_poly_coefficients, scalar_cubic_roots
+from oracles import expm_series, random_hermitian
 from oracles import fix_phase as oracle_fix_phase
 
 
@@ -158,185 +156,162 @@ def test_evolve_dimension_mismatch():
         evolve(spec, np.zeros(4), 1.0)
 
 
+# The roots of the two-atom block's characteristic cubic, which
+# darkstates.analytic_spectrum_shifted finds from the secular equation of
+# the block (omega_c, omega_1, omega_2, g1, g2).  The scalar oracle of the
+# "pinned" tests is the same solver on one block at a time.
+
+
+def _block(wc, w1, w2, g1, g2):
+    return np.array([[w1, 0.0, g1], [0.0, w2, g2], [g1, g2, wc]])
+
+
+def _arrowheads(gen, n):
+    """(omega_c, omega_1, omega_2, g1, g2) rows of the arrowhead part of n
+    random real symmetric 3x3 matrices, entries scaled by 10^-4 ... 10^4."""
+    M = gen.normal(size=(n, 3, 3)) * 10.0 ** gen.integers(-4, 5, size=(n, 1, 1))
+    return np.stack([M[:, 2, 2], M[:, 0, 0], M[:, 1, 1], M[:, 0, 2], M[:, 1, 2]])
+
+
 def test_cubic_roots_simple():
-    assert np.allclose(cubic_roots(-6, 11, -6), (1, 2, 3), atol=1e-12)
+    # poles 1.5 and 2.5, omega_c = 2 and g^2 = 0.375 give the cubic (x-1)(x-2)(x-3)
+    g = np.sqrt(0.375)
+    roots = analytic_spectrum_shifted(2.0, 1.5, 2.5, g, g).eigenvalues
+    np.testing.assert_allclose(roots, (1.0, 2.0, 3.0), rtol=0, atol=1e-15)
 
 
 def test_cubic_roots_triple_zero():
-    assert cubic_roots(0.0, 0.0, 0.0) == (0.0, 0.0, 0.0)
+    sp = analytic_spectrum_shifted(0.0, 0.0, 0.0, 0.0, 0.0)
+    assert sp.eigenvalues.tolist() == [0.0, 0.0, 0.0]
+    assert np.array_equal(sp.eigenvectors, np.eye(3))
 
 
 def test_cubic_roots_residual_bound():
-    # (x - 1)(x - 1.01)^2: a clustered double root near 1
-    A, B, C = -3.02, 3.0401, -1.0201
-    roots = cubic_roots(A, B, C)
-    assert np.allclose(roots, (1.0, 1.01, 1.01), atol=1e-6)
-    for r in roots:
-        assert abs(((r + A) * r + B) * r + C) <= 1e-8
+    # roots near 1e6, -5e5 and 1e-9: the cubic's float64 roots left a
+    # residual of about eps |x|^3, above its absolute bound, and eigh has
+    # the small root to about eps * 1e6 only.  Measured from its pole, the
+    # small root keeps its relative digits: 1e-9 + g^2 / (1e-9 - 1e6) to
+    # first order, with a relative error of about (g / 1e6)^2.
+    wc, w1, w2, g = 1e6, -5e5, 1e-9, 1e-3
+    sp = analytic_spectrum_shifted(wc, w1, w2, g, g)
+    assert sp.eigenvalues[1] == pytest.approx(w2 + g * g / (w2 - wc), rel=1e-12)
+    H = _block(wc, w1, w2, g, g)
+    residual = H @ sp.eigenvectors - sp.eigenvectors * sp.eigenvalues
+    assert np.abs(residual).max() <= 2 * np.finfo(float).eps * max_abs(H)
 
 
 def test_cubic_roots_block_cross_check():
-    # characteristic coefficients of the split-frequency block must
-    # reproduce the eigensolver to high accuracy
-    wc, w1, w2, g1, g2 = 1.0, 1.01, 1.0, 0.01, 0.005
-    A = -(wc + w1 + w2)
-    B = wc * w1 + wc * w2 + w1 * w2 - g1**2 - g2**2
-    C = g1**2 * w2 + g2**2 * w1 - wc * w1 * w2
-    H = np.array([[w1, 0, g1], [0, w2, g2], [g1, g2, wc]])
-    numeric = herm_eig(H).eigenvalues
-    assert np.max(np.abs(np.array(cubic_roots(A, B, C)) - numeric)) < 1e-9
+    # the split-frequency block's roots reproduce the eigensolver
+    block = (1.0, 1.01, 1.0, 0.01, 0.005)
+    numeric = herm_eig(_block(*block)).eigenvalues
+    assert np.max(np.abs(analytic_spectrum_shifted(*block).eigenvalues - numeric)) < 1e-15
 
 
 def test_cubic_roots_random_hermitian_agreement():
-    gen = np.random.default_rng(17)
-    for _ in range(1000):
-        M = random_hermitian(gen, 3)
-        numeric = herm_eig(M).eigenvalues
-        roots = np.array(cubic_roots(*char_poly_coefficients(M)))
-        scale = max(1.0, float(np.max(np.abs(numeric))))
-        assert np.max(np.abs(roots - numeric)) <= 1e-8 * scale
-
-
-def test_cubic_roots_complex_pair_rejected():
-    with pytest.raises(ComplexRootsError, match=r"> 0: cubic"):  # no index on one cubic
-        cubic_roots(0.0, 0.0, 1.0)  # x^3 = -1 has a complex pair
-    with pytest.raises(ComplexRootsError):
-        cubic_roots(0.0, 1.0, 0.0)  # x^3 + x
+    blocks = _arrowheads(np.random.default_rng(17), 1000)
+    roots = analytic_spectrum_shifted(*blocks).eigenvalues
+    numeric = np.linalg.eigvalsh(np.stack([_block(*b) for b in blocks.T]))
+    scale = np.abs(blocks).max(axis=0)
+    assert (np.abs(roots - numeric).max(axis=-1) <= 1e-14 * scale).all()
 
 
 def test_cubic_roots_rejects_non_finite():
-    with pytest.raises(ValueError, match="coefficient A must be finite, got nan$"):
-        cubic_roots(np.nan, 0.0, 0.0)
-
-
-def _scalar_roots(A, B, C):
-    """The oracle solver on every cubic of broadcast coefficient arrays."""
-    A, B, C = np.broadcast_arrays(A, B, C)
-    out = [scalar_cubic_roots(*abc) for abc in zip(A.ravel(), B.ravel(), C.ravel())]
-    return np.array(out, dtype=float).reshape(A.shape + (3,))
+    with pytest.raises(ValueError, match="block entries must be finite"):
+        analytic_spectrum_shifted(np.nan, 1.0, 1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="block entries must be finite"):
+        analytic_spectrum_shifted(1.0, [1.0, np.inf], 1.0, 0.0, 0.0)
 
 
 def _assert_same_bits(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    assert a.shape == b.shape
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    a, b = np.stack([a.real, a.imag]), np.stack([b.real, b.imag])
     np.testing.assert_array_equal(a, b)
     np.testing.assert_array_equal(np.signbit(a), np.signbit(b))  # -0.0 too
 
 
-def _hermitian_triples(gen, n):
-    """Characteristic coefficients of n random Hermitian 3x3 matrices,
-    entries scaled by 10^-4 ... 10^4."""
-    X = gen.normal(size=(n, 3, 3)) + 1j * gen.normal(size=(n, 3, 3))
-    M = (X + X.conj().swapaxes(-1, -2)) / 2 * 10.0 ** gen.integers(-4, 5, size=(n, 1, 1))
-    tr = np.trace(M, axis1=-2, axis2=-1).real
-    tr2 = np.trace(M @ M, axis1=-2, axis2=-1).real
-    return -tr, (tr * tr - tr2) / 2, -np.linalg.det(M).real
+def _assert_alone_as_in_batch(blocks, rows):
+    """Each listed row of the broadcast blocks, solved alone, gives the
+    bits it gets inside the batch."""
+    batch = analytic_spectrum_shifted(*blocks)
+    for i in rows:
+        alone = analytic_spectrum_shifted(*(np.broadcast_to(x, batch.eigenvalues.shape[:-1])[i]
+                                            for x in blocks))
+        _assert_same_bits(alone.eigenvalues, batch.eigenvalues[i])
+        _assert_same_bits(alone.eigenvectors, batch.eigenvectors[i])
+        _assert_same_bits(alone.raw_eigenvectors, batch.raw_eigenvectors[i])
 
 
-# (0,0,0), the triple root (x-1)^3, the double root x(x-1)^2, and the
-# g = 0 double roots of the shifted block at (omega_c, omega_1, omega_2)
+# blocks (omega_c, omega_1, omega_2, g1, g2) with the cubic's edge cases:
+# x^3, the triple root (x-1)^3, the double root x(x-1)^2, and the g = 0
+# double roots at (1, 1, 0.99) and (0.001, 0.001, 0.00101)
 EDGE_CUBICS = [
-    (0.0, 0.0, 0.0),
-    (-3.0, 3.0, -1.0),
-    (-2.0, 1.0, 0.0),
-    shifted_cubic_coefficients(1.0, 1.0, 0.99, 0.0, 0.0),
-    shifted_cubic_coefficients(0.001, 0.001, 0.00101, 0.0, 0.0),
+    (0.0, 0.0, 0.0, 0.0, 0.0),
+    (1.0, 1.0, 1.0, 0.0, 0.0),
+    (0.0, 1.0, 1.0, 0.0, 0.0),
+    (1.0, 1.0, 0.99, 0.0, 0.0),
+    (0.001, 0.001, 0.00101, 0.0, 0.0),
 ]
 
 
 def test_cubic_roots_pinned_to_scalar_oracle_on_hermitian_triples():
-    A, B, C = _hermitian_triples(np.random.default_rng(23), 10_000)
-    roots = cubic_roots(A, B, C)
-    assert roots.shape == (10_000, 3)
-    _assert_same_bits(roots, _scalar_roots(A, B, C))
+    blocks = _arrowheads(np.random.default_rng(23), 2000)
+    assert analytic_spectrum_shifted(*blocks).eigenvalues.shape == (2000, 3)
+    _assert_alone_as_in_batch(blocks, range(0, 2000, 7))
 
 
 def test_cubic_roots_pinned_to_scalar_oracle_on_shifted_blocks():
     gen = np.random.default_rng(29)
-    n = 2000
+    n = 300
     wc = gen.uniform(0.5, 2.0, size=n)
     w1, w2 = wc * (1.0 - gen.uniform(-0.05, 0.05, size=(2, n)))
     g1, g2 = wc * gen.uniform(0.0, 0.05, size=(2, n))
-    g1[:100] = g2[:100] = 0.0  # uncoupled: the roots are wc, w1 and w2
-    A, B, C = shifted_cubic_coefficients(wc, w1, w2, g1, g2)
-    _assert_same_bits(cubic_roots(A, B, C), _scalar_roots(A, B, C))
+    g1[:30] = g2[20:50] = 0.0  # uncoupled atoms deflate
+    w2[50:80] = w1[50:80]  # equal poles deflate to the dark vector
+    _assert_alone_as_in_batch((wc, w1, w2, g1, g2), range(n))
 
 
 @pytest.mark.parametrize("abc", EDGE_CUBICS)
 def test_cubic_roots_edge_cases_pinned_alone_and_in_a_batch(abc):
-    alone = cubic_roots(*abc)
-    assert isinstance(alone, tuple) and all(type(r) is float for r in alone)
-    _assert_same_bits(alone, scalar_cubic_roots(*abc))
-    A, B, C = np.array(EDGE_CUBICS).T
-    batch = cubic_roots(A, B, C)
-    _assert_same_bits(batch[EDGE_CUBICS.index(abc)], alone)
+    # abc is the block; the roots of its cubic are its diagonal
+    sp = analytic_spectrum_shifted(*abc)
+    assert sp.eigenvalues.tolist() == sorted(abc[:3])
+    blocks = np.array(EDGE_CUBICS + [(1.0, 1.01, 1.0, 0.01, 0.005)]).T
+    _assert_alone_as_in_batch(blocks, range(len(EDGE_CUBICS) + 1))
 
 
 def test_cubic_roots_shapes_and_broadcasting():
-    A, B, C = _hermitian_triples(np.random.default_rng(31), 12)
-    assert isinstance(cubic_roots(A[0], B[0], C[0]), tuple)
-    assert isinstance(cubic_roots(np.float64(A[0]), B[0], np.array(C[0])), tuple)
-    # (N, 1) x (1, M): with B <= -5 every cubic has three real roots, near
-    # +-sqrt(-B) and -C/B, whichever A in [-1, 1] and C in [-1, 1]
-    A = np.linspace(-1.0, 1.0, 7)[:, None]
-    B = np.linspace(-10.0, -5.0, 5)[None, :]
-    C = np.linspace(-1.0, 1.0, 5)[None, :]
-    roots = cubic_roots(A, B, C)
-    assert roots.shape == (7, 5, 3)
-    _assert_same_bits(roots, _scalar_roots(A, B, C))
-    rows = cubic_roots(np.full((4, 1), -6.0), np.full((1, 3), 11.0), -6.0)
-    assert rows.shape == (4, 3, 3)
-    _assert_same_bits(rows, np.broadcast_to(scalar_cubic_roots(-6.0, 11.0, -6.0), (4, 3, 3)))
-    assert cubic_roots(np.zeros(0), 0.0, 0.0).shape == (0, 3)
-
-
-def test_cubic_roots_batch_errors_name_the_first_bad_cubic():
-    good = (-6.0, 11.0, -6.0)
-    # x^3 = -1 and x^3 + x have complex pairs; the first sits at index 2
-    A, B, C = np.array([good, good, (0.0, 0.0, 1.0), (0.0, 1.0, 0.0)]).T
-    with pytest.raises(ComplexRootsError, match=r"> 0 at index 2: cubic has complex roots"):
-        cubic_roots(A, B, C)
-    with pytest.raises(ComplexRootsError, match=r"at index \(1, 0\)"):
-        cubic_roots(A[1:3, None], B[1:3, None], C[1:3, None])
-    B = np.array([11.0, np.inf, np.nan])
-    with pytest.raises(ValueError, match="coefficient B must be finite, got inf at index 1"):
-        cubic_roots(-6.0, B, -6.0)
-    with pytest.raises(ValueError, match="coefficient C must be finite, got nan at index 2"):
-        cubic_roots([-6.0, -6.0, -6.0], 11.0, [-6.0, -6.0, np.nan])
-    # roots near +-1e6 and 1e-9: the float64 roots leave a residual far
-    # above 1e-8 * max(1, |C|)
-    wide = (-367174.97355758405, -171843800415.945, 7.041046069629387)
-    with pytest.raises(ArithmeticError, match="exceeds 7.041e-08$"):
-        scalar_cubic_roots(*wide)
-    with pytest.raises(ArithmeticError, match="exceeds 7.041e-08$"):
-        cubic_roots(*wide)
-    A, B, C = np.array([good, good, good, wide]).T
-    with pytest.raises(ArithmeticError, match="exceeds 7.041e-08 at index 3$"):
-        cubic_roots(A, B, C)
+    # (7, 1) x (1, 5) blocks, a scalar omega_c, and an empty batch
+    w1 = np.linspace(0.9, 1.1, 7)[:, None]
+    g2 = np.linspace(0.0, 0.05, 5)[None, :]
+    sp = analytic_spectrum_shifted(1.0, w1, 1.02, 0.01, g2)
+    assert sp.eigenvalues.shape == (7, 5, 3)
+    assert sp.eigenvectors.shape == sp.raw_eigenvectors.shape == (7, 5, 3, 3)
+    _assert_alone_as_in_batch((1.0, w1, 1.02, 0.01, g2), np.ndindex(7, 5))
+    assert analytic_spectrum_shifted(np.zeros(0), 0.0, 0.0, 0.0, 0.0).eigenvalues.shape == (0, 3)
 
 
 def test_cubic_roots_masked_branches_raise_no_warning():
-    # triple-root rows (p >= 0) have no sqrt(-p/3), double-root rows
-    # (|arg| >= 1) take no Newton step, and no row may warn for another
-    A, B, C = np.array(EDGE_CUBICS + [(-6.0, 11.0, -6.0)] * 3).T
+    # deflated rows divide by zero inside masked branches, and no row may
+    # warn for another
+    blocks = np.array(EDGE_CUBICS + [(1.0, 1.01, 1.0, 0.01, 0.005)] * 3).T
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        roots = cubic_roots(A, B, C)
+        analytic_spectrum_shifted(*blocks)
         for abc in EDGE_CUBICS:
-            cubic_roots(*abc)
-    _assert_same_bits(roots, _scalar_roots(A, B, C))
+            analytic_spectrum_shifted(*abc)
+    _assert_alone_as_in_batch(blocks, range(blocks.shape[1]))
 
 
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
 @pytest.mark.parametrize("rel_split", [1e-2, 1e-4])
 def test_cubic_roots_double_root_limit(scale, rel_split):
-    # the documented limit: rounding A, B and C to float64 moves a double
-    # root by about sqrt(eps * scale / split) * scale, split the distance
-    # to the third root
+    # rounding the cubic's float64 coefficients moved a g = 0 double root by
+    # about sqrt(eps * scale / split) * scale; deflation returns it exactly
     wc, w = scale, scale * (1.0 + rel_split)
-    roots = np.array(cubic_roots(*shifted_cubic_coefficients(wc, wc, w, 0.0, 0.0)))
-    limit = np.sqrt(np.finfo(float).eps / rel_split) * scale
-    assert np.max(np.abs(roots - [wc, wc, w])) <= 4 * limit
+    sp = analytic_spectrum_shifted(wc, wc, w, 0.0, 0.0)
+    assert sp.eigenvalues.tolist() == [wc, wc, w]
+    assert np.array_equal(np.abs(sp.eigenvectors), np.eye(3)[:, [0, 2, 1]])
 
 
 def test_null_space_zero_matrix():

@@ -7,7 +7,10 @@ checkout this script sits in, with model files written to a temporary
 directory.  One line per invocation: its label, the sha256 of stdout,
 of stderr and of the --out file ("-" when none was written), and the
 exit code.  Diffing the output of two checkouts shows whether a change
-keeps every CLI byte.
+keeps every CLI byte.  The script exits 1, after printing every line,
+when an invocation exits with another code than expected (0, or 1 for
+the input errors in INPUT_ERRORS) or writes "Traceback" or "Warning" to
+stderr.
 """
 
 import hashlib
@@ -30,6 +33,13 @@ MODELS = {  # name -> (omega_c, omegas, gs, extra lines)
     "uncoupled2": (1.0, [1.0, 1.0], [0.0, 0.0], []),
     "nonrwa3": (1.0, [0.9, 1.0, 1.1], [0.05, 0.03, 0.04], ["rwa = false", "photon_cutoff = 2"]),
 }
+# invocations that must fail with a one-line input error and exit 1
+INPUT_ERRORS = {"dark-find:single_excitation:nonrwa3"}  # no one-excitation block without RWA
+SPECTRUM_MODELS = {  # two-atom blocks far from unit scale, and an uncoupled double root
+    "tiny2": (1e-200, [1e-200, 1.01e-200], [1e-202, 7e-203], []),
+    "huge2": (1e150, [1e150, 1.01e150], [1e148, 7e147], []),
+    "double-root2": (1.0, [1.0, 0.99], [0.0, 0.0], []),
+}
 
 
 def write_model(path, omega_c, omegas, gs, extra):
@@ -46,6 +56,10 @@ def invocations(workdir):
         yield f"spectrum:{name}", ["spectrum", "--model", str(path)]
         for sub in ("single_excitation", "full"):
             yield f"dark-find:{sub}:{name}", ["dark-find", "--model", str(path), "--subspace", sub]
+    for name, spec in SPECTRUM_MODELS.items():
+        path = workdir / f"{name}.model"
+        write_model(path, *spec)
+        yield f"spectrum:{name}", ["spectrum", "--model", str(path)]
     yield "verify", ["verify"]
     # other seeds draw other instances: a drift in how a check draws them shows
     for seed in ("1", "7"):
@@ -66,6 +80,7 @@ def digest(data):
 def main():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     env.pop("CAVITYDARK_WORKERS", None)
+    failed = []
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for label, args in invocations(workdir):
@@ -77,7 +92,14 @@ def main():
             written = digest(out.read_bytes()) if out.exists() else "-"
             out.unlink(missing_ok=True)
             print(label, digest(run.stdout), digest(run.stderr), written, run.returncode)
+            warned = b"Traceback" in run.stderr or b"Warning" in run.stderr
+            if run.returncode != (1 if label in INPUT_ERRORS else 0) or warned:
+                failed.append(label)
+    if failed:
+        print(f"unexpected exit code or warning: {', '.join(failed)}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
