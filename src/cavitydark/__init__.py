@@ -1,16 +1,13 @@
 """Dark states of two-level atoms in a single-mode cavity.
 
-Numerical and closed-form spectra of the coupled atom-photon system,
+Numerical and analytic spectra of the coupled atom-photon system,
 operational dark-state detection, and a Monte-Carlo simulation of the
 shift-jump preparation protocol with its parameter sweeps.
 """
 
 from .darkstates import (
-    AnalyticSpectrum,
     DarknessReport,
     analytic_spectrum,
-    analytic_spectrum_degenerate,
-    analytic_spectrum_shifted,
     dark_state_degenerate,
     find_dark_states,
     is_dark,

@@ -110,27 +110,21 @@ def _arrowheads(wc, w1, w2, g1, g2):
 
 
 def check_analytic_numeric(gen):
-    degenerate, shifted = [], []
+    draws = []
     for _ in range(300):
         g1, g2 = gen.uniform(0.0005, 0.05, size=2)
         if gen.random() < 0.5:
             wa = 1.0 - float(gen.uniform(-0.05, 0.05))
-            degenerate.append((wa, wa, g1, g2))
+            draws.append((wa, wa, g1, g2))
         else:
             w1, w2 = 1.0 - gen.uniform(-0.05, 0.05, size=2)
             if abs(w1 - w2) >= 1e-7:
-                shifted.append((w1, w2, g1, g2))
-    spectra = [_dark.analytic_spectrum_degenerate(1.0, *draw[1:]) for draw in degenerate]
-    spectra.append(_dark.analytic_spectrum_shifted(1.0, *np.reshape(shifted, (-1, 4)).T))
-    values = np.vstack([np.reshape(sp.eigenvalues, (-1, 3)) for sp in spectra])
-    vectors = np.vstack([np.reshape(sp.eigenvectors, (-1, 3, 3)) for sp in spectra])
-    # into eigh's ascending order (the degenerate form lists the dark state first)
-    order = np.argsort(values, axis=-1, kind="stable")
-    values = np.take_along_axis(values, order, -1)
-    vectors = np.take_along_axis(vectors, order[:, None], -1)
-    numeric, V = np.linalg.eigh(_arrowheads(1.0, *np.reshape(degenerate + shifted, (-1, 4)).T))
-    worst_v = float(np.abs(values - numeric).max(initial=0.0))
-    residual = vectors - V * (V.conj() * vectors).sum(axis=-2, keepdims=True)
+                draws.append((w1, w2, g1, g2))
+    blocks = np.reshape(draws, (-1, 4)).T
+    sp = _dark.analytic_spectrum(1.0, *blocks)
+    numeric, V = np.linalg.eigh(_arrowheads(1.0, *blocks))
+    worst_v = float(np.abs(sp.eigenvalues - numeric).max(initial=0.0))
+    residual = sp.eigenvectors - V * (V.conj() * sp.eigenvectors).sum(axis=-2, keepdims=True)
     worst_s = float(np.linalg.norm(residual, axis=-2).max(initial=0.0))
     return (
         worst_v <= 1e-8 and worst_s <= 1e-7,
@@ -181,7 +175,7 @@ def check_cubic_eig_agreement(gen):
     g1[:100] = g2[100:150] = g1[150:200] = g2[150:200] = 0.0
     w2[200:300] = w1[200:300]
     numeric = np.linalg.eigvalsh(_arrowheads(wc, w1, w2, g1, g2))
-    roots = _dark.analytic_spectrum_shifted(wc, w1, w2, g1, g2).eigenvalues
+    roots = _dark.analytic_spectrum(wc, w1, w2, g1, g2).eigenvalues
     scale = np.maximum(1.0, np.abs(numeric).max(axis=-1))
     worst = float((np.abs(roots - numeric).max(axis=-1) / scale).max())
     return worst <= 1e-8, f"max relative root error {worst:.2e}"
@@ -200,7 +194,7 @@ def check_vieta(gen):
     A = -(wc + w1 + w2)
     B = wc * w1 + wc * w2 + w1 * w2 - g1 * g1 - g2 * g2
     C = g1 * g1 * w2 + g2 * g2 * w1 - wc * w1 * w2
-    b0, b1, b2 = _dark.analytic_spectrum_shifted(wc, w1, w2, g1, g2).eigenvalues.T
+    b0, b1, b2 = _dark.analytic_spectrum(wc, w1, w2, g1, g2).eigenvalues.T
     defects = (
         abs(b0 + b1 + b2 + A) / np.maximum(abs(A), 1e-300),
         abs(b0 * b1 + b0 * b2 + b1 * b2 - B) / np.maximum(abs(B), 1e-300),

@@ -162,13 +162,13 @@ def run_spectrum(args):
     if m.n_atoms == 2 and m.rwa:
         H = _model.single_excitation_block(m)
         numeric = _num.herm_eig(H)
-        analytic = _dark.analytic_spectrum(
-            m.omega_c, m.atoms[0].omega, m.atoms[1].omega, m.atoms[0].g, m.atoms[1].g
-        )
-        # rows follow the analytic listing, numeric pairs matched by eigenvalue
-        # order; discrepancy: the eigenvalue gap over max|H| or the subspace distance
-        lam_n, V_n, gaps, distances = _dark._match_numeric(analytic, numeric)
+        (w1, g1), (w2, g2) = ((a.omega, a.g) for a in m.atoms)
+        analytic = _dark.analytic_spectrum(m.omega_c, w1, w2, g1, g2)
+        # both ascending, row by row; discrepancy: the eigenvalue gap over
+        # max|H| or the subspace distance
+        lam_n, V_n = numeric.eigenvalues, numeric.eigenvectors
         lam_a, V_a = analytic.eigenvalues, analytic.eigenvectors
+        distances = [_num.subspace_distance(a, v) for a, v in zip(V_a.T, V_n.T)]
         header = (
             ["index", "eigenvalue"]
             + _vector_columns("", 3)
@@ -178,9 +178,9 @@ def run_spectrum(args):
         )
         rows = np.column_stack(
             [np.arange(3), lam_n * scale, _interleaved(V_n.T), lam_a * scale,
-             _interleaved(V_a.T), np.maximum(gaps / _num.max_abs(H), distances)]
+             _interleaved(V_a.T), np.maximum(abs(lam_n - lam_a) / _num.max_abs(H), distances)]
         )
-        notes = [f"branch,{analytic.branch}"]
+        notes = [f"branch,{'degenerate' if w1 == w2 else 'shifted'}"]
     else:
         spec = _num.herm_eig(_model.build_full_hamiltonian(m))
         header = ["index", "eigenvalue"] + _vector_columns("", spec.dim)

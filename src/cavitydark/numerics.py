@@ -89,12 +89,13 @@ def subspace_distance(u, v):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a batch of them
+    along leading axes (darkstates.analytic_spectrum).
 
-    eigenvalues are real and ascending; eigenvectors are the matching
-    orthonormal columns, phase-fixed via fix_phase.  Within a degenerate
-    cluster (gap < DEGENERACY_RTOL * max|M|) individual directions are
-    unspecified; compare subspace projectors instead.
+    eigenvalues are real and ascending along the last axis; eigenvectors
+    are the matching orthonormal columns, phase-fixed via fix_phase.
+    Within a degenerate cluster (gap < DEGENERACY_RTOL * max|M|) individual
+    directions are unspecified; compare subspace projectors instead.
     """
 
     eigenvalues: np.ndarray
@@ -102,7 +103,7 @@ class Spectrum:
 
     @property
     def dim(self):
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def clusters(self, scale):
         """Index groups of eigenvalues closer than DEGENERACY_RTOL * scale."""

@@ -213,11 +213,13 @@ def _sweep_row(betas, coef, ts):
 
         |lambda| <= (sqrt(p_a + delta) + sqrt(p_b + delta) + L (t_b - t_a)) / 2,
 
-    where delta covers the roundoff of the computed p.  A range is dropped
-    only when that bound squared plus delta is strictly below the best grid
-    value found, so every grid point that could reach or tie the maximum is
-    evaluated.  _p_of_times rounds a point the same in any batch, so the
-    values are those of the full grid."""
+    where delta covers the roundoff of the computed p; the bound is clipped
+    at sum_k |c_k|, which bounds |lambda| too, so its square stays finite at
+    any frequency scale.  A range is dropped only when that bound squared
+    plus delta is strictly below the best grid value found, so every grid
+    point that could reach or tie the maximum is evaluated.  _p_of_times
+    rounds a point the same in any batch, so the values are those of the
+    full grid."""
     shape = betas.shape[:-1]
     betas, coef = betas.reshape(-1, 3), coef.reshape(-1, 3)
     n, last = len(betas), len(ts) - 1
@@ -241,6 +243,7 @@ def _sweep_row(betas, coef, ts):
         pt, a, b, pa, pb = todo.pop()
         slack = delta[pt]
         bound = (np.sqrt(pa + slack) + np.sqrt(pb + slack) + lipschitz[pt] * (ts[b] - ts[a])) / 2
+        bound = np.minimum(bound, lam_max[pt])
         keep = (b - a > 1) & (bound * bound + slack >= best[pt])
         pt, a, b, pa, pb = (x[keep] for x in (pt, a, b, pa, pb))
         if len(pt) > cap:

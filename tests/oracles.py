@@ -6,7 +6,7 @@ cross-check two different computational routes.
 
 import numpy as np
 
-from cavitydark.darkstates import analytic_spectrum_shifted
+from cavitydark.darkstates import analytic_spectrum
 
 
 def expm_series(M, terms=30):
@@ -38,6 +38,30 @@ def fix_phase(v):
     return v * (a.conjugate() / abs(a))
 
 
+def equal_frequency_spectrum(wc, wa, g1, g2):
+    """The closed form of the two-atom block at equal atomic frequencies
+    wa, as (ascending eigenvalues, unit eigenvector columns, phase-fixed).
+
+    The dark vector (-g2, g1, 0)/G sits at wa and the polaritons at
+    (wc + wa -/+ S)/2 with S = sqrt(4 G^2 + d^2), d = wc - wa, with the
+    vectors (-2 g_i / (S - d), 1) and (2 g_i / (S + d), 1).  Uncoupled
+    (G = 0), the block is its own eigensystem."""
+    d, G2 = wc - wa, g1 * g1 + g2 * g2
+    if G2 == 0.0:
+        values, vectors = np.array([wa, wa, wc]), np.eye(3)
+    else:
+        S = np.sqrt(4 * G2 + d * d)
+        values = np.array([wa, (wc + wa - S) / 2, (wc + wa + S) / 2])
+        vectors = np.array([
+            [-g2, -2 * g1 / (S - d), 2 * g1 / (S + d)],
+            [g1, -2 * g2 / (S - d), 2 * g2 / (S + d)],
+            [0.0, 1.0, 1.0],
+        ])
+    order = np.argsort(values, kind="stable")
+    vectors = np.column_stack([fix_phase(v / np.linalg.norm(v)) for v in vectors.T[order]])
+    return values[order], vectors
+
+
 def random_hermitian(gen, dim, scale=1.0):
     X = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     return scale * (X + X.conj().T) / 2
@@ -60,7 +84,7 @@ def cubic_eig_agreement(gen):
             w2 = w1
         H = np.array([[w1, 0.0, g1], [0.0, w2, g2], [g1, g2, wc]])
         numeric = np.linalg.eigvalsh(H)
-        roots = analytic_spectrum_shifted(wc, w1, w2, g1, g2).eigenvalues
+        roots = analytic_spectrum(wc, w1, w2, g1, g2).eigenvalues
         scale = max(1.0, float(np.max(np.abs(numeric))))
         worst = max(worst, float(np.max(np.abs(roots - numeric))) / scale)
     return worst <= 1e-8, f"max relative root error {worst:.2e}"
@@ -79,7 +103,7 @@ def vieta(gen):
         A = -(1.0 + w1 + w2)
         B = w1 + w2 + w1 * w2 - g1 * g1 - g2 * g2
         C = g1 * g1 * w2 + g2 * g2 * w1 - w1 * w2
-        b = analytic_spectrum_shifted(1.0, w1, w2, g1, g2).eigenvalues
+        b = analytic_spectrum(1.0, w1, w2, g1, g2).eigenvalues
         rel = max(
             abs(b.sum() + A) / max(abs(A), 1e-300),
             abs(b[0] * b[1] + b[0] * b[2] + b[1] * b[2] - B) / max(abs(B), 1e-300),

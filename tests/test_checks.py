@@ -26,7 +26,7 @@ def test_batched_check_matches_reference_loop(name, seed):
 
 @pytest.mark.parametrize("name", sorted(BATCHED))
 def test_batched_check_fails_on_one_perturbed_root(name, monkeypatch):
-    solve = darkstates.analytic_spectrum_shifted
+    solve = darkstates.analytic_spectrum
 
     def perturbed(*block):
         sp = solve(*block)
@@ -35,6 +35,6 @@ def test_batched_check_fails_on_one_perturbed_root(name, monkeypatch):
         return replace(sp, eigenvalues=roots)
 
     assert run_checks([name])[0].passed
-    monkeypatch.setattr(darkstates, "analytic_spectrum_shifted", perturbed)
+    monkeypatch.setattr(darkstates, "analytic_spectrum", perturbed)
     (result,) = run_checks([name])
     assert not result.passed, result.detail

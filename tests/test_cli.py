@@ -101,16 +101,18 @@ def well_formed_csv(argv, tmp_path, capsys):
     return header, rows
 
 
-def test_spectrum_resonant_dark_row_first(model_file, tmp_path):
+def test_spectrum_resonant_dark_row_in_the_middle(model_file, tmp_path):
     out = str(tmp_path / "spec.csv")
     rc = cli.main(["spectrum", "--model", model_file(RESONANT), "--out", out])
     assert rc == 0
     header, rows = read_rows(out)
     assert header[0] == "index" and header[-1] == "discrepancy"
-    # dark row first: eigenvalue omega_c, no photon component
-    row0 = dict(zip(header, rows[0]))
-    assert float(row0["eigenvalue"]) == pytest.approx(1.0, abs=1e-12)
-    assert abs(complex(float(row0["re2"]), float(row0["im2"]))) < 1e-12
+    # rows ascend, so the dark row lies between the polaritons: eigenvalue
+    # omega_c, no photon component
+    row1 = dict(zip(header, rows[1]))
+    assert float(row1["eigenvalue"]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(complex(float(row1["re2"]), float(row1["im2"]))) < 1e-12
+    assert float(row1["analytic_eigenvalue"]) == 1.0 and float(row1["analytic_re2"]) == 0.0
     for row in rows:
         assert float(dict(zip(header, row))["discrepancy"]) <= 1e-8
 
@@ -275,6 +277,14 @@ def test_sweep_single_point(tmp_path):
     assert header == ["ds", "dg", "p_max", "t_star"]
     assert len(rows) == 1
     assert float(rows[0][2]) <= 1e-12
+
+
+def test_sweep_at_tiny_frequency_scale_raises_no_warning():
+    # the yield grid's bound on |lambda| overflowed when squared at 1e-300
+    run = run_python("-W", "error", "-m", "cavitydark.cli", "sweep", "--set", "omega_c=1e-300",
+                     "--set", "omega_a=1e-300", "--set", "g1=1e-302", "--set", "g2=1e-302")
+    assert run.returncode == 0 and "Warning" not in run.stderr, run.stderr
+    assert run.stdout.startswith("ds,dg,p_max,t_star\n")
 
 
 def test_sweep_deterministic_and_roundtrip(tmp_path, capsys):

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from cavitydark.darkstates import (
-    BRANCH_DEGENERATE,
-    BRANCH_SHIFTED,
     SUBSPACE_FULL,
     SUBSPACE_SINGLE,
     analytic_spectrum,
-    analytic_spectrum_degenerate,
-    analytic_spectrum_shifted,
     dark_state_degenerate,
     find_dark_states,
     is_dark,
@@ -28,7 +24,12 @@ from cavitydark.model import (
 )
 from cavitydark.numerics import evolve, herm_eig, max_abs
 
-from oracles import dark_kernel_count, kron_collective_lowering, subspace_distance
+from oracles import (
+    dark_kernel_count,
+    equal_frequency_spectrum,
+    kron_collective_lowering,
+    subspace_distance,
+)
 
 
 def block_model(w1=1.0, w2=1.0, g1=0.01, g2=0.005, wc=1.0, cutoff=1):
@@ -48,18 +49,13 @@ def embed_two_atom_single_excitation(vec2):
 
 
 def match_to_numeric(analytic, numeric_spec):
-    """Pair analytic columns with numeric ones by eigenvalue, then report
-    the worst (value error, subspace distance)."""
-    order = np.argsort(analytic.eigenvalues)
-    dv, dvec = 0.0, 0.0
-    for pos, k in enumerate(order):
-        dv = max(dv, abs(analytic.eigenvalues[k] - numeric_spec.eigenvalues[pos]))
-        dvec = max(
-            dvec,
-            subspace_distance(
-                analytic.eigenvectors[:, k], numeric_spec.eigenvectors[:, pos]
-            ),
-        )
+    """The worst (value error, subspace distance) between the columns of
+    two ascending spectra, paired in order."""
+    dv = np.abs(analytic.eigenvalues - numeric_spec.eigenvalues).max()
+    dvec = max(
+        subspace_distance(a, v)
+        for a, v in zip(analytic.eigenvectors.T, numeric_spec.eigenvectors.T)
+    )
     return dv, dvec
 
 
@@ -85,34 +81,32 @@ def test_dark_state_undefined_for_zero_couplings():
 def test_degenerate_spectrum_resonant_equal_couplings():
     # d = 0, g1 = g2 = g: S = 2 sqrt(2) g, polaritons at omega_c -/+ sqrt(2) g
     wc, g = 1.0, 0.007
-    sp = analytic_spectrum_degenerate(wc, wc, g, g)
-    assert np.allclose(
-        np.sort(sp.eigenvalues), [wc - np.sqrt(2) * g, wc, wc + np.sqrt(2) * g]
-    )
+    sp = analytic_spectrum(wc, wc, wc, g, g)
+    assert np.allclose(sp.eigenvalues, [wc - np.sqrt(2) * g, wc, wc + np.sqrt(2) * g])
     numeric = herm_eig(single_excitation_block(block_model(wc, wc, g, g)))
     dv, dvec = match_to_numeric(sp, numeric)
     assert dv < 1e-12 and dvec < 1e-10
 
 
 def test_degenerate_spectrum_decoupled():
-    sp = analytic_spectrum_degenerate(1.0, 0.97, 0.0, 0.0)
-    assert np.allclose(np.sort(sp.eigenvalues), [0.97, 0.97, 1.0])
+    sp = analytic_spectrum(1.0, 0.97, 0.97, 0.0, 0.0)
+    assert np.allclose(sp.eigenvalues, [0.97, 0.97, 1.0])
 
 
 def test_degenerate_spectrum_generic_matches_numeric():
-    sp = analytic_spectrum_degenerate(1.0, 0.99, 0.01, 0.005)
+    sp = analytic_spectrum(1.0, 0.99, 0.99, 0.01, 0.005)
     numeric = herm_eig(single_excitation_block(block_model(0.99, 0.99, 0.01, 0.005)))
     dv, dvec = match_to_numeric(sp, numeric)
     assert dv < 1e-10 and dvec < 1e-9
-    assert sp.branch == BRANCH_DEGENERATE
 
 
-def test_degenerate_spectrum_dark_column_first():
-    sp = analytic_spectrum_degenerate(1.0, 0.99, 0.01, 0.005)
+def test_degenerate_spectrum_dark_column_in_the_middle():
+    # the dark eigenvalue omega_a lies between the two polaritons
+    sp = analytic_spectrum(1.0, 0.99, 0.99, 0.01, 0.005)
     dark = with_photon_amplitude(dark_state_degenerate(0.01, 0.005))
-    overlap = abs(np.vdot(sp.eigenvectors[:, 0], dark))
+    overlap = abs(np.vdot(sp.eigenvectors[:, 1], dark))
     assert abs(overlap - 1.0) < 1e-14
-    assert sp.eigenvectors[2, 0] == 0.0  # no photon amplitude
+    assert sp.eigenvectors[2, 1] == 0.0  # no photon amplitude
 
 
 def test_degenerate_dark_eigenvalue_is_atomic_frequency():
@@ -122,12 +116,12 @@ def test_degenerate_dark_eigenvalue_is_atomic_frequency():
     H = single_excitation_block(block_model(wa, wa, g1, g2, wc))
     dark = with_photon_amplitude(dark_state_degenerate(g1, g2))
     assert np.linalg.norm(H @ dark - wa * dark) <= 1e-12
-    sp = analytic_spectrum_degenerate(wc, wa, g1, g2)
-    assert sp.eigenvalues[0] == wa
+    sp = analytic_spectrum(wc, wa, wa, g1, g2)
+    assert sp.eigenvalues[1] == wa
 
 
 def test_shifted_spectrum_decoupled_cubic_factors():
-    sp = analytic_spectrum_shifted(1.02, 1.01, 1.0, 0.0, 0.0)
+    sp = analytic_spectrum(1.02, 1.01, 1.0, 0.0, 0.0)
     assert np.allclose(sp.eigenvalues, [1.0, 1.01, 1.02], atol=1e-10)
 
 
@@ -137,26 +131,25 @@ def test_uncoupled_double_root_is_solved(wc, w1, w2, s):
     # g = 0 with omega_c on an atomic frequency: an exact double root.  The
     # characteristic cubic's rounded coefficients moved it by about
     # sqrt(eps) relative; the uncoupled block is its own eigensystem.
-    sp = analytic_spectrum_shifted(wc * s, w1 * s, w2 * s, 0.0, 0.0)
+    sp = analytic_spectrum(wc * s, w1 * s, w2 * s, 0.0, 0.0)
     H = single_excitation_block(block_model(w1 * s, w2 * s, 0.0, 0.0, wc * s))
     np.testing.assert_allclose(sp.eigenvalues, herm_eig(H).eigenvalues, rtol=0, atol=1e-15 * s)
 
 
 def test_shifted_spectrum_generic_matches_numeric():
-    sp = analytic_spectrum_shifted(1.0, 1.01, 1.0, 0.01, 0.005)
+    sp = analytic_spectrum(1.0, 1.01, 1.0, 0.01, 0.005)
     numeric = herm_eig(single_excitation_block(block_model(1.01, 1.0, 0.01, 0.005)))
     dv, dvec = match_to_numeric(sp, numeric)
     assert dv < 1e-9 and dvec < 1e-9
-    assert sp.branch == BRANCH_SHIFTED
 
 
 def test_shifted_raw_vectors_are_eigenvectors():
     wc, w1, w2, g1, g2 = 1.0, 1.013, 0.994, 0.02, 0.011
-    sp = analytic_spectrum_shifted(wc, w1, w2, g1, g2)
+    sp = analytic_spectrum(wc, w1, w2, g1, g2)
     H = single_excitation_block(block_model(w1, w2, g1, g2, wc))
     for k in range(3):
-        v = sp.raw_eigenvectors[:, k]
-        assert v[2] == 1.0  # resolvent form carries photon amplitude one
+        v = sp.eigenvectors[:, k] / sp.eigenvectors[2, k]  # the resolvent form
+        np.testing.assert_allclose(v[:2], [g1, g2] / (sp.eigenvalues[k] - [w1, w2]), rtol=1e-12)
         res = np.linalg.norm(H @ v - sp.eigenvalues[k] * v)
         assert res <= 1e-8 * max_abs(H)
 
@@ -164,18 +157,18 @@ def test_shifted_raw_vectors_are_eigenvectors():
 def test_shifted_spectrum_deflates_equal_frequencies():
     # exactly equal poles deflate to the dark vector at the atomic frequency
     wc, wa, g1, g2 = 1.0, 0.99, 0.01, 0.005
-    sp = analytic_spectrum_shifted(wc, wa, wa, g1, g2)
+    sp = analytic_spectrum(wc, wa, wa, g1, g2)
     assert sp.eigenvalues[1] == wa
     dark = with_photon_amplitude(dark_state_degenerate(g1, g2))
     assert subspace_distance(sp.eigenvectors[:, 1], dark) <= 1e-15
-    closed = analytic_spectrum_degenerate(wc, wa, g1, g2)
-    np.testing.assert_allclose(sp.eigenvalues, np.sort(closed.eigenvalues), rtol=1e-15)
+    closed, _ = equal_frequency_spectrum(wc, wa, g1, g2)
+    np.testing.assert_allclose(sp.eigenvalues, closed, rtol=1e-15)
 
 
 def test_shifted_spectrum_has_no_dark_vector():
     # with a frequency split and both couplings on, every eigenvector
     # carries photon amplitude
-    sp = analytic_spectrum_shifted(1.0, 1.002, 1.0, 0.01, 0.005)
+    sp = analytic_spectrum(1.0, 1.002, 1.0, 0.01, 0.005)
     assert np.all(np.abs(sp.eigenvectors[2, :]) > 1e-6)
 
 
@@ -187,8 +180,7 @@ def test_small_and_zero_couplings_match_eigh(g1, g2):
     # at g1 = 1e-9 the root sits 5e-17 from its pole, below the pole's ulp,
     # so x - w1 is only resolved relative to the pole
     wc, w1, w2 = 1.0, 0.98, 1.03
-    sp = analytic_spectrum_shifted(wc, w1, w2, g1, g2)
-    assert sp.branch == BRANCH_SHIFTED
+    sp = analytic_spectrum(wc, w1, w2, g1, g2)
     numeric = herm_eig(single_excitation_block(block_model(w1, w2, g1, g2, wc)))
     np.testing.assert_allclose(sp.eigenvalues, numeric.eigenvalues, rtol=0, atol=1e-15)
     assert np.abs(sp.eigenvectors - numeric.eigenvectors).max() <= 1e-9
@@ -198,17 +190,32 @@ def test_small_and_zero_couplings_match_eigh(g1, g2):
             assert np.array_equal(sp.eigenvectors[:, k], np.eye(3)[i])
 
 
-def test_dispatcher_routes_by_frequency_split():
-    assert analytic_spectrum(1.0, 1.0, 1.0, 0.01, 0.005).branch.startswith("degenerate")
-    assert analytic_spectrum(1.0, 1.01, 1.0, 0.01, 0.005).branch.startswith("shifted")
-    # splits below the routing tolerance go degenerate too
-    assert analytic_spectrum(1.0, 1.0 + 1e-12, 1.0, 0.01, 0.005).branch.startswith(
-        "degenerate"
-    )
-    # the dispatcher goes degenerate exactly at splits within DEGENERACY_RTOL
-    for split in (0.5e-9, 0.99e-9, 1.01e-9, 2e-9):
-        branch = analytic_spectrum(1.0, 1.0, 1.0 + split, 0.01, 0.005).branch
-        assert branch.startswith("degenerate") == (split < 1e-9)
+def test_near_degenerate_splits_are_solved_not_snapped():
+    # splits on both sides of DEGENERACY_RTOL: none is rounded to equal
+    # frequencies (that put the dark root 4e-10 off at a split of 5e-10)
+    splits = [1e-12, 5e-10, 0.99e-9, 1.01e-9]
+    blocks = [single_excitation_block(block_model(1.0, 1.0 + s)) for s in splits]
+    numeric = np.linalg.eigvalsh(np.stack(blocks))
+    for s, H, values in zip(splits, blocks, numeric):
+        sp = analytic_spectrum(1.0, 1.0, 1.0 + s, 0.01, 0.005)
+        assert np.abs(sp.eigenvalues - values).max() <= 1e-15 * max_abs(H), s
+        assert np.abs(sp.eigenvectors - herm_eig(H).eigenvectors).max() <= 1e-9, s
+
+
+@pytest.mark.parametrize(
+    "block",
+    [(1.0, 1.0, 0.01, 0.005), (1.0, 0.99, 0.01, 0.005), (1.0, 1.02, 0.007, 0.0),
+     (1.0, 0.97, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0)],
+    ids=["resonant", "detuned", "one-coupling", "decoupled", "decoupled-resonant"],
+)
+def test_equal_frequencies_match_the_closed_form(block):
+    # the paper's closed form: the dark vector at omega_a between the two
+    # polaritons at (omega_c + omega_a -/+ S)/2
+    wc, wa, g1, g2 = block
+    sp = analytic_spectrum(wc, wa, wa, g1, g2)
+    values, vectors = equal_frequency_spectrum(wc, wa, g1, g2)
+    assert np.abs(sp.eigenvalues - values).max() <= 1e-15 * max(map(abs, block))
+    assert np.abs(sp.eigenvectors - vectors).max() <= 1e-14
 
 
 def test_vieta_relations():
@@ -222,7 +229,7 @@ def test_vieta_relations():
         A = -(wc + w1 + w2)
         B = wc * w1 + wc * w2 + w1 * w2 - g1 * g1 - g2 * g2
         C = g1 * g1 * w2 + g2 * g2 * w1 - wc * w1 * w2
-        b = analytic_spectrum_shifted(wc, w1, w2, g1, g2).eigenvalues
+        b = analytic_spectrum(wc, w1, w2, g1, g2).eigenvalues
         assert np.isclose(b.sum(), -A, rtol=1e-9)
         assert np.isclose(b[0] * b[1] + b[0] * b[2] + b[1] * b[2], B, rtol=1e-9)
         assert np.isclose(np.prod(b), -C, rtol=1e-9)
@@ -269,7 +276,7 @@ def test_roots_certified_by_the_exact_secular_sign_change():
 )
 def test_uncoupled_double_roots_are_exact(wc, w1, w2):
     # the characteristic cubic lost half the digits of these double roots
-    sp = analytic_spectrum_shifted(wc, w1, w2, 0.0, 0.0)
+    sp = analytic_spectrum(wc, w1, w2, 0.0, 0.0)
     assert sp.eigenvalues.tolist() == sorted([wc, w1, w2])
 
 
@@ -288,8 +295,8 @@ def test_two_atom_spectrum_at_every_binary_scale(block):
     # same bits times 2^k, and within 1e-12 of max|H| from eigh, for every
     # k in [-1000, 1000]
     scaled = np.ldexp(np.array(block)[:, None], BINARY_SCALES)
-    sp = analytic_spectrum_shifted(*scaled)
-    base = analytic_spectrum_shifted(*block)
+    sp = analytic_spectrum(*scaled)
+    base = analytic_spectrum(*block)
     assert np.array_equal(sp.eigenvalues, np.ldexp(base.eigenvalues, BINARY_SCALES[:, None]))
     assert (sp.eigenvectors == base.eigenvectors).all()
     wc, w1, w2, g1, g2 = scaled
@@ -300,28 +307,22 @@ def test_two_atom_spectrum_at_every_binary_scale(block):
     numeric = np.linalg.eigvalsh(H)
     size = np.abs(scaled).max(axis=0)[:, None]
     assert (np.abs(sp.eigenvalues - numeric) <= 1e-12 * size).all()
-    # and through the dispatcher, which routes "equal" to the closed form
-    for k in range(0, len(BINARY_SCALES), 50):
-        values = np.sort(analytic_spectrum(*scaled[:, k]).eigenvalues)
-        assert (np.abs(values - numeric[k]) <= 1e-12 * size[k]).all(), BINARY_SCALES[k]
 
 
 def test_analytic_numeric_equivalence_sample():
-    # lighter version of the acceptance sweep, both branches
+    # lighter version of the acceptance sweep, equal and split frequencies
     gen = np.random.default_rng(43)
     for _ in range(200):
         wc = 1.0
         g1, g2 = gen.uniform(0.0005, 0.05, size=2)
         if gen.random() < 0.5:
-            wa = wc - gen.uniform(-0.05, 0.05)
-            sp = analytic_spectrum_degenerate(wc, wa, g1, g2)
-            numeric = herm_eig(single_excitation_block(block_model(wa, wa, g1, g2, wc)))
+            w1 = w2 = wc - gen.uniform(-0.05, 0.05)
         else:
             w1, w2 = wc - gen.uniform(-0.05, 0.05, size=2)
             if abs(w1 - w2) < 1e-7:
                 continue
-            sp = analytic_spectrum_shifted(wc, w1, w2, g1, g2)
-            numeric = herm_eig(single_excitation_block(block_model(w1, w2, g1, g2, wc)))
+        sp = analytic_spectrum(wc, w1, w2, g1, g2)
+        numeric = herm_eig(single_excitation_block(block_model(w1, w2, g1, g2, wc)))
         dv, dvec = match_to_numeric(sp, numeric)
         assert dv <= 1e-8
         assert dvec <= 1e-7

@@ -21,7 +21,7 @@ from cavitydark.model import (
     build_full_hamiltonian,
 )
 
-from cavitydark.darkstates import analytic_spectrum_shifted
+from cavitydark.darkstates import analytic_spectrum
 
 from oracles import expm_series, random_hermitian
 from oracles import fix_phase as oracle_fix_phase
@@ -157,8 +157,8 @@ def test_evolve_dimension_mismatch():
 
 
 # The roots of the two-atom block's characteristic cubic, which
-# darkstates.analytic_spectrum_shifted finds from the secular equation of
-# the block (omega_c, omega_1, omega_2, g1, g2).  The scalar oracle of the
+# darkstates.analytic_spectrum finds from the secular equation of the
+# block (omega_c, omega_1, omega_2, g1, g2).  The scalar oracle of the
 # "pinned" tests is the same solver on one block at a time.
 
 
@@ -176,12 +176,12 @@ def _arrowheads(gen, n):
 def test_cubic_roots_simple():
     # poles 1.5 and 2.5, omega_c = 2 and g^2 = 0.375 give the cubic (x-1)(x-2)(x-3)
     g = np.sqrt(0.375)
-    roots = analytic_spectrum_shifted(2.0, 1.5, 2.5, g, g).eigenvalues
+    roots = analytic_spectrum(2.0, 1.5, 2.5, g, g).eigenvalues
     np.testing.assert_allclose(roots, (1.0, 2.0, 3.0), rtol=0, atol=1e-15)
 
 
 def test_cubic_roots_triple_zero():
-    sp = analytic_spectrum_shifted(0.0, 0.0, 0.0, 0.0, 0.0)
+    sp = analytic_spectrum(0.0, 0.0, 0.0, 0.0, 0.0)
     assert sp.eigenvalues.tolist() == [0.0, 0.0, 0.0]
     assert np.array_equal(sp.eigenvectors, np.eye(3))
 
@@ -193,7 +193,7 @@ def test_cubic_roots_residual_bound():
     # small root keeps its relative digits: 1e-9 + g^2 / (1e-9 - 1e6) to
     # first order, with a relative error of about (g / 1e6)^2.
     wc, w1, w2, g = 1e6, -5e5, 1e-9, 1e-3
-    sp = analytic_spectrum_shifted(wc, w1, w2, g, g)
+    sp = analytic_spectrum(wc, w1, w2, g, g)
     assert sp.eigenvalues[1] == pytest.approx(w2 + g * g / (w2 - wc), rel=1e-12)
     H = _block(wc, w1, w2, g, g)
     residual = H @ sp.eigenvectors - sp.eigenvectors * sp.eigenvalues
@@ -204,12 +204,12 @@ def test_cubic_roots_block_cross_check():
     # the split-frequency block's roots reproduce the eigensolver
     block = (1.0, 1.01, 1.0, 0.01, 0.005)
     numeric = herm_eig(_block(*block)).eigenvalues
-    assert np.max(np.abs(analytic_spectrum_shifted(*block).eigenvalues - numeric)) < 1e-15
+    assert np.max(np.abs(analytic_spectrum(*block).eigenvalues - numeric)) < 1e-15
 
 
 def test_cubic_roots_random_hermitian_agreement():
     blocks = _arrowheads(np.random.default_rng(17), 1000)
-    roots = analytic_spectrum_shifted(*blocks).eigenvalues
+    roots = analytic_spectrum(*blocks).eigenvalues
     numeric = np.linalg.eigvalsh(np.stack([_block(*b) for b in blocks.T]))
     scale = np.abs(blocks).max(axis=0)
     assert (np.abs(roots - numeric).max(axis=-1) <= 1e-14 * scale).all()
@@ -217,9 +217,9 @@ def test_cubic_roots_random_hermitian_agreement():
 
 def test_cubic_roots_rejects_non_finite():
     with pytest.raises(ValueError, match="block entries must be finite"):
-        analytic_spectrum_shifted(np.nan, 1.0, 1.0, 0.0, 0.0)
+        analytic_spectrum(np.nan, 1.0, 1.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="block entries must be finite"):
-        analytic_spectrum_shifted(1.0, [1.0, np.inf], 1.0, 0.0, 0.0)
+        analytic_spectrum(1.0, [1.0, np.inf], 1.0, 0.0, 0.0)
 
 
 def _assert_same_bits(a, b):
@@ -233,13 +233,12 @@ def _assert_same_bits(a, b):
 def _assert_alone_as_in_batch(blocks, rows):
     """Each listed row of the broadcast blocks, solved alone, gives the
     bits it gets inside the batch."""
-    batch = analytic_spectrum_shifted(*blocks)
+    batch = analytic_spectrum(*blocks)
     for i in rows:
-        alone = analytic_spectrum_shifted(*(np.broadcast_to(x, batch.eigenvalues.shape[:-1])[i]
-                                            for x in blocks))
+        alone = analytic_spectrum(*(np.broadcast_to(x, batch.eigenvalues.shape[:-1])[i]
+                                    for x in blocks))
         _assert_same_bits(alone.eigenvalues, batch.eigenvalues[i])
         _assert_same_bits(alone.eigenvectors, batch.eigenvectors[i])
-        _assert_same_bits(alone.raw_eigenvectors, batch.raw_eigenvectors[i])
 
 
 # blocks (omega_c, omega_1, omega_2, g1, g2) with the cubic's edge cases:
@@ -256,7 +255,7 @@ EDGE_CUBICS = [
 
 def test_cubic_roots_pinned_to_scalar_oracle_on_hermitian_triples():
     blocks = _arrowheads(np.random.default_rng(23), 2000)
-    assert analytic_spectrum_shifted(*blocks).eigenvalues.shape == (2000, 3)
+    assert analytic_spectrum(*blocks).eigenvalues.shape == (2000, 3)
     _assert_alone_as_in_batch(blocks, range(0, 2000, 7))
 
 
@@ -274,7 +273,7 @@ def test_cubic_roots_pinned_to_scalar_oracle_on_shifted_blocks():
 @pytest.mark.parametrize("abc", EDGE_CUBICS)
 def test_cubic_roots_edge_cases_pinned_alone_and_in_a_batch(abc):
     # abc is the block; the roots of its cubic are its diagonal
-    sp = analytic_spectrum_shifted(*abc)
+    sp = analytic_spectrum(*abc)
     assert sp.eigenvalues.tolist() == sorted(abc[:3])
     blocks = np.array(EDGE_CUBICS + [(1.0, 1.01, 1.0, 0.01, 0.005)]).T
     _assert_alone_as_in_batch(blocks, range(len(EDGE_CUBICS) + 1))
@@ -284,11 +283,11 @@ def test_cubic_roots_shapes_and_broadcasting():
     # (7, 1) x (1, 5) blocks, a scalar omega_c, and an empty batch
     w1 = np.linspace(0.9, 1.1, 7)[:, None]
     g2 = np.linspace(0.0, 0.05, 5)[None, :]
-    sp = analytic_spectrum_shifted(1.0, w1, 1.02, 0.01, g2)
+    sp = analytic_spectrum(1.0, w1, 1.02, 0.01, g2)
     assert sp.eigenvalues.shape == (7, 5, 3)
-    assert sp.eigenvectors.shape == sp.raw_eigenvectors.shape == (7, 5, 3, 3)
+    assert sp.eigenvectors.shape == (7, 5, 3, 3) and sp.dim == 3
     _assert_alone_as_in_batch((1.0, w1, 1.02, 0.01, g2), np.ndindex(7, 5))
-    assert analytic_spectrum_shifted(np.zeros(0), 0.0, 0.0, 0.0, 0.0).eigenvalues.shape == (0, 3)
+    assert analytic_spectrum(np.zeros(0), 0.0, 0.0, 0.0, 0.0).eigenvalues.shape == (0, 3)
 
 
 def test_cubic_roots_masked_branches_raise_no_warning():
@@ -297,9 +296,9 @@ def test_cubic_roots_masked_branches_raise_no_warning():
     blocks = np.array(EDGE_CUBICS + [(1.0, 1.01, 1.0, 0.01, 0.005)] * 3).T
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        analytic_spectrum_shifted(*blocks)
+        analytic_spectrum(*blocks)
         for abc in EDGE_CUBICS:
-            analytic_spectrum_shifted(*abc)
+            analytic_spectrum(*abc)
     _assert_alone_as_in_batch(blocks, range(blocks.shape[1]))
 
 
@@ -309,7 +308,7 @@ def test_cubic_roots_double_root_limit(scale, rel_split):
     # rounding the cubic's float64 coefficients moved a g = 0 double root by
     # about sqrt(eps * scale / split) * scale; deflation returns it exactly
     wc, w = scale, scale * (1.0 + rel_split)
-    sp = analytic_spectrum_shifted(wc, wc, w, 0.0, 0.0)
+    sp = analytic_spectrum(wc, wc, w, 0.0, 0.0)
     assert sp.eigenvalues.tolist() == [wc, wc, w]
     assert np.array_equal(np.abs(sp.eigenvectors), np.eye(3)[:, [0, 2, 1]])
 

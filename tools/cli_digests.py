@@ -35,10 +35,12 @@ MODELS = {  # name -> (omega_c, omegas, gs, extra lines)
 }
 # invocations that must fail with a one-line input error and exit 1
 INPUT_ERRORS = {"dark-find:single_excitation:nonrwa3"}  # no one-excitation block without RWA
-SPECTRUM_MODELS = {  # two-atom blocks far from unit scale, and an uncoupled double root
+SPECTRUM_MODELS = {  # two-atom blocks far from unit scale, an uncoupled double root,
+    # and a split below DEGENERACY_RTOL, which is solved as it is
     "tiny2": (1e-200, [1e-200, 1.01e-200], [1e-202, 7e-203], []),
     "huge2": (1e150, [1e150, 1.01e150], [1e148, 7e147], []),
     "double-root2": (1.0, [1.0, 0.99], [0.0, 0.0], []),
+    "near-degenerate2": (1.0, [1.0, 1.0 + 5e-10], [0.01, 0.005], []),
 }
 
 
@@ -70,6 +72,9 @@ def invocations(workdir):
     yield "sweep:7x5:long-window", ["sweep", *grid, "--t-max", "450", "--t-steps", "3000"]
     yield "sweep:7x5:64-steps", ["sweep", *grid, "--set", "g1=3", "--set", "g2=1.5",
                                  "--t-steps", "64"]
+    # a frequency scale where the yield grid's bound once overflowed
+    yield "sweep:tiny-scale", ["sweep", "--set", "omega_c=1e-300", "--set", "omega_a=1e-300",
+                               "--set", "g1=1e-302", "--set", "g2=1e-302"]
     yield "protocol", ["protocol", "--seed", "3", "--trials", "200"]
 
 
