@@ -101,14 +101,6 @@ def check_block_consistency(gen):
     return True, "one-excitation block equals the full-matrix restriction"
 
 
-def _arrowheads(wc, w1, w2, g1, g2):
-    """The blocks [[w1, 0, g1], [0, w2, g2], [g1, g2, wc]] as one real stack."""
-    wc, w1, w2, g1, g2 = np.broadcast_arrays(wc, w1, w2, g1, g2)
-    zero = np.zeros_like(wc, dtype=float)  # +0: a -0 changes eigh's last bits
-    rows = [[w1, zero, g1], [zero, w2, g2], [g1, g2, wc]]
-    return np.moveaxis(np.array(rows, dtype=float), (0, 1), (-2, -1))
-
-
 def check_analytic_numeric(gen):
     draws = []
     for _ in range(300):
@@ -122,7 +114,7 @@ def check_analytic_numeric(gen):
                 draws.append((w1, w2, g1, g2))
     blocks = np.reshape(draws, (-1, 4)).T
     sp = _dark.analytic_spectrum(1.0, *blocks)
-    numeric, V = np.linalg.eigh(_arrowheads(1.0, *blocks))
+    numeric, V = np.linalg.eigh(_model._arrowhead(1.0, blocks[:2].T, blocks[2:].T))
     worst_v = float(np.abs(sp.eigenvalues - numeric).max(initial=0.0))
     residual = sp.eigenvectors - V * (V.conj() * sp.eigenvectors).sum(axis=-2, keepdims=True)
     worst_s = float(np.linalg.norm(residual, axis=-2).max(initial=0.0))
@@ -171,11 +163,11 @@ def check_cubic_eig_agreement(gen):
     # the roots of the characteristic cubics of the arrowhead part of 1000 random Hermitian
     # 3x3 matrices, with 100 rows of g1 = 0, 50 of g2 = 0, 50 of both and 100 of equal w
     M = _random_hermitian(gen, 3, stack=(1000,)).real
-    wc, w1, w2, g1, g2 = M[:, 2, 2], M[:, 0, 0], M[:, 1, 1], M[:, 0, 2], M[:, 1, 2]
-    g1[:100] = g2[100:150] = g1[150:200] = g2[150:200] = 0.0
-    w2[200:300] = w1[200:300]
-    numeric = np.linalg.eigvalsh(_arrowheads(wc, w1, w2, g1, g2))
-    roots = _dark.analytic_spectrum(wc, w1, w2, g1, g2).eigenvalues
+    wc, w, g = M[:, 2, 2], M[:, [0, 1], [0, 1]], M[:, :2, 2]
+    g[:100, 0] = g[100:150, 1] = g[150:200] = 0.0
+    w[200:300, 1] = w[200:300, 0]
+    numeric = np.linalg.eigvalsh(_model._arrowhead(wc, w, g))
+    roots = _dark.analytic_spectrum(wc, *w.T, *g.T).eigenvalues
     scale = np.maximum(1.0, np.abs(numeric).max(axis=-1))
     worst = float((np.abs(roots - numeric).max(axis=-1) / scale).max())
     return worst <= 1e-8, f"max relative root error {worst:.2e}"

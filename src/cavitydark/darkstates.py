@@ -108,11 +108,14 @@ def analytic_spectrum(omega_c, omega_a1, omega_a2, g1, g2):
     G = np.hypot(*g)
     deflate = (g[0] == 0) | (g[1] == 0) | (w[0] == w[1])
     # a root nearer its pole than the least subnormal probes the pole
-    # itself, and masked rows divide by zero; np.where drops both
+    # itself, and masked rows divide by zero; np.where drops both.  That root
+    # is its pole in float, so it gets e_i as at g_i = 0 (an equal pair (g1, g2, 0)/G)
     with np.errstate(divide="ignore", invalid="ignore"):
         p, mu, d = _secular_roots(wc, w, g, deflate)
+        on_pole = mu + d == 0
         raw = np.ones((3,) + mu.shape)
-        raw[:2] = g[:, None] / (mu + d)
+        raw[:2] = np.where(on_pole.any(axis=0), g[:, None] * on_pole, g[:, None] / (mu + d))
+        raw[2] = ~on_pole.any(axis=0)
         raw[:, 1] = np.where(deflate, np.stack([-g[1], g[0], np.zeros_like(wc)]) / G, raw[:, 1])
     values = np.where(G == 0, block[[1, 2, 0]], p + mu)  # a diagonal block
     raw = np.where(G == 0, np.eye(3).reshape((3, 3) + (1,) * wc.ndim), raw)

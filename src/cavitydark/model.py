@@ -184,19 +184,26 @@ def single_excitation_indices(model):
     return [2 ** (n - 1 - i) for i in range(n)] + [2**n]
 
 
+def _arrowhead(omega_c, omegas, gs):
+    """Real arrowhead blocks [[diag(omegas), gs], [gs^T, omega_c]] for arrays
+    omegas and gs (..., n) that broadcast with omega_c to a batch shape.
+    Entries off the arrow are +0 (a -0 changes eigh's last bits)."""
+    n = omegas.shape[-1]
+    # each block flat in row-major order: the diagonal is every (n + 2)-th
+    # entry, the last column every (n + 1)-th from n, the last row the tail
+    H = np.zeros(np.broadcast(omega_c, omegas[..., 0], gs[..., 0]).shape + ((n + 1) ** 2,))
+    H[..., : n * (n + 2) : n + 2] = omegas
+    H[..., n : n * (n + 1) : n + 1] = H[..., n * (n + 1) : -1] = gs
+    H[..., -1] = omega_c
+    return H.reshape(H.shape[:-1] + (n + 1, n + 1))
+
+
 def single_excitation_block(model):
     """Restriction of the RWA Hamiltonian to the one-excitation subspace,
     basis ordered (atom 1 excited, ..., atom n excited, one photon)."""
     if not model.rwa:
         raise ValueError("block structure invalid without RWA")
-    n = model.n_atoms
-    H = np.zeros((n + 1, n + 1))
-    for i, atom in enumerate(model.atoms):
-        H[i, i] = atom.omega
-        H[i, n] = atom.g
-        H[n, i] = atom.g
-    H[n, n] = model.omega_c
-    return H.astype(complex)
+    return _arrowhead(model.omega_c, model.omegas(), model.couplings()).astype(complex)
 
 
 def excitation_number_operator(model):

@@ -135,14 +135,10 @@ def _amplitude_terms(cfg, ds, dg):
     """Eigenfrequencies beta_k and real weights c_k = <dark|v_k><v_k|photon>
     of the shifted block, lambda(t) = sum_k c_k exp(-i beta_k t), for a batch
     of shifts: ds and dg broadcast to a shape S, both results are S + (3,)."""
-    ds, dg = np.broadcast_arrays(ds, dg)
-    H = np.zeros(ds.shape + (3, 3))
-    H[..., 0, 0] = cfg.omega_a + ds
-    H[..., 1, 1] = cfg.omega_a
-    H[..., 2, 2] = cfg.omega_c
-    H[..., 0, 2] = H[..., 2, 0] = cfg.g1 + dg
-    H[..., 1, 2] = H[..., 2, 1] = cfg.g2
-    betas, V = np.linalg.eigh(H)
+    atom1 = np.array([1.0, 0.0])  # the field shifts atom 1 only
+    omegas = cfg.omega_a + np.multiply.outer(ds, atom1)
+    gs = np.array([cfg.g1, cfg.g2]) + np.multiply.outer(dg, atom1)
+    betas, V = np.linalg.eigh(_model._arrowhead(cfg.omega_c, omegas, gs))
     dark = with_photon_amplitude(dark_state_degenerate(cfg.g1, cfg.g2)).real
     return betas, (dark @ V) * V[..., 2, :]
 
@@ -202,8 +198,9 @@ def _golden_max(f, lo, hi, xtol):
 
 def _sweep_row(betas, coef, ts):
     """Grid argmax index (the lowest on ties) and maximum of p over the
-    times ts, for every point of a batch of amplitude terms (shape S + (3,)):
-    what np.argmax of the full grid of p gives, from a few evaluations.
+    times ts, for every point of a batch of amplitude terms (shape S + (3,)),
+    what np.argmax of the full grid of p gives, from a few evaluations; and
+    a bound on p over all of [ts[0], ts[-1]].
 
     Lipschitz branch-and-bound (Piyavskii 1972; Shubert 1972) on index
     ranges of ts, bisected in rounds over the whole batch at once.
@@ -219,7 +216,9 @@ def _sweep_row(betas, coef, ts):
     plus delta is strictly below the best grid value found, so every grid
     point that could reach or tie the maximum is evaluated.  _p_of_times
     rounds a point the same in any batch, so the values are those of the
-    full grid."""
+    full grid.  A range is dropped so or split to one grid step, so the
+    larger of the grid maximum and the bound squared plus delta over the
+    one-step ranges bounds p computed anywhere in [ts[0], ts[-1]]."""
     shape = betas.shape[:-1]
     betas, coef = betas.reshape(-1, 3), coef.reshape(-1, 3)
     n, last = len(betas), len(ts) - 1
@@ -231,6 +230,7 @@ def _sweep_row(betas, coef, ts):
     edges = np.append(np.arange(0, last, -(-last // max(1, last // n))), last)
     p_edges = _p_of_times(betas, coef, ts[edges])
     best, arg = p_edges.max(axis=-1), edges[np.argmax(p_edges, axis=-1)]
+    sup = np.zeros(n)
     # open ranges (a, b) of point pt, with p known at both ends.  Rounds
     # split at most `cap` ranges, the newest first, and the rest wait, so the
     # working set stays near cap log2(T) ranges even where nothing is pruned
@@ -243,8 +243,10 @@ def _sweep_row(betas, coef, ts):
         pt, a, b, pa, pb = todo.pop()
         slack = delta[pt]
         bound = (np.sqrt(pa + slack) + np.sqrt(pb + slack) + lipschitz[pt] * (ts[b] - ts[a])) / 2
-        bound = np.minimum(bound, lam_max[pt])
-        keep = (b - a > 1) & (bound * bound + slack >= best[pt])
+        reach = np.minimum(bound, lam_max[pt]) ** 2 + slack
+        step = b - a == 1
+        np.maximum.at(sup, pt[step], reach[step])
+        keep = ~step & (reach >= best[pt])
         pt, a, b, pa, pb = (x[keep] for x in (pt, a, b, pa, pb))
         if len(pt) > cap:
             todo.append(tuple(x[cap:] for x in (pt, a, b, pa, pb)))
@@ -261,7 +263,7 @@ def _sweep_row(betas, coef, ts):
         best = top
         todo.append((np.concatenate([pt, pt]), np.concatenate([a, m]), np.concatenate([m, b]),
                      np.concatenate([pa, pm]), np.concatenate([pm, pb])))
-    return arg.reshape(shape), best.reshape(shape)
+    return arg.reshape(shape), best.reshape(shape), np.maximum(sup, best).reshape(shape)
 
 
 def _maxima(cfg, ds_values, dg_values):
@@ -282,7 +284,7 @@ def _maxima(cfg, ds_values, dg_values):
     for start in range(0, len(ds_values), rows):
         chunk = slice(start, start + rows)
         betas, coef = _amplitude_terms(cfg, ds_values[chunk, None], dg_values)
-        i, p_grid = _sweep_row(betas, coef, ts)
+        i, p_grid, _ = _sweep_row(betas, coef, ts)
         lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, len(ts) - 1)]
         t_ref, p_ref = _golden_max(lambda t: _p_of_times(betas, coef, t[..., None])[..., 0],
                                    lo, hi, xtol=1e-6 / cfg.omega_c)
@@ -395,26 +397,6 @@ def simulate_cycles(cfg, max_cycles, rng):
     return records
 
 
-def _yield_envelope(cfg, betas, coef):
-    """(bound, exact): bound >= p(delta_t) for every waiting time the
-    config draws, and exact when bound equals p there (fixed delta_t,
-    where the bound is the mean yield).
-
-    For uniform delta_t the bound is the maximum on the t_steps grid over
-    [0, window] plus the Lipschitz margin L h / 2, where h is the grid
-    step and L = 2 sum_{k<l} |c_k c_l (beta_k - beta_l)| bounds |p'|; a
-    slack of a few eps covers the roundoff of the grid values, of the grid
-    points and of every later evaluation of p."""
-    if cfg.delta_t_distribution == DIST_FIXED:
-        return mean_yield(cfg), True
-    k, l = _PAIRS
-    lipschitz = 2 * np.sum(np.abs(coef[k] * coef[l] * (betas[k] - betas[l])))
-    grid_max = _p_of_times(betas, coef, np.linspace(0.0, cfg.window, cfg.t_steps)).max()
-    margin = lipschitz * cfg.window / (cfg.t_steps - 1) / 2
-    slack = 8 * np.finfo(float).eps * (np.sum(np.abs(coef)) ** 2 + lipschitz * cfg.window)
-    return float(grid_max + margin + slack), False
-
-
 def run_trials(cfg, trials, max_cycles, rng):
     """Many independent trials, vectorized in blocks per trial.
 
@@ -423,15 +405,19 @@ def run_trials(cfg, trials, max_cycles, rng):
     scheduling; the drawing order within a trial matches simulate_cycles
     exactly, in blocks of ceil(1 / mean_yield) cycles (_block_size).  A
     cycle can only succeed when its uniform u < p(delta_t) <= bound
-    (thinning with an envelope, Lewis & Shedler 1979), so p is evaluated
-    only at the few draws under the bound, and the records are those of
-    evaluating it at every draw.
+    (thinning with an envelope, Lewis & Shedler 1979; the bound is p itself
+    at a fixed delta_t, else _sweep_row's over the window), so p is
+    evaluated only at the few draws under the bound, and the records are
+    those of evaluating it at every draw.
     """
     trials = _count(trials, "trials", 32)
     max_cycles = _count(max_cycles, "max_cycles", 64)
     betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
-    bound, exact = _yield_envelope(cfg, betas, coef)
-    size = _block_size(bound if exact else mean_yield(cfg))
+    p_bar = mean_yield(cfg)
+    exact = cfg.delta_t_distribution == DIST_FIXED
+    ts = np.linspace(0.0, cfg.window, cfg.t_steps)
+    bound = p_bar if exact else float(_sweep_row(betas, coef, ts)[2])
+    size = _block_size(p_bar)
     out = []
     for idx, gen in enumerate(rng.child_generators(trials)):
         used = 0

@@ -205,6 +205,19 @@ def test_spectrum_far_from_unit_scale(scale, model_file):
         assert analytic == pytest.approx(numeric, rel=1e-12, abs=0.0)
 
 
+def test_spectrum_of_a_root_on_its_pole_raises_no_warning(model_file):
+    # at g1 = 1e-170 atom 1's root is its pole in float, where the resolvent
+    # vector (g1 / (x - w1), ...) would divide by zero and print nan
+    text = two_atom_text(1.0, [0.5, 1.5], [1e-170, 0.1])
+    run = run_python("-W", "error", "-m", "cavitydark.cli", "spectrum",
+                     "--model", model_file(text))
+    assert run.returncode == 0 and "Warning" not in run.stderr, run.stderr
+    lines = run.stdout.splitlines()
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:4]]
+    assert rows[0][header.index("analytic_re0"):] == ["1", "0", "0", "0", "0", "0", "0"]
+    assert all(float(row[header.index("discrepancy")]) <= 1e-15 for row in rows)
+
+
 def test_spectrum_of_eight_equal_atoms_solves_each_excitation_sector(model_file, tmp_path):
     out = tmp_path / "spectrum.csv"
     assert cli.main(["spectrum", "--model", model_file(equal_atoms(8)), "--out", str(out)]) == 0

@@ -173,12 +173,15 @@ def test_shifted_spectrum_has_no_dark_vector():
 
 
 @pytest.mark.parametrize(
-    "g1, g2", [(0.01, 0.0), (1e-9, 0.005), (0.0, 0.005)], ids=["g2=0", "g1=1e-9", "g1=0"]
+    "g1, g2",
+    [(0.01, 0.0), (1e-9, 0.005), (0.0, 0.005), (1e-170, 0.005)],
+    ids=["g2=0", "g1=1e-9", "g1=0", "g1=1e-170"],
 )
 def test_small_and_zero_couplings_match_eigh(g1, g2):
     # g = 0 decouples an atom, whose eigenvector is then e_i (deflation);
     # at g1 = 1e-9 the root sits 5e-17 from its pole, below the pole's ulp,
-    # so x - w1 is only resolved relative to the pole
+    # so x - w1 is only resolved relative to the pole; at g1 = 1e-170 the
+    # offset is below the least subnormal, so the root is its pole in float
     wc, w1, w2 = 1.0, 0.98, 1.03
     sp = analytic_spectrum(wc, w1, w2, g1, g2)
     numeric = herm_eig(single_excitation_block(block_model(w1, w2, g1, g2, wc)))
@@ -188,6 +191,16 @@ def test_small_and_zero_couplings_match_eigh(g1, g2):
         if g == 0.0:
             (k,) = np.flatnonzero(sp.eigenvalues == (w1, w2)[i])
             assert np.array_equal(sp.eigenvectors[:, k], np.eye(3)[i])
+
+
+def test_an_equal_pair_on_its_pole_gets_its_bright_vector():
+    # couplings so small that the outer root is the pair's pole in float:
+    # its vector is the bright (g1, g2, 0)/G beside the dark one, not g / 0
+    sp = analytic_spectrum(1.0, 0.5, 0.5, 1e-170, 3e-170)
+    assert np.array_equal(sp.eigenvalues, [0.5, 0.5, 1.0])
+    bright = np.array([1.0, 3.0, 0.0]) / np.sqrt(10.0)
+    np.testing.assert_allclose(sp.eigenvectors[:, 0], bright, rtol=0, atol=1e-16)
+    np.testing.assert_allclose(sp.eigenvectors.T @ sp.eigenvectors, np.eye(3), rtol=0, atol=1e-15)
 
 
 def test_near_degenerate_splits_are_solved_not_snapped():

@@ -395,7 +395,7 @@ GRID_ARGMAX_CASES = grid_argmax_cases()
 def test_grid_search_is_the_argmax_of_the_full_grid(cfg, ds, dg):
     betas, coef = protocol._amplitude_terms(cfg, ds[:, None], dg)
     grid = protocol._p_of_times(betas, coef, np.linspace(0.0, cfg.window, cfg.t_steps))
-    i, p = protocol._sweep_row(betas, coef, np.linspace(0.0, cfg.window, cfg.t_steps))
+    i, p, _ = protocol._sweep_row(betas, coef, np.linspace(0.0, cfg.window, cfg.t_steps))
     assert np.array_equal(i, np.argmax(grid, axis=-1))
     assert np.array_equal(p, grid.max(axis=-1))
 
@@ -418,7 +418,7 @@ def test_grid_search_working_set_stays_bounded_where_nothing_prunes(monkeypatch)
         return p
 
     monkeypatch.setattr(protocol, "_p_of_times", counted_p)
-    i, p = protocol._sweep_row(betas, coef, ts)
+    i, p, _ = protocol._sweep_row(betas, coef, ts)
     assert sum(calls) == grid.size and max(calls) <= 600
     assert np.array_equal(i, np.argmax(grid, axis=-1)) and np.array_equal(p, grid.max(axis=-1))
 
@@ -446,7 +446,7 @@ TIED_TERMS = tied_terms()
 def test_grid_search_takes_the_lowest_index_of_exact_ties(betas, coef, ts):
     grid = protocol._p_of_times(betas, coef, ts)
     assert np.any(np.count_nonzero(grid == grid.max(axis=-1, keepdims=True), axis=-1) > 1)
-    i, p = protocol._sweep_row(betas, coef, ts)
+    i, p, _ = protocol._sweep_row(betas, coef, ts)
     assert np.array_equal(i, np.argmax(grid, axis=-1))
     assert np.array_equal(p, grid.max(axis=-1))
 
@@ -552,6 +552,8 @@ FIXED_AT_T_STAR = replace(
 )
 
 
+# the maximum lies between the two grid points: p is 3.8e-3 at both, 8.2e-2 at t*
+COARSE_GRID = replace(GENERIC, t_max=300.0, t_steps=2)
 ENVELOPE_CONFIGS = [
     GENERIC,  # default one-period window
     replace(GENERIC, t_max=500.0),
@@ -559,14 +561,15 @@ ENVELOPE_CONFIGS = [
     ZSJumpConfig(),  # null shift: p is roundoff
     ZSJumpConfig(g1=0.3, g2=0.2, ds=0.2, dg=0.1),  # large couplings
     ZSJumpConfig(omega_c=2.0, omega_a=1.5, ds=0.05, dg=0.02, t_steps=17),
+    COARSE_GRID,
 ]
 
 
 @pytest.mark.parametrize("cfg", ENVELOPE_CONFIGS)
 def test_yield_envelope_bounds_the_yield(cfg):
+    # run_trials' envelope at a uniform delta_t: _sweep_row's bound over the window
     betas, coef = protocol._amplitude_terms(cfg, cfg.ds, cfg.dg)
-    bound, exact = protocol._yield_envelope(cfg, betas, coef)
-    assert not exact
+    _, _, bound = protocol._sweep_row(betas, coef, np.linspace(0.0, cfg.window, cfg.t_steps))
     dense = np.linspace(0.0, cfg.window, 200001)
     # against the kernel itself, which the filter compares u with
     assert bound >= protocol._p_of_times(betas, coef, dense).max()
@@ -576,12 +579,13 @@ def test_yield_envelope_bounds_the_yield(cfg):
 
 
 def test_yield_envelope_is_tight_and_exact_at_fixed_delta_t():
-    _, p_star = pds_max(GENERIC)
+    t_star, p_star = pds_max(GENERIC)
     betas, coef = protocol._amplitude_terms(GENERIC, GENERIC.ds, GENERIC.dg)
-    bound, exact = protocol._yield_envelope(GENERIC, betas, coef)
+    ts = np.linspace(0.0, GENERIC.window, GENERIC.t_steps)
+    _, _, bound = protocol._sweep_row(betas, coef, ts)
     assert p_star <= bound <= 1.01 * p_star
-    at_t_star = protocol._yield_envelope(FIXED_AT_T_STAR, betas, coef)
-    assert at_t_star == (mean_yield(FIXED_AT_T_STAR), True)
+    # at a fixed delta_t the envelope is the mean yield: p there, exactly
+    assert mean_yield(FIXED_AT_T_STAR) == protocol._p_of_times(betas, coef, [t_star])[0]
 
 
 def every_draw_replay(cfg, child, max_cycles):
@@ -600,17 +604,25 @@ def every_draw_replay(cfg, child, max_cycles):
     return (int(hits[0]) + 1, OUTCOME_SUCCESS) if hits.size else (max_cycles, OUTCOME_EXHAUSTED)
 
 
-@pytest.mark.parametrize("cfg", [GENERIC, FIXED_AT_T_STAR], ids=["uniform", "fixed"])
-def test_run_trials_equals_an_every_draw_replay(cfg):
+@pytest.mark.parametrize(
+    "cfg, outcomes",
+    [(GENERIC, {OUTCOME_SUCCESS, OUTCOME_EXHAUSTED}),
+     (FIXED_AT_T_STAR, {OUTCOME_SUCCESS, OUTCOME_EXHAUSTED}),
+     (COARSE_GRID, {OUTCOME_SUCCESS})],
+    ids=["uniform", "fixed", "coarse-grid"],
+)
+def test_run_trials_equals_an_every_draw_replay(cfg, outcomes):
     # default window: successes are rare, so the envelope drops almost
     # every draw; 5000 cycles end in a partial block (4096 + 904 draws at
-    # uniform delta_t, 2589 + 2411 at fixed)
+    # uniform delta_t, 2589 + 2411 at fixed).  On the coarse grid p peaks
+    # between the grid points, so an envelope of grid values alone would
+    # drop draws that succeed
     parent, n_trials, max_cycles = RandomSource(31), 200, 5000
     trials = run_trials(cfg, trials=n_trials, max_cycles=max_cycles, rng=parent)
     children = parent.spawn(n_trials)
     expected = [every_draw_replay(cfg, child, max_cycles) for child in children]
     assert [(t.cycles_used, t.outcome) for t in trials] == expected
-    assert {o for _, o in expected} == {OUTCOME_SUCCESS, OUTCOME_EXHAUSTED}
+    assert {o for _, o in expected} == outcomes
     # the replay draws what simulate_cycles draws
     for child, (n, outcome) in zip(children, expected):
         records = simulate_cycles(cfg, max_cycles=max_cycles, rng=child)

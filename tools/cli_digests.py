@@ -36,11 +36,13 @@ MODELS = {  # name -> (omega_c, omegas, gs, extra lines)
 # invocations that must fail with a one-line input error and exit 1
 INPUT_ERRORS = {"dark-find:single_excitation:nonrwa3"}  # no one-excitation block without RWA
 SPECTRUM_MODELS = {  # two-atom blocks far from unit scale, an uncoupled double root,
-    # and a split below DEGENERACY_RTOL, which is solved as it is
+    # a split below DEGENERACY_RTOL, which is solved as it is, and a coupling
+    # so small that its root is its pole in float
     "tiny2": (1e-200, [1e-200, 1.01e-200], [1e-202, 7e-203], []),
     "huge2": (1e150, [1e150, 1.01e150], [1e148, 7e147], []),
     "double-root2": (1.0, [1.0, 0.99], [0.0, 0.0], []),
     "near-degenerate2": (1.0, [1.0, 1.0 + 5e-10], [0.01, 0.005], []),
+    "tiny-coupling2": (1.0, [0.5, 1.5], [1e-170, 0.1], []),
 }
 
 
@@ -75,7 +77,13 @@ def invocations(workdir):
     # a frequency scale where the yield grid's bound once overflowed
     yield "sweep:tiny-scale", ["sweep", "--set", "omega_c=1e-300", "--set", "omega_a=1e-300",
                                "--set", "g1=1e-302", "--set", "g2=1e-302"]
-    yield "protocol", ["protocol", "--seed", "3", "--trials", "200"]
+    protocol = ["protocol", "--seed", "3", "--trials", "200"]
+    yield "protocol", protocol
+    # the reference preset has no shift, so every trial is exhausted; these succeed,
+    # and on a two-point grid the yield peaks between the grid points
+    shifted = [*protocol, "--set", "ds=0.01", "--set", "dg=0.007"]
+    yield "protocol:shifted", shifted
+    yield "protocol:coarse-grid", [*shifted, "--t-max", "300", "--t-steps", "2"]
 
 
 def digest(data):
