@@ -63,8 +63,8 @@ class ZSJumpConfig:
         # the kernel builds the shifted block itself, so the models it
         # stands for must be valid
         self.shifted_model()
-        if self.t_max is not None and not (self.t_max > 0):
-            raise ValueError("t_max must be positive")
+        if self.t_max is not None and not (0 < self.t_max < math.inf):
+            raise ValueError("t_max must be a positive finite time")
         if _num._bounded_int(self.t_steps, "t_steps", 64) < 2:
             raise ValueError("t_steps must be at least 2")
         if self.delta_t_distribution not in (DIST_UNIFORM, DIST_FIXED):
@@ -177,12 +177,13 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 def _golden_max(f, lo, hi, xtol):
     """Golden-section maxima of f on the brackets [lo, hi], elementwise:
     f maps an array of points to an array of values, and a bracket stops
-    shrinking once it is narrower than xtol."""
+    shrinking once it is narrower than xtol or than four ulps of its ends
+    (at large times xtol can be below the float spacing)."""
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while np.any(active := b - a > xtol):
+    while np.any(active := b - a > np.maximum(xtol, 4 * np.spacing(np.abs(b)))):
         left = active & (fc >= fd)  # the maximum lies in [a, d]
         right = active & ~left
         a, b = np.where(right, c, a), np.where(left, d, b)
@@ -339,9 +340,8 @@ def sweep(cfg, ds_range=(0.0, 0.01), dg_range=(0.0, 0.007), resolution=50):
 
 
 def _draw_block(gen, cfg, size):
-    """Per-cycle (delta_t, uniform) draws in simulate_cycles' order: one
-    (delta_t, u) pair per cycle, or u alone at a fixed delta_t, where the
-    delta_t returned is None."""
+    """Per-cycle (delta_t, uniform) draws: one (delta_t, u) pair per cycle,
+    or u alone at a fixed delta_t, where the delta_t returned is None."""
     if cfg.delta_t_distribution == DIST_FIXED:
         return None, gen.random(size)
     raw = gen.random(2 * size)
@@ -364,62 +364,21 @@ def _count(value, name, bits):
     return int(value)
 
 
-def simulate_cycles(cfg, max_cycles, rng):
-    """One repeat-until-success trial, one record per cycle.
-
-    Each cycle waits a random delta_t, jumps, and models the photon drain
-    as an ideal projective measurement: success with probability
-    p = |lambda(delta_t)|^2 ends the trial, otherwise the photon reaches
-    the detector and the cavity is re-pumped.  Cycles are drawn and
-    evaluated a block at a time (_block_size); the records stop at the
-    first success.
-    """
-    max_cycles = _count(max_cycles, "max_cycles", 64)
-    gen = rng.generator()
-    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
-    size = _block_size(mean_yield(cfg))
-    records = []
-    while len(records) < max_cycles:
-        dts, us = _draw_block(gen, cfg, min(size, max_cycles - len(records)))
-        if dts is None:
-            dts = np.full(len(us), float(cfg.delta_t_fixed))
-        ps = _p_of_times(betas, coef, dts)
-        hits = (us < ps).nonzero()[0]
-        end = int(hits[0]) + 1 if hits.size else len(us)
-        outcomes = [OUTCOME_PHOTON] * end
-        if hits.size:
-            outcomes[-1] = OUTCOME_SUCCESS
-        k = len(records) + 1
-        records += map(CycleRecord, range(k, k + end), dts[:end].tolist(),
-                       ps[:end].tolist(), outcomes)
-        if hits.size:
-            break
-    return records
-
-
-def run_trials(cfg, trials, max_cycles, rng):
-    """Many independent trials, vectorized in blocks per trial.
-
-    Trial j draws what rng.spawn(trials)[j] draws (rng.child_generators),
-    so results are reproducible and independent of any parallel
-    scheduling; the drawing order within a trial matches simulate_cycles
-    exactly, in blocks of ceil(1 / mean_yield) cycles (_block_size).  A
-    cycle can only succeed when its uniform u < p(delta_t) <= bound
-    (thinning with an envelope, Lewis & Shedler 1979; the bound is p itself
-    at a fixed delta_t, else _sweep_row's over the window), so p is
-    evaluated only at the few draws under the bound, and the records are
-    those of evaluating it at every draw.
-    """
-    trials = _count(trials, "trials", 32)
-    max_cycles = _count(max_cycles, "max_cycles", 64)
+def _trials(cfg, generators, max_cycles):
+    """(cycles_used, outcome) of one trial per generator, drawn in blocks
+    of ceil(1 / mean_yield) cycles (_block_size).  A cycle can only succeed
+    when its uniform u < p(delta_t) <= bound (thinning with an envelope,
+    Lewis & Shedler 1979; the bound is p itself at a fixed delta_t, else
+    _sweep_row's over the window), so p is evaluated only at the few draws
+    under the bound, and the results are those of evaluating it at every
+    draw."""
     betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
     p_bar = mean_yield(cfg)
     exact = cfg.delta_t_distribution == DIST_FIXED
     ts = np.linspace(0.0, cfg.window, cfg.t_steps)
     bound = p_bar if exact else float(_sweep_row(betas, coef, ts)[2])
     size = _block_size(p_bar)
-    out = []
-    for idx, gen in enumerate(rng.child_generators(trials)):
+    for gen in generators:
         used = 0
         outcome = OUTCOME_EXHAUSTED
         while used < max_cycles:
@@ -433,8 +392,45 @@ def run_trials(cfg, trials, max_cycles, rng):
                 outcome = OUTCOME_SUCCESS
                 break
             used += block
-        out.append(TrialRecord(idx, used, outcome))
-    return out
+        yield used, outcome
+
+
+def simulate_cycles(cfg, max_cycles, rng):
+    """One repeat-until-success trial, one record per cycle.
+
+    Each cycle waits a random delta_t, jumps, and models the photon drain
+    as an ideal projective measurement: success with probability
+    p = |lambda(delta_t)|^2 ends the trial, otherwise the photon reaches
+    the detector and the cavity is re-pumped.  The trial runs through
+    run_trials' loop (_trials) on rng.generator(); its cycles are then
+    drawn again from a second rng.generator(), the same numbers in one
+    block, and p is evaluated at each.  The records stop at the first
+    success.
+    """
+    max_cycles = _count(max_cycles, "max_cycles", 64)
+    ((used, outcome),) = _trials(cfg, [rng.generator()], max_cycles)
+    dts, _ = _draw_block(rng.generator(), cfg, used)
+    if dts is None:
+        dts = np.full(used, float(cfg.delta_t_fixed))
+    ps = _p_of_times(*_amplitude_terms(cfg, cfg.ds, cfg.dg), dts)
+    outcomes = [OUTCOME_PHOTON] * used
+    if outcome == OUTCOME_SUCCESS:
+        outcomes[-1] = OUTCOME_SUCCESS
+    return list(map(CycleRecord, range(1, used + 1), dts.tolist(), ps.tolist(), outcomes))
+
+
+def run_trials(cfg, trials, max_cycles, rng):
+    """Many independent trials, vectorized in blocks per trial (_trials).
+
+    Trial j draws what rng.spawn(trials)[j] draws (rng.child_generators),
+    so results are reproducible and independent of any parallel
+    scheduling, and simulate_cycles(cfg, max_cycles, rng.spawn(trials)[j])
+    lists the cycles of trial j.
+    """
+    trials = _count(trials, "trials", 32)
+    max_cycles = _count(max_cycles, "max_cycles", 64)
+    runs = _trials(cfg, rng.child_generators(trials), max_cycles)
+    return [TrialRecord(idx, used, outcome) for idx, (used, outcome) in enumerate(runs)]
 
 
 def success_after_k(p, k):

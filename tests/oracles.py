@@ -4,6 +4,8 @@ These stay deliberately separate from the package internals so the tests
 cross-check two different computational routes.
 """
 
+import math
+
 import numpy as np
 
 from cavitydark.darkstates import analytic_spectrum
@@ -42,24 +44,32 @@ def equal_frequency_spectrum(wc, wa, g1, g2):
     """The closed form of the two-atom block at equal atomic frequencies
     wa, as (ascending eigenvalues, unit eigenvector columns, phase-fixed).
 
-    The dark vector (-g2, g1, 0)/G sits at wa and the polaritons at
-    (wc + wa -/+ S)/2 with S = sqrt(4 G^2 + d^2), d = wc - wa, with the
-    vectors (-2 g_i / (S - d), 1) and (2 g_i / (S + d), 1).  Uncoupled
-    (G = 0), the block is its own eigensystem."""
-    d, G2 = wc - wa, g1 * g1 + g2 * g2
-    if G2 == 0.0:
+    With G = hypot(g1, g2), d = wc - wa and S = sqrt(4 G^2 + d^2), the
+    polaritons sit at wa - (S - d)/2 < wa < wa + (S + d)/2, around the dark
+    vector (-g2, g1, 0)/G at wa, with the vectors (2 g_i, -(S - d)) and
+    (2 g_i, S + d).  Of S - d and S + d the one that would cancel is taken
+    as 4 G^2 over the other, and G^2 is never formed, so couplings whose
+    squares underflow keep their vectors.  Uncoupled (G = 0), the block is
+    its own eigensystem."""
+    d, G = wc - wa, math.hypot(g1, g2)
+    if G == 0.0:
         values, vectors = np.array([wa, wa, wc]), np.eye(3)
+        order = np.argsort(values, kind="stable")
+        values, vectors = values[order], vectors[:, order]
     else:
-        S = np.sqrt(4 * G2 + d * d)
-        values = np.array([wa, (wc + wa - S) / 2, (wc + wa + S) / 2])
+        S = math.hypot(2 * G, d)
+        big = S + abs(d)
+        small = 2 * G * (2 * G / big)
+        minus, plus = (small, big) if d >= 0 else (big, small)  # S - d, S + d
+        values = np.array([wa - minus / 2, wa, wa + plus / 2])
         vectors = np.array([
-            [-g2, -2 * g1 / (S - d), 2 * g1 / (S + d)],
-            [g1, -2 * g2 / (S - d), 2 * g2 / (S + d)],
-            [0.0, 1.0, 1.0],
+            [2 * g1, -g2, 2 * g1],
+            [2 * g2, g1, 2 * g2],
+            [-minus, 0.0, plus],
         ])
-    order = np.argsort(values, kind="stable")
-    vectors = np.column_stack([fix_phase(v / np.linalg.norm(v)) for v in vectors.T[order]])
-    return values[order], vectors
+    columns = [v / np.abs(v).max() for v in vectors.T]
+    vectors = np.column_stack([fix_phase(v / np.linalg.norm(v)) for v in columns])
+    return values, vectors
 
 
 def random_hermitian(gen, dim, scale=1.0):

@@ -300,6 +300,16 @@ def test_sweep_at_tiny_frequency_scale_raises_no_warning():
     assert run.stdout.startswith("ds,dg,p_max,t_star\n")
 
 
+@pytest.mark.parametrize("command", ["sweep", "protocol"])
+def test_an_infinite_window_is_a_one_line_error(command):
+    # sweep printed nan for every point and exited 0; protocol warned and
+    # then failed on "probability out of range: nan"
+    run = run_python("-W", "error", "-m", "cavitydark.cli", command, "--t-max", "inf",
+                     "--out", os.devnull)
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == ["cavitydark: error: t_max must be a positive finite time"]
+
+
 def test_sweep_deterministic_and_roundtrip(tmp_path, capsys):
     args = ["sweep", "--ds-range", "0:0.01:4", "--dg-range", "0:0.007:3"]
     out1, out2 = str(tmp_path / "s1.csv"), str(tmp_path / "s2.csv")

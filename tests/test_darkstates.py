@@ -218,8 +218,9 @@ def test_near_degenerate_splits_are_solved_not_snapped():
 @pytest.mark.parametrize(
     "block",
     [(1.0, 1.0, 0.01, 0.005), (1.0, 0.99, 0.01, 0.005), (1.0, 1.02, 0.007, 0.0),
-     (1.0, 0.97, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0)],
-    ids=["resonant", "detuned", "one-coupling", "decoupled", "decoupled-resonant"],
+     (1.0, 0.97, 0.0, 0.0), (1.0, 1.0, 0.0, 0.0), (1.0, 0.5, 1e-170, 3e-170)],
+    ids=["resonant", "detuned", "one-coupling", "decoupled", "decoupled-resonant",
+         "underflowing-couplings"],
 )
 def test_equal_frequencies_match_the_closed_form(block):
     # the paper's closed form: the dark vector at omega_a between the two

@@ -156,10 +156,12 @@ def test_evolve_dimension_mismatch():
         evolve(spec, np.zeros(4), 1.0)
 
 
-# The roots of the two-atom block's characteristic cubic, which
-# darkstates.analytic_spectrum finds from the secular equation of the
-# block (omega_c, omega_1, omega_2, g1, g2).  The scalar oracle of the
-# "pinned" tests is the same solver on one block at a time.
+# darkstates.analytic_spectrum on the two-atom block (omega_c, omega_1,
+# omega_2, g1, g2): its eigenvalues are the roots of the characteristic
+# cubic, found from the block's secular equation; no cubic is solved.  The
+# test_cubic_roots_* names are those of the cubic solver these tests first
+# pinned.  The scalar oracle of the "pinned" tests is the same solver on one
+# block at a time.
 
 
 def _block(wc, w1, w2, g1, g2):

@@ -9,8 +9,9 @@ of stderr and of the --out file ("-" when none was written), and the
 exit code.  Diffing the output of two checkouts shows whether a change
 keeps every CLI byte.  The script exits 1, after printing every line,
 when an invocation exits with another code than expected (0, or 1 for
-the input errors in INPUT_ERRORS) or writes "Traceback" or "Warning" to
-stderr.
+the input errors in INPUT_ERRORS), writes "Traceback" or "Warning" to
+stderr, or runs longer than TIMEOUT seconds (its line then reads
+"timeout").
 """
 
 import hashlib
@@ -22,6 +23,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MAIN = "import sys; from cavitydark.cli import main; sys.exit(main())"
+TIMEOUT = 120  # seconds per invocation; the slowest takes a few
 
 DISTINCT = [1.0 + 0.013 * k * (-1) ** k for k in range(8)]
 MODELS = {  # name -> (omega_c, omegas, gs, extra lines)
@@ -34,7 +36,10 @@ MODELS = {  # name -> (omega_c, omegas, gs, extra lines)
     "nonrwa3": (1.0, [0.9, 1.0, 1.1], [0.05, 0.03, 0.04], ["rwa = false", "photon_cutoff = 2"]),
 }
 # invocations that must fail with a one-line input error and exit 1
-INPUT_ERRORS = {"dark-find:single_excitation:nonrwa3"}  # no one-excitation block without RWA
+INPUT_ERRORS = {
+    "dark-find:single_excitation:nonrwa3",  # no one-excitation block without RWA
+    "sweep:infinite-window",
+}
 SPECTRUM_MODELS = {  # two-atom blocks far from unit scale, an uncoupled double root,
     # a split below DEGENERACY_RTOL, which is solved as it is, and a coupling
     # so small that its root is its pole in float
@@ -77,6 +82,10 @@ def invocations(workdir):
     # a frequency scale where the yield grid's bound once overflowed
     yield "sweep:tiny-scale", ["sweep", "--set", "omega_c=1e-300", "--set", "omega_a=1e-300",
                                "--set", "g1=1e-302", "--set", "g2=1e-302"]
+    # golden brackets at t ~ 1e12, where 1e-6 is below the float spacing
+    yield "sweep:huge-window", ["sweep", "--t-max", "1e12", "--ds-range", "0.01:0.01:1",
+                                "--dg-range", "0.007:0.007:1"]
+    yield "sweep:infinite-window", ["sweep", "--t-max", "inf"]
     protocol = ["protocol", "--seed", "3", "--trials", "200"]
     yield "protocol", protocol
     # the reference preset has no shift, so every trial is exhausted; these succeed,
@@ -92,16 +101,21 @@ def digest(data):
 
 def main():
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("CAVITYDARK_WORKERS", None)
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for label, args in invocations(workdir):
             out = workdir / "out"
-            run = subprocess.run(
-                [sys.executable, "-c", MAIN, *args, "--out", str(out)],
-                env=env, cwd=tmp, capture_output=True,
-            )
+            try:
+                run = subprocess.run(
+                    [sys.executable, "-c", MAIN, *args, "--out", str(out)],
+                    env=env, cwd=tmp, capture_output=True, timeout=TIMEOUT,
+                )
+            except subprocess.TimeoutExpired:
+                out.unlink(missing_ok=True)
+                print(label, "timeout")
+                failed.append(label)
+                continue
             written = digest(out.read_bytes()) if out.exists() else "-"
             out.unlink(missing_ok=True)
             print(label, digest(run.stdout), digest(run.stderr), written, run.returncode)
@@ -109,7 +123,7 @@ def main():
             if run.returncode != (1 if label in INPUT_ERRORS else 0) or warned:
                 failed.append(label)
     if failed:
-        print(f"unexpected exit code or warning: {', '.join(failed)}", file=sys.stderr)
+        print(f"unexpected exit code, warning or timeout: {', '.join(failed)}", file=sys.stderr)
         return 1
     return 0
 
