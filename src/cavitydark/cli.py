@@ -9,7 +9,6 @@ and identical configuration plus seed reproduces output byte for byte.
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -44,64 +43,46 @@ def _positive_float(text):
 
 
 def _parse_range(text, name):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise UsageError(f"{name}: expected low:high:count, got {text!r}")
+    """((low, high), count) of a low:high:count flag; sweep checks the values."""
     try:
-        low, high, count = float(parts[0]), float(parts[1]), int(parts[2])
+        low, high, count = text.split(":")
+        return (float(low), float(high)), int(count)
     except ValueError:
-        raise UsageError(f"{name}: could not parse {text!r}") from None
-    if not (np.isfinite(low) and np.isfinite(high)):
-        raise UsageError(f"{name}: bounds must be finite")
-    if count < 1:
-        raise UsageError(f"{name}: count must be at least 1")
-    return low, high, count
+        raise UsageError(f"{name}: expected low:high:count, got {text!r}") from None
 
 
-_OVERRIDE_KEYS = ("omega_c", "omega_a", "g1", "g2", "ds", "dg")
+_MODEL_KEYS = ("omega_c", "omega_a", "g1", "g2")  # --set keys; protocol also takes ds, dg
 
 
-def _apply_overrides(cfg, pairs):
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise UsageError(f"--set expects key=value, got {pair!r}")
-        key, _, value = pair.partition("=")
-        key = key.strip()
-        if key not in _OVERRIDE_KEYS:
-            raise UsageError(
-                f"unknown override key {key!r}; known keys: {', '.join(_OVERRIDE_KEYS)}"
-            )
-        try:
-            num = float(value)
-        except ValueError:
-            raise UsageError(f"override {key}: not a number: {value!r}") from None
-        if not np.isfinite(num):
-            raise UsageError(f"override {key}: value must be finite")
-        cfg = replace(cfg, **{key: num})
-    return cfg
-
-
-def _protocol_config(args):
-    cfg = _proto.ZSJumpConfig.reference_preset()
+def _protocol_config(args, keys):
+    """ZSJumpConfig of the --model base, each --set pair in order (the last value
+    of a key wins), --t-max and --t-steps, checked once, so any order of pairs works."""
+    fields = {}
     if args.model:
         m = _model.load_model(args.model)
         if m.n_atoms != 2 or not m.rwa:
             raise UsageError("protocol configuration needs a two-atom RWA model")
-        w1, w2 = m.atoms[0].omega, m.atoms[1].omega
+        (w1, g1), (w2, g2) = ((a.omega, a.g) for a in m.atoms)
         if w1 != w2:
+            shift = "--set ds=..." if "ds" in keys else "--ds-range"
             raise UsageError(
-                "protocol base model needs equal atomic frequencies; "
-                "apply the shift with --set ds=..."
+                f"protocol base model needs equal atomic frequencies; apply the shift with {shift}"
             )
-        cfg = replace(
-            cfg,
-            omega_c=m.omega_c,
-            omega_a=w1,
-            g1=m.atoms[0].g,
-            g2=m.atoms[1].g,
-        )
-    cfg = _apply_overrides(cfg, args.set)
-    return replace(cfg, t_max=args.t_max, t_steps=args.t_steps)
+        fields = dict(omega_c=m.omega_c, omega_a=w1, g1=g1, g2=g2)
+    for pair in args.set or []:
+        if "=" not in pair:
+            raise UsageError(f"--set expects key=value, got {pair!r}")
+        key, _, value = pair.partition("=")
+        key = key.strip()
+        if key not in keys:
+            raise UsageError(f"unknown override key {key!r}; known keys: {', '.join(keys)}")
+        try:
+            fields[key] = float(value)
+        except ValueError:
+            raise UsageError(f"override {key}: not a number: {value!r}") from None
+        if not np.isfinite(fields[key]):
+            raise UsageError(f"override {key}: value must be finite")
+    return _proto.ZSJumpConfig(**fields, t_max=args.t_max, t_steps=args.t_steps)
 
 
 def _write_output(args, text):
@@ -221,12 +202,10 @@ def run_dark_find(args):
 
 
 def run_sweep(args):
-    cfg = _protocol_config(args)
-    ds_lo, ds_hi, ds_n = _parse_range(args.ds_range, "--ds-range")
-    dg_lo, dg_hi, dg_n = _parse_range(args.dg_range, "--dg-range")
-    result = _proto.sweep(
-        cfg, ds_range=(ds_lo, ds_hi), dg_range=(dg_lo, dg_hi), resolution=(ds_n, dg_n)
-    )
+    cfg = _protocol_config(args, _MODEL_KEYS)  # the shifts come from the ranges
+    ds_range, ds_n = _parse_range(args.ds_range, "--ds-range")
+    dg_range, dg_n = _parse_range(args.dg_range, "--dg-range")
+    result = _proto.sweep(cfg, ds_range, dg_range, resolution=(ds_n, dg_n))
     f_scale = args.physical or 1.0
     t_scale = 1.0 / f_scale
     # row-major in ds
@@ -248,7 +227,7 @@ def run_sweep(args):
 
 
 def run_protocol(args):
-    cfg = _protocol_config(args)
+    cfg = _protocol_config(args, _MODEL_KEYS + ("ds", "dg"))
     rng = _num.RandomSource(args.seed)
     trials = _proto.run_trials(cfg, trials=args.trials, max_cycles=args.max_cycles, rng=rng)
     t_star, p_star = _proto.pds_max(cfg)
@@ -319,7 +298,8 @@ def build_parser():
         "--set": dict(
             action="append",
             metavar="KEY=VALUE",
-            help=f"override a config value ({', '.join(_OVERRIDE_KEYS)})",
+            help=f"override a config value ({', '.join(_MODEL_KEYS)}; also ds, dg on protocol);"
+            " the last value of a key wins",
         ),
         "--t-max": dict(type=float, help="waiting-time window (default: one cavity period)"),
         "--t-steps": dict(

@@ -276,7 +276,7 @@ def parse_model(text):
         photon_cutoff = <int >= 1>       default 1
         dipole        = <float>          only with positional atoms
         volume        = <float>          only with positional atoms
-        atom.<i>.omega = <float>         i = 1..n, contiguous
+        atom.<i>.omega = <float>         i = 1..n, contiguous, no leading 0
         atom.<i>.g     = <float>         coupling, or instead:
         atom.<i>.x     = <float>         position in meters (needs dipole,
                                          volume and an SI omega_c)
@@ -305,13 +305,11 @@ def parse_model(text):
             parts = key.split(".")
             if len(parts) != 3 or parts[2] not in _ATOM_KEYS:
                 raise ModelFormatError(f"unknown key {key!r}", lineno)
-            try:
-                idx = int(parts[1])
-            except ValueError:
-                raise ModelFormatError(f"bad atom index in {key!r}", lineno) from None
-            if idx < 1:
-                raise ModelFormatError(f"atom indices are 1-based, got {idx}", lineno)
-            atoms.setdefault(idx, {})[parts[2]] = (value, lineno)
+            # canonical spelling only: int() reads "01", "+1" and "1_0" as 1 too
+            index = parts[1]
+            if not (index.isascii() and index.isdigit() and index[0] != "0"):
+                raise ModelFormatError(f"bad atom index in {key!r}", lineno)
+            atoms.setdefault(int(index), {})[parts[2]] = (value, lineno)
         elif key in _GLOBAL_KEYS:
             globals_[key] = (value, lineno)
         else:

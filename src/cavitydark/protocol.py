@@ -65,6 +65,8 @@ class ZSJumpConfig:
         self.shifted_model()
         if self.t_max is not None and not (0 < self.t_max < math.inf):
             raise ValueError("t_max must be a positive finite time")
+        if self.window == math.inf:
+            raise ValueError("one cavity period 2 pi / omega_c overflows; give a finite t_max")
         if _num._bounded_int(self.t_steps, "t_steps", 64) < 2:
             raise ValueError("t_steps must be at least 2")
         if self.delta_t_distribution not in (DIST_UNIFORM, DIST_FIXED):
@@ -75,11 +77,6 @@ class ZSJumpConfig:
             raise ValueError("fixed delta_t distribution needs delta_t_fixed")
         if self.delta_t_fixed is not None and not (0 <= self.delta_t_fixed < math.inf):
             raise ValueError("delta_t_fixed must be a nonnegative finite time")
-
-    @classmethod
-    def reference_preset(cls, g1=0.01, **kwargs):
-        """Reference parameter set: g2 slaved to g1/2."""
-        return cls(g1=g1, g2=g1 / 2, **kwargs)
 
     @property
     def window(self):
@@ -149,6 +146,14 @@ def dark_amplitude(cfg, t):
         raise ValueError("switch-off time must be nonnegative")
     betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
     return complex(np.sum(coef * np.exp(-1j * betas * t)))
+
+
+def _check_phases(betas, t):
+    """Raise unless every beat phase (beta_k - beta_l) t' with 0 <= t' <= t is finite."""
+    with np.errstate(over="ignore"):  # eigh sorts betas ascending; inf is caught below
+        spread = float(np.max(betas[..., -1] - betas[..., 0]))
+    if not spread * float(t) < math.inf:
+        raise ValueError(f"beat phase overflows: frequency spread {spread:.6g} times t = {t:.6g}")
 
 
 def _p_of_times(betas, coef, ts):
@@ -285,6 +290,7 @@ def _maxima(cfg, ds_values, dg_values):
     for start in range(0, len(ds_values), rows):
         chunk = slice(start, start + rows)
         betas, coef = _amplitude_terms(cfg, ds_values[chunk, None], dg_values)
+        _check_phases(betas, cfg.window)
         i, p_grid, _ = _sweep_row(betas, coef, ts)
         lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, len(ts) - 1)]
         t_ref, p_ref = _golden_max(lambda t: _p_of_times(betas, coef, t[..., None])[..., 0],
@@ -331,9 +337,9 @@ def sweep(cfg, ds_range=(0.0, 0.01), dg_range=(0.0, 0.007), resolution=50):
     n_ds, n_dg = (_num._bounded_int(n, "resolution", 32) for n in axes)
     if n_ds < 1 or n_dg < 1:
         raise ValueError("resolution must be at least 1 per axis")
-    for low, high in (ds_range, dg_range):
+    for name, (low, high) in (("ds_range", ds_range), ("dg_range", dg_range)):
         if not (0 <= low <= high < math.inf):
-            raise ValueError(f"bad range ({low}, {high}): need finite 0 <= low <= high")
+            raise ValueError(f"bad {name} ({low}, {high}): need finite 0 <= low <= high")
     ds_values = np.linspace(ds_range[0], ds_range[1], n_ds)
     dg_values = np.linspace(dg_range[0], dg_range[1], n_dg)
     return SweepResult(ds_values, dg_values, *_maxima(cfg, ds_values, dg_values))
@@ -373,8 +379,9 @@ def _trials(cfg, generators, max_cycles):
     under the bound, and the results are those of evaluating it at every
     draw."""
     betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
-    p_bar = mean_yield(cfg)
     exact = cfg.delta_t_distribution == DIST_FIXED
+    _check_phases(betas, cfg.delta_t_fixed if exact else cfg.window)
+    p_bar = mean_yield(cfg)
     ts = np.linspace(0.0, cfg.window, cfg.t_steps)
     bound = p_bar if exact else float(_sweep_row(betas, coef, ts)[2])
     size = _block_size(p_bar)

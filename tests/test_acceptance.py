@@ -132,7 +132,7 @@ def test_criterion_4_null_protocol():
 def reference_sweep():
     start = time.monotonic()
     result = sweep(
-        ZSJumpConfig.reference_preset(g1=0.01),
+        ZSJumpConfig(g1=0.01, g2=0.005),
         ds_range=(0.0, 0.01),
         dg_range=(0.0, 0.007),
         resolution=50,

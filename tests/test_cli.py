@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 import weakref
 from pathlib import Path
 
@@ -356,14 +357,100 @@ def test_sweep_bad_range_usage_error(capsys):
     assert "low:high:count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--ds-range", "0:inf:3"], "bad ds_range (0.0, inf): need finite 0 <= low <= high"),
+        (["--dg-range", "nan:0:3"], "bad dg_range (nan, 0.0): need finite 0 <= low <= high"),
+        (["--ds-range", "0:0.01:0"], "resolution must be at least 1 per axis"),
+        (["--dg-range", "0:x:3"], "--dg-range: expected low:high:count, got '0:x:3'"),
+    ],
+    ids=["infinite", "nan", "zero-count", "not-a-number"],
+)
+def test_a_bad_sweep_range_is_a_one_line_error(argv, message, capsys):
+    # the values are checked by sweep itself, the flag's form by the CLI
+    assert cli.main(["sweep", *argv]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"cavitydark: error: {message}"]
+
+
 def test_sweep_unknown_override(capsys):
     assert cli.main(["sweep", "--set", "coupling=3"]) == 1
     assert "coupling" in capsys.readouterr().err
 
 
 def test_sweep_non_finite_override(capsys):
-    assert cli.main(["sweep", "--set", "ds=nan"]) == 1
+    assert cli.main(["sweep", "--set", "g1=nan"]) == 1
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["ds", "dg"])
+def test_sweep_rejects_the_shift_keys_it_scans(key, capsys):
+    # sweep takes its shifts from --ds-range and --dg-range; a --set shift
+    # was accepted and never read
+    assert cli.main(["sweep", "--set", f"{key}=0.005"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"cavitydark: error: unknown override key {key!r}; known keys: omega_c, omega_a, g1, g2"
+    ]
+
+
+SET_KEYS = {"sweep": ["omega_c", "omega_a", "g1", "g2"],
+            "protocol": ["omega_c", "omega_a", "g1", "g2", "ds", "dg"]}
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [(c, k, v) for c, keys in SET_KEYS.items() for k in keys for v in ("nan", "inf", "-inf")],
+)
+def test_a_non_finite_override_is_a_one_line_error(command, key, value, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--set", f"{key}={value}", "--out", os.devnull]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"cavitydark: error: override {key}: value must be finite"]
+
+
+def test_the_order_of_set_pairs_does_not_matter(tmp_path):
+    # each pair used to be applied and checked on its own, so dg=-0.015
+    # before g1=0.02 failed with "shifted coupling would be negative"
+    base = ["protocol", "--seed", "3", "--trials", "50", "--max-cycles", "200"]
+    outputs = []
+    for order in (["dg=-0.015", "g1=0.02", "ds=0.01"], ["g1=0.02", "ds=0.01", "dg=-0.015"]):
+        out = tmp_path / f"{order[0]}.csv"
+        argv = base + [a for pair in order for a in ("--set", pair)] + ["--out", str(out)]
+        assert cli.main(argv) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_a_repeated_set_key_takes_its_last_value(tmp_path):
+    outputs = []
+    for pairs in (["g1=0.5", "g1=0.02"], ["g1=0.02"]):
+        out = tmp_path / f"{len(pairs)}.csv"
+        argv = ["sweep", "--ds-range", "0:0.01:3", "--dg-range", "0:0.007:2", "--out", str(out)]
+        assert cli.main(argv + [a for pair in pairs for a in ("--set", pair)]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--set", "omega_c=1e-308", "--set", "omega_a=1e-308",
+          "--ds-range", "0:0:1", "--dg-range", "0:0.007:2"],
+         "one cavity period 2 pi / omega_c overflows; give a finite t_max"),
+        (["sweep", "--ds-range", "0:1e308:2", "--dg-range", "0:0.007:2"],
+         "beat phase overflows: frequency spread 1e+308 times t = 6.28319"),
+        (["protocol", "--set", "ds=1e308", "--trials", "3", "--max-cycles", "5"],
+         "beat phase overflows: frequency spread 1e+308 times t = 6.28319"),
+    ],
+    ids=["window", "sweep-phase", "protocol-phase"],
+)
+def test_an_overflowing_window_or_phase_is_a_one_line_error(argv, message):
+    # each printed nan rows (or "probability out of range: nan") with warnings
+    run = run_python("-W", "error", "-m", "cavitydark.cli", *argv, "--out", os.devnull)
+    assert run.returncode == 1
+    assert run.stderr.splitlines() == [f"cavitydark: error: {message}"]
 
 
 def test_protocol_null_flagged(tmp_path):

@@ -278,6 +278,15 @@ MIXED = (
     [
         ("omega_c = 1.0\natom.1.omega = fast\natom.1.g = 0\n", "not a number", 2),
         ("omega_c = 1.0\nomega_c = 2.0\natom.1.omega=1\natom.1.g=0\n", "duplicate", 2),
+        # int() reads each of these as 1, so a second spelling of atom.1.omega
+        # silently replaced the first
+        *(
+            (f"omega_c = 1.0\natom.1.omega = 1.0\natom.{i}.omega = 2.0\natom.1.g = 0\n",
+             "bad atom index", 3)
+            for i in ("01", "+1", "1 ", "0_1", "\uff11")
+        ),
+        ("omega_c = 1.0\natom.0.omega = 1\natom.0.g = 0\n", "bad atom index", 2),
+        ("omega_c = 1.0\natom.-1.omega = 1\natom.-1.g = 0\n", "bad atom index", 2),
         ("omega_c = 1.0\natom.2.omega = 1\natom.2.g = 0\n", "contiguous", None),
         ("atom.1.omega = 1\natom.1.g = 0\n", "omega_c", None),
         (

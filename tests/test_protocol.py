@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -53,8 +54,9 @@ def oracle_yield(cfg, ds, dg, t):
 
 
 def test_config_defaults_and_preset():
-    cfg = ZSJumpConfig.reference_preset(g1=0.02)
-    assert cfg.g2 == 0.01
+    # the reference parameter set, g2 = g1 / 2 and no shift, is the default
+    assert ZSJumpConfig() == ZSJumpConfig(g1=0.01, g2=0.005, ds=0.0, dg=0.0)
+    cfg = ZSJumpConfig(g1=0.02, g2=0.01)
     assert cfg.window == pytest.approx(2 * math.pi)
     with pytest.raises(ValueError, match="positive"):
         ZSJumpConfig(g1=0.0)
@@ -104,6 +106,35 @@ def test_config_rejects_a_window_that_is_not_positive_and_finite(t_max):
     # an infinite window made every sweep point nan and mean_yield nan
     with pytest.raises(ValueError, match="t_max must be a positive finite time"):
         ZSJumpConfig(ds=0.01, dg=0.007, t_max=t_max)
+
+
+def test_config_rejects_a_cavity_period_that_overflows():
+    # 2 pi / 1e-308 is inf: the default window made every sweep point nan
+    with pytest.raises(ValueError, match="one cavity period 2 pi / omega_c overflows"):
+        ZSJumpConfig(omega_c=1e-308, omega_a=1e-308)
+    assert ZSJumpConfig(omega_c=1e-308, omega_a=1e-308, t_max=1.0).window == 1.0
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: sweep(GENERIC, ds_range=(0.0, 1e308), resolution=2),
+        lambda: pds_max(ZSJumpConfig(ds=1e308)),
+        lambda: run_trials(ZSJumpConfig(ds=1e308), 3, 5, RandomSource(0)),
+        lambda: run_trials(ZSJumpConfig(g1=1e308, g2=1e308), 3, 5, RandomSource(0)),
+        # finite over the window, 2 pi 1e306, but not at the fixed delta_t
+        lambda: run_trials(ZSJumpConfig(ds=1e306, delta_t_distribution=DIST_FIXED,
+                                        delta_t_fixed=1e3), 3, 5, RandomSource(0)),
+    ],
+    ids=["sweep", "pds_max", "run_trials", "huge-couplings", "fixed-delta-t"],
+)
+def test_an_overflowing_beat_phase_raises_instead_of_nan(run):
+    # t (beta_k - beta_l) overflowed: sweep printed nan and run_trials
+    # warned, then failed on "probability out of range: nan"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="beat phase overflows"):
+            run()
 
 
 def test_pds_max_ends_where_xtol_is_below_the_float_spacing():

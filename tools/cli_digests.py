@@ -39,6 +39,11 @@ MODELS = {  # name -> (omega_c, omegas, gs, extra lines)
 INPUT_ERRORS = {
     "dark-find:single_excitation:nonrwa3",  # no one-excitation block without RWA
     "sweep:infinite-window",
+    "sweep:set-shift",  # sweep scans the shifts over its ranges
+    # a one-period window or a beat phase that overflows
+    "sweep:window-overflow",
+    "sweep:phase-overflow",
+    "protocol:phase-overflow",
 }
 SPECTRUM_MODELS = {  # two-atom blocks far from unit scale, an uncoupled double root,
     # a split below DEGENERACY_RTOL, which is solved as it is, and a coupling
@@ -86,13 +91,24 @@ def invocations(workdir):
     yield "sweep:huge-window", ["sweep", "--t-max", "1e12", "--ds-range", "0.01:0.01:1",
                                 "--dg-range", "0.007:0.007:1"]
     yield "sweep:infinite-window", ["sweep", "--t-max", "inf"]
+    small = ["--ds-range", "0:0.01:4", "--dg-range", "0:0.007:3"]
+    yield "sweep:set-shift", ["sweep", *small, "--set", "ds=0.005", "--set", "dg=0.9"]
+    yield "sweep:window-overflow", ["sweep", "--set", "omega_c=1e-308", "--set", "omega_a=1e-308",
+                                    "--ds-range", "0:0:1", "--dg-range", "0:0.007:2"]
+    yield "sweep:phase-overflow", ["sweep", "--ds-range", "0:1e308:2", "--dg-range", "0:0.007:2"]
     protocol = ["protocol", "--seed", "3", "--trials", "200"]
     yield "protocol", protocol
-    # the reference preset has no shift, so every trial is exhausted; these succeed,
+    # the default config has no shift, so every trial is exhausted; these succeed,
     # and on a two-point grid the yield peaks between the grid points
     shifted = [*protocol, "--set", "ds=0.01", "--set", "dg=0.007"]
     yield "protocol:shifted", shifted
     yield "protocol:coarse-grid", [*shifted, "--t-max", "300", "--t-steps", "2"]
+    # the pairs are checked together: dg < -g1 only before g1 is raised
+    yield "protocol:set-order", ["protocol", "--seed", "3", "--trials", "50", "--max-cycles",
+                                 "200", "--set", "dg=-0.015", "--set", "g1=0.02",
+                                 "--set", "ds=0.01"]
+    yield "protocol:phase-overflow", ["protocol", "--set", "ds=1e308", "--trials", "3",
+                                      "--max-cycles", "5"]
 
 
 def digest(data):
