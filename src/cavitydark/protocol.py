@@ -14,6 +14,7 @@ cavity is re-pumped and the cycle repeats.  All frequencies are angular
 and divided by hbar; time is dimensionless (omega_c * t_physical).
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,8 @@ OUTCOME_EXHAUSTED = "exhausted"
 DIST_UNIFORM = "uniform"
 DIST_FIXED = "fixed"
 
-_TRIAL_BLOCK = 4096
+_TRIAL_BLOCK = 1024  # cycles per round, at most
+_TRIAL_ROWS = 64  # trials per chunk: a round buffer of at most 1 MiB
 _SWEEP_CHUNK = 4096  # sweep points refined together: the default 50x50 grid is one chunk
 _PAIRS = (np.array([0, 0, 1]), np.array([1, 2, 2]))  # eigenpairs k < l of the 3x3 block
 
@@ -145,6 +147,7 @@ def dark_amplitude(cfg, t):
     if t < 0:
         raise ValueError("switch-off time must be nonnegative")
     betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
+    _check_phases(betas, t)
     return complex(np.sum(coef * np.exp(-1j * betas * t)))
 
 
@@ -172,8 +175,10 @@ def _p_of_times(betas, coef, ts):
 
 def pds_curve(cfg):
     """(times, yields) on the uniform grid [0, window] x t_steps."""
+    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
+    _check_phases(betas, cfg.window)
     ts = np.linspace(0.0, cfg.window, cfg.t_steps)
-    return ts, _p_of_times(*_amplitude_terms(cfg, cfg.ds, cfg.dg), ts)
+    return ts, _p_of_times(betas, coef, ts)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -315,7 +320,9 @@ def mean_yield(cfg):
     times the window and the x = 0 terms equal to 1 (numpy's normalised
     sinc takes x / pi)."""
     betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
-    if cfg.delta_t_distribution == DIST_FIXED:
+    fixed = cfg.delta_t_distribution == DIST_FIXED
+    _check_phases(betas, cfg.delta_t_fixed if fixed else cfg.window)
+    if fixed:
         return float(_p_of_times(betas, coef, [cfg.delta_t_fixed])[0])
     x = np.subtract.outer(betas, betas) * cfg.window
     return float(np.clip(coef @ np.sinc(x / np.pi) @ coef, 0.0, 1.0))
@@ -345,17 +352,17 @@ def sweep(cfg, ds_range=(0.0, 0.01), dg_range=(0.0, 0.007), resolution=50):
     return SweepResult(ds_values, dg_values, *_maxima(cfg, ds_values, dg_values))
 
 
-def _draw_block(gen, cfg, size):
-    """Per-cycle (delta_t, uniform) draws: one (delta_t, u) pair per cycle,
-    or u alone at a fixed delta_t, where the delta_t returned is None."""
-    if cfg.delta_t_distribution == DIST_FIXED:
-        return None, gen.random(size)
-    raw = gen.random(2 * size)
-    return cfg.window * raw[0::2], raw[1::2]
+def _draw_block(gen, cfg, size, out=None):
+    """The raw draws of `size` cycles: u per cycle at a fixed delta_t, else
+    delta_t / window and u per cycle, interleaved in that order.  Written
+    into out if given, a contiguous array of exactly that many draws."""
+    if out is not None:
+        return gen.random(out=out)  # size as well would cost numpy a shape check
+    return gen.random(size if cfg.delta_t_distribution == DIST_FIXED else 2 * size)
 
 
 def _block_size(p_bar):
-    """Cycles per block at mean yield p_bar: ceil(1 / p_bar), the mean cycle
+    """Cycles per round at mean yield p_bar: ceil(1 / p_bar), the mean cycle
     count of a trial, at most _TRIAL_BLOCK (also where 1 / p_bar overflows).
     Generator.random is chunk-invariant: blocks never change the draws."""
     if not p_bar * _TRIAL_BLOCK > 1:
@@ -371,35 +378,50 @@ def _count(value, name, bits):
 
 
 def _trials(cfg, generators, max_cycles):
-    """(cycles_used, outcome) of one trial per generator, drawn in blocks
-    of ceil(1 / mean_yield) cycles (_block_size).  A cycle can only succeed
-    when its uniform u < p(delta_t) <= bound (thinning with an envelope,
-    Lewis & Shedler 1979; the bound is p itself at a fixed delta_t, else
-    _sweep_row's over the window), so p is evaluated only at the few draws
-    under the bound, and the results are those of evaluating it at every
-    draw."""
+    """(cycles_used, outcome) of one trial per generator, in order.
+
+    The generators are taken in chunks of up to _TRIAL_ROWS, and a chunk
+    runs in rounds of ceil(1 / mean_yield) cycles (_block_size): each open
+    trial draws its round into its own row of one buffer (_draw_block),
+    then the whole chunk is tested at once, and a trial closes at the
+    first cycle of its row that succeeds.  A cycle can only succeed when
+    its uniform u < p(delta_t) <= bound (thinning with an envelope, Lewis &
+    Shedler 1979; the bound is p itself at a fixed delta_t, else
+    _sweep_row's over the window), so p is evaluated, once per round, only
+    at the few draws under the bound.  Generator.random gives the same
+    numbers in any split and _p_of_times rounds a point the same in any
+    batch, so the results are those of drawing each trial in one block and
+    evaluating p at every draw."""
     betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
     exact = cfg.delta_t_distribution == DIST_FIXED
-    _check_phases(betas, cfg.delta_t_fixed if exact else cfg.window)
     p_bar = mean_yield(cfg)
     ts = np.linspace(0.0, cfg.window, cfg.t_steps)
     bound = p_bar if exact else float(_sweep_row(betas, coef, ts)[2])
     size = _block_size(p_bar)
-    for gen in generators:
-        used = 0
-        outcome = OUTCOME_EXHAUSTED
-        while used < max_cycles:
+    width = 1 if exact else 2
+    buffer = np.empty(_TRIAL_ROWS * width * size)
+    generators = iter(generators)
+    while chunk := list(itertools.islice(generators, _TRIAL_ROWS)):
+        results = [(max_cycles, OUTCOME_EXHAUSTED)] * len(chunk)
+        rows = list(range(len(chunk)))  # chunk indices of the open trials, in order
+        used = 0  # cycles every open trial has used
+        while rows and used < max_cycles:
             block = min(size, max_cycles - used)
-            dts, us = _draw_block(gen, cfg, block)
-            hits = (us < bound).nonzero()[0]
-            if hits.size and not exact:
-                hits = hits[us[hits] < _p_of_times(betas, coef, dts[hits])]
-            if hits.size:
-                used += int(hits[0]) + 1
-                outcome = OUTCOME_SUCCESS
-                break
+            draws = buffer[: len(rows) * width * block].reshape(len(rows), width * block)
+            for row, out in zip(rows, draws):
+                _draw_block(chunk[row], cfg, block, out)
+            us = draws[:, width - 1 :: width]
+            hits = us < bound
+            if not exact:
+                i, j = np.divmod(np.flatnonzero(hits), block)
+                hits[i, j] = us[i, j] < _p_of_times(betas, coef, cfg.window * draws[i, 2 * j])
+            first = hits.argmax(axis=1)
+            done = hits[np.arange(len(rows)), first]
+            for k in np.flatnonzero(done).tolist():
+                results[rows[k]] = (used + int(first[k]) + 1, OUTCOME_SUCCESS)
+            rows = [row for row, hit in zip(rows, done.tolist()) if not hit]
             used += block
-        yield used, outcome
+        yield from results
 
 
 def simulate_cycles(cfg, max_cycles, rng):
@@ -409,16 +431,18 @@ def simulate_cycles(cfg, max_cycles, rng):
     as an ideal projective measurement: success with probability
     p = |lambda(delta_t)|^2 ends the trial, otherwise the photon reaches
     the detector and the cavity is re-pumped.  The trial runs through
-    run_trials' loop (_trials) on rng.generator(); its cycles are then
-    drawn again from a second rng.generator(), the same numbers in one
-    block, and p is evaluated at each.  The records stop at the first
-    success.
+    run_trials' loop (_trials, a chunk of one) on rng.generator(); its
+    cycles are then drawn again from a second rng.generator() through
+    _draw_block, the same numbers in one block, and p is evaluated at
+    each.  The records stop at the first success.
     """
     max_cycles = _count(max_cycles, "max_cycles", 64)
     ((used, outcome),) = _trials(cfg, [rng.generator()], max_cycles)
-    dts, _ = _draw_block(rng.generator(), cfg, used)
-    if dts is None:
+    raw = _draw_block(rng.generator(), cfg, used)
+    if cfg.delta_t_distribution == DIST_FIXED:
         dts = np.full(used, float(cfg.delta_t_fixed))
+    else:
+        dts = cfg.window * raw[0::2]
     ps = _p_of_times(*_amplitude_terms(cfg, cfg.ds, cfg.dg), dts)
     outcomes = [OUTCOME_PHOTON] * used
     if outcome == OUTCOME_SUCCESS:
@@ -427,11 +451,12 @@ def simulate_cycles(cfg, max_cycles, rng):
 
 
 def run_trials(cfg, trials, max_cycles, rng):
-    """Many independent trials, vectorized in blocks per trial (_trials).
+    """Many independent trials, run in lockstep rounds of up to _TRIAL_ROWS
+    trials (_trials).
 
     Trial j draws what rng.spawn(trials)[j] draws (rng.child_generators),
-    so results are reproducible and independent of any parallel
-    scheduling, and simulate_cycles(cfg, max_cycles, rng.spawn(trials)[j])
+    so results are reproducible and independent of how trials are
+    grouped, and simulate_cycles(cfg, max_cycles, rng.spawn(trials)[j])
     lists the cycles of trial j.
     """
     trials = _count(trials, "trials", 32)

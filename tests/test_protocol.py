@@ -125,12 +125,19 @@ def test_config_rejects_a_cavity_period_that_overflows():
         # finite over the window, 2 pi 1e306, but not at the fixed delta_t
         lambda: run_trials(ZSJumpConfig(ds=1e306, delta_t_distribution=DIST_FIXED,
                                         delta_t_fixed=1e3), 3, 5, RandomSource(0)),
+        lambda: mean_yield(ZSJumpConfig(ds=1e308)),
+        lambda: mean_yield(ZSJumpConfig(ds=1e306, delta_t_distribution=DIST_FIXED,
+                                        delta_t_fixed=1e3)),
+        lambda: pds_curve(ZSJumpConfig(ds=1e308)),
+        lambda: dark_amplitude(ZSJumpConfig(ds=1e308), 5.0),
     ],
-    ids=["sweep", "pds_max", "run_trials", "huge-couplings", "fixed-delta-t"],
+    ids=["sweep", "pds_max", "run_trials", "huge-couplings", "fixed-delta-t",
+         "mean_yield", "mean_yield-fixed-delta-t", "pds_curve", "dark_amplitude"],
 )
 def test_an_overflowing_beat_phase_raises_instead_of_nan(run):
     # t (beta_k - beta_l) overflowed: sweep printed nan and run_trials
-    # warned, then failed on "probability out of range: nan"
+    # warned, then failed on "probability out of range: nan"; mean_yield,
+    # pds_curve and dark_amplitude warned and returned nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="beat phase overflows"):
@@ -660,8 +667,8 @@ def every_draw_replay(cfg, child, max_cycles):
 )
 def test_run_trials_equals_an_every_draw_replay(cfg, outcomes):
     # default window: successes are rare, so the envelope drops almost
-    # every draw; 5000 cycles end in a partial block (4096 + 904 draws at
-    # uniform delta_t, 2589 + 2411 at fixed).  On the coarse grid p peaks
+    # every draw; 200 trials end in a partial chunk (3 x 64 + 8) and 5000
+    # cycles in a partial round (4 x 1024 + 904).  On the coarse grid p peaks
     # between the grid points, so an envelope of grid values alone would
     # drop draws that succeed
     parent, n_trials, max_cycles = RandomSource(31), 200, 5000
@@ -721,9 +728,9 @@ def test_run_trials_evaluates_the_yield_only_under_the_envelope(cfg, monkeypatch
         count["at_draws" if count["drawn"] else "envelope"] += np.size(ts)
         return p_of_times(betas, coef, ts)
 
-    def counted_draws(gen, cfg, size):
+    def counted_draws(gen, cfg, size, out=None):
         count["drawn"] += size
-        return draw_block(gen, cfg, size)
+        return draw_block(gen, cfg, size, out)
 
     monkeypatch.setattr(protocol, "_p_of_times", counted_p)
     monkeypatch.setattr(protocol, "_draw_block", counted_draws)
@@ -758,8 +765,38 @@ def test_block_size_does_not_change_the_records(cfg, monkeypatch):
         assert got_cycles == cycles  # p_ds too, exactly, even in one-cycle blocks
 
 
-def test_block_size_is_the_mean_cycle_count_up_to_the_cap():
+ROUND_CONFIGS = {
+    "uniform": GENERIC,
+    "fixed": FIXED_AT_T_STAR,
+    "long-window": replace(GENERIC, t_max=450.0),
+    "null-shift": ZSJumpConfig(),
+    "large-shift": ZSJumpConfig(ds=0.3, dg=0.2),  # p_bar = 0.063: rounds of 16 cycles
+}
+
+
+@pytest.mark.parametrize("cfg", ROUND_CONFIGS.values(), ids=ROUND_CONFIGS.keys())
+def test_trial_rounds_equal_an_every_draw_replay(cfg, monkeypatch):
+    # chunks of 1, 3 and 64 trials run 5, 7 and 67 trials, so the last
+    # chunk is partial; the cycle counts end rounds of 7 and 1024 early
+    default_rows, default_block = protocol._TRIAL_ROWS, protocol._TRIAL_BLOCK
+    parent = RandomSource(47)
+    children = parent.spawn(67)
+    for max_cycles in (1, 7, 1023, 1025):
+        replays = [every_draw_replay(cfg, child, max_cycles)[:2] for child in children]
+        for rows, n_trials in ((1, 5), (3, 7), (default_rows, 67)):
+            monkeypatch.setattr(protocol, "_TRIAL_ROWS", rows)
+            for block in (1, 7, default_block):
+                monkeypatch.setattr(protocol, "_TRIAL_BLOCK", block)
+                trials = run_trials(cfg, trials=n_trials, max_cycles=max_cycles, rng=parent)
+                assert [(t.cycles_used, t.outcome) for t in trials] == replays[:n_trials]
+
+
+def test_block_size_is_the_mean_cycle_count_up_to_the_cap(monkeypatch):
+    # a trial at t* takes 2589 cycles on average, more than the cap
+    assert protocol._block_size(mean_yield(FIXED_AT_T_STAR)) == protocol._TRIAL_BLOCK < 2589
+    monkeypatch.setattr(protocol, "_TRIAL_BLOCK", 4096)
     assert protocol._block_size(mean_yield(FIXED_AT_T_STAR)) == 2589
+    monkeypatch.undo()
     assert protocol._block_size(mean_yield(GENERIC)) == protocol._TRIAL_BLOCK
     assert protocol._block_size(1.0) == 1
     assert protocol._block_size(0.3) == 4
