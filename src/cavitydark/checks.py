@@ -319,5 +319,5 @@ def run_checks(names=None, seed=DEFAULT_SEED):
         raise ValueError(
             f"unknown checks {unknown}; available: {', '.join(CHECKS)}"
         )
-    gen = np.random.default_rng(_num._bounded_int(seed, "seed", 64))
+    gen = np.random.default_rng(_num._bounded_int(seed, "seed", 0, 64))
     return [CheckResult(name, *CHECKS[name](gen)) for name in names]

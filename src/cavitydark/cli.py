@@ -370,9 +370,10 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _RUNNERS[args.command](args)
-    except (ValueError, OSError) as exc:
-        # ValueError includes UsageError, ModelFormatError and library domain checks
-        print(f"cavitydark: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # ValueError includes UsageError, ModelFormatError and library domain
+        # checks; MemoryError is an input too large to hold (numpy names the size)
+        print(f"cavitydark: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -22,10 +22,11 @@ dark-state analysis and of the shift-jump protocol.
 """
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from . import numerics as _num
 
 C_LIGHT = 299792458.0  # m/s
 HBAR = 1.054571817e-34  # J s
@@ -60,11 +61,8 @@ class CavityModel:
         object.__setattr__(self, "atoms", tuple(self.atoms))
         if not (0 < self.omega_c < math.inf):
             raise ValueError(f"cavity frequency must be positive and finite, got {self.omega_c}")
-        cutoff = self.photon_cutoff
-        if isinstance(cutoff, bool) or not isinstance(cutoff, numbers.Integral):
-            raise ValueError(f"photon cutoff must be an integer, got {cutoff!r}")
-        if cutoff < 1:
-            raise ValueError("photon cutoff must be at least 1")
+        # the full space holds (cutoff + 1) 2**n states: 2**32 is far past any memory
+        _num._bounded_int(self.photon_cutoff, "photon cutoff", 1, 32)
         if not isinstance(self.rwa, (bool, np.bool_)):
             raise ValueError(f"rwa must be a bool, got {self.rwa!r}")
         if len(self.atoms) < 1:

@@ -176,9 +176,19 @@ def evolve(spec, psi0, t):
         )
     if not np.isfinite(t):
         raise ValueError("evolution time must be finite")
-    phases = np.exp(-1j * spec.eigenvalues * t)
     V = spec.eigenvectors
-    return V @ (phases * (V.conj().T @ psi0))
+    return V @ (_phase_factors(spec.eigenvalues, t) * (V.conj().T @ psi0))
+
+
+def _phase_factors(freqs, t):
+    """exp(-i lambda t) for each frequency lambda of freqs and a finite time
+    t, the one place an absolute phase is formed; ValueError unless every
+    lambda t is finite, where exp would give nan."""
+    with np.errstate(over="ignore"):  # an overflow is caught below
+        phase = np.multiply(freqs, t)
+    if not np.isfinite(phase).all():
+        raise ValueError(f"phase overflows: frequency {max_abs(freqs):.6g} times t = {t:.6g}")
+    return np.exp(-1j * phase)
 
 
 def null_space(M, tol):
@@ -288,11 +298,12 @@ def _pcg64_generators(low, high):
     return (random.Generator(random.PCG64(_Words(row))) for row in words)
 
 
-def _bounded_int(value, name, bits):
-    """value as an int, if it is an integer other than a bool in [0, 2**bits)."""
+def _bounded_int(value, name, low, bits):
+    """value as an int, if it is a Python or numpy integer (not a bool) in
+    [low, 2**bits): the one check of every integer input, ValueError otherwise."""
     integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-    if not (integral and 0 <= value < 2**bits):
-        raise ValueError(f"{name} must be an integer in [0, 2**{bits}), got {value!r}")
+    if not (integral and low <= value < 2**bits):
+        raise ValueError(f"{name} must be an integer in [{low}, 2**{bits}), got {value!r}")
     return int(value)
 
 
@@ -310,17 +321,17 @@ class RandomSource:
     seed: int
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", _bounded_int(self.seed, "seed", 64))
+        object.__setattr__(self, "seed", _bounded_int(self.seed, "seed", 0, 64))
 
     def generator(self):
         return np.random.Generator(np.random.PCG64(self.seed))
 
     def spawn(self, n):
         """n derived sources, deterministic in (seed, n)."""
-        words = _as_uint64(*_child_words(self.seed, _bounded_int(n, "n", 32)))
+        words = _as_uint64(*_child_words(self.seed, _bounded_int(n, "n", 0, 32)))
         return [RandomSource(seed=w) for w in words.tolist()]
 
     def child_generators(self, n):
         """Iterator over the generators of spawn(n), in order: the j-th
         draws what spawn(n)[j].generator() draws, from a new Generator."""
-        return _pcg64_generators(*_child_words(self.seed, _bounded_int(n, "n", 32)))
+        return _pcg64_generators(*_child_words(self.seed, _bounded_int(n, "n", 0, 32)))

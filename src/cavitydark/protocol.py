@@ -69,8 +69,7 @@ class ZSJumpConfig:
             raise ValueError("t_max must be a positive finite time")
         if self.window == math.inf:
             raise ValueError("one cavity period 2 pi / omega_c overflows; give a finite t_max")
-        if _num._bounded_int(self.t_steps, "t_steps", 64) < 2:
-            raise ValueError("t_steps must be at least 2")
+        _num._bounded_int(self.t_steps, "t_steps", 2, 64)
         if self.delta_t_distribution not in (DIST_UNIFORM, DIST_FIXED):
             raise ValueError(
                 f"unknown delta_t distribution {self.delta_t_distribution!r}"
@@ -130,33 +129,37 @@ class SweepResult:
         }
 
 
-def _amplitude_terms(cfg, ds, dg):
+def _amplitude_terms(cfg, ds, dg, horizon):
     """Eigenfrequencies beta_k and real weights c_k = <dark|v_k><v_k|photon>
     of the shifted block, lambda(t) = sum_k c_k exp(-i beta_k t), for a batch
-    of shifts: ds and dg broadcast to a shape S, both results are S + (3,)."""
+    of shifts: ds and dg broadcast to a shape S, both results are S + (3,).
+    The one check of the beat phases: ValueError unless every
+    (beta_k - beta_l) t with 0 <= t <= horizon, the caller's longest time, is finite."""
     atom1 = np.array([1.0, 0.0])  # the field shifts atom 1 only
     omegas = cfg.omega_a + np.multiply.outer(ds, atom1)
     gs = np.array([cfg.g1, cfg.g2]) + np.multiply.outer(dg, atom1)
     betas, V = np.linalg.eigh(_model._arrowhead(cfg.omega_c, omegas, gs))
+    with np.errstate(over="ignore"):  # eigh sorts betas ascending; inf is caught below
+        spread = float(np.max(betas[..., -1] - betas[..., 0]))
+    if not spread * float(horizon) < math.inf:
+        raise ValueError(
+            f"beat phase overflows: frequency spread {spread:.6g} times t = {horizon:.6g}"
+        )
     dark = with_photon_amplitude(dark_state_degenerate(cfg.g1, cfg.g2)).real
     return betas, (dark @ V) * V[..., 2, :]
 
 
+def _horizon(cfg):
+    """The longest waiting time a cycle can draw: delta_t_fixed, or the window."""
+    return cfg.delta_t_fixed if cfg.delta_t_distribution == DIST_FIXED else cfg.window
+
+
 def dark_amplitude(cfg, t):
-    """Dark-state amplitude lambda at switch-off time t (>= 0)."""
-    if t < 0:
-        raise ValueError("switch-off time must be nonnegative")
-    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
-    _check_phases(betas, t)
-    return complex(np.sum(coef * np.exp(-1j * betas * t)))
-
-
-def _check_phases(betas, t):
-    """Raise unless every beat phase (beta_k - beta_l) t' with 0 <= t' <= t is finite."""
-    with np.errstate(over="ignore"):  # eigh sorts betas ascending; inf is caught below
-        spread = float(np.max(betas[..., -1] - betas[..., 0]))
-    if not spread * float(t) < math.inf:
-        raise ValueError(f"beat phase overflows: frequency spread {spread:.6g} times t = {t:.6g}")
+    """Dark-state amplitude lambda at a finite switch-off time t >= 0."""
+    if not 0 <= t < math.inf:
+        raise ValueError("switch-off time must be nonnegative and finite")
+    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg, t)
+    return complex(np.sum(coef * _num._phase_factors(betas, t)))
 
 
 def _p_of_times(betas, coef, ts):
@@ -175,8 +178,7 @@ def _p_of_times(betas, coef, ts):
 
 def pds_curve(cfg):
     """(times, yields) on the uniform grid [0, window] x t_steps."""
-    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
-    _check_phases(betas, cfg.window)
+    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg, cfg.window)
     ts = np.linspace(0.0, cfg.window, cfg.t_steps)
     return ts, _p_of_times(betas, coef, ts)
 
@@ -294,8 +296,7 @@ def _maxima(cfg, ds_values, dg_values):
     rows = max(1, _SWEEP_CHUNK // len(dg_values))
     for start in range(0, len(ds_values), rows):
         chunk = slice(start, start + rows)
-        betas, coef = _amplitude_terms(cfg, ds_values[chunk, None], dg_values)
-        _check_phases(betas, cfg.window)
+        betas, coef = _amplitude_terms(cfg, ds_values[chunk, None], dg_values, cfg.window)
         i, p_grid, _ = _sweep_row(betas, coef, ts)
         lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, len(ts) - 1)]
         t_ref, p_ref = _golden_max(lambda t: _p_of_times(betas, coef, t[..., None])[..., 0],
@@ -319,10 +320,8 @@ def mean_yield(cfg):
     window, sum_kl c_k c_l sin(x_kl) / x_kl with x_kl = (beta_k - beta_l)
     times the window and the x = 0 terms equal to 1 (numpy's normalised
     sinc takes x / pi)."""
-    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
-    fixed = cfg.delta_t_distribution == DIST_FIXED
-    _check_phases(betas, cfg.delta_t_fixed if fixed else cfg.window)
-    if fixed:
+    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg, _horizon(cfg))
+    if cfg.delta_t_distribution == DIST_FIXED:
         return float(_p_of_times(betas, coef, [cfg.delta_t_fixed])[0])
     x = np.subtract.outer(betas, betas) * cfg.window
     return float(np.clip(coef @ np.sinc(x / np.pi) @ coef, 0.0, 1.0))
@@ -341,9 +340,7 @@ def sweep(cfg, ds_range=(0.0, 0.01), dg_range=(0.0, 0.007), resolution=50):
     axes = [resolution] * 2 if np.ndim(resolution) == 0 else list(resolution)
     if len(axes) != 2:
         raise ValueError(f"resolution must be one integer or a pair, got {resolution!r}")
-    n_ds, n_dg = (_num._bounded_int(n, "resolution", 32) for n in axes)
-    if n_ds < 1 or n_dg < 1:
-        raise ValueError("resolution must be at least 1 per axis")
+    n_ds, n_dg = (_num._bounded_int(n, "resolution", 1, 32) for n in axes)
     for name, (low, high) in (("ds_range", ds_range), ("dg_range", dg_range)):
         if not (0 <= low <= high < math.inf):
             raise ValueError(f"bad {name} ({low}, {high}): need finite 0 <= low <= high")
@@ -370,13 +367,6 @@ def _block_size(p_bar):
     return min(_TRIAL_BLOCK, math.ceil(1 / p_bar))
 
 
-def _count(value, name, bits):
-    """value as an int, if it is an integer in [1, 2**bits)."""
-    if _num._bounded_int(value, name, bits) < 1:
-        raise ValueError(f"{name} must be at least 1")
-    return int(value)
-
-
 def _trials(cfg, generators, max_cycles):
     """(cycles_used, outcome) of one trial per generator, in order.
 
@@ -392,7 +382,7 @@ def _trials(cfg, generators, max_cycles):
     numbers in any split and _p_of_times rounds a point the same in any
     batch, so the results are those of drawing each trial in one block and
     evaluating p at every draw."""
-    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg)
+    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg, _horizon(cfg))
     exact = cfg.delta_t_distribution == DIST_FIXED
     p_bar = mean_yield(cfg)
     ts = np.linspace(0.0, cfg.window, cfg.t_steps)
@@ -436,14 +426,12 @@ def simulate_cycles(cfg, max_cycles, rng):
     _draw_block, the same numbers in one block, and p is evaluated at
     each.  The records stop at the first success.
     """
-    max_cycles = _count(max_cycles, "max_cycles", 64)
+    max_cycles = _num._bounded_int(max_cycles, "max_cycles", 1, 64)
     ((used, outcome),) = _trials(cfg, [rng.generator()], max_cycles)
     raw = _draw_block(rng.generator(), cfg, used)
-    if cfg.delta_t_distribution == DIST_FIXED:
-        dts = np.full(used, float(cfg.delta_t_fixed))
-    else:
-        dts = cfg.window * raw[0::2]
-    ps = _p_of_times(*_amplitude_terms(cfg, cfg.ds, cfg.dg), dts)
+    fixed = cfg.delta_t_distribution == DIST_FIXED
+    dts = np.full(used, float(cfg.delta_t_fixed)) if fixed else cfg.window * raw[0::2]
+    ps = _p_of_times(*_amplitude_terms(cfg, cfg.ds, cfg.dg, _horizon(cfg)), dts)
     outcomes = [OUTCOME_PHOTON] * used
     if outcome == OUTCOME_SUCCESS:
         outcomes[-1] = OUTCOME_SUCCESS
@@ -459,8 +447,8 @@ def run_trials(cfg, trials, max_cycles, rng):
     grouped, and simulate_cycles(cfg, max_cycles, rng.spawn(trials)[j])
     lists the cycles of trial j.
     """
-    trials = _count(trials, "trials", 32)
-    max_cycles = _count(max_cycles, "max_cycles", 64)
+    trials = _num._bounded_int(trials, "trials", 1, 32)
+    max_cycles = _num._bounded_int(max_cycles, "max_cycles", 1, 64)
     runs = _trials(cfg, rng.child_generators(trials), max_cycles)
     return [TrialRecord(idx, used, outcome) for idx, (used, outcome) in enumerate(runs)]
 

@@ -362,7 +362,7 @@ def test_sweep_bad_range_usage_error(capsys):
     [
         (["--ds-range", "0:inf:3"], "bad ds_range (0.0, inf): need finite 0 <= low <= high"),
         (["--dg-range", "nan:0:3"], "bad dg_range (nan, 0.0): need finite 0 <= low <= high"),
-        (["--ds-range", "0:0.01:0"], "resolution must be at least 1 per axis"),
+        (["--ds-range", "0:0.01:0"], "resolution must be an integer in [1, 2**32), got 0"),
         (["--dg-range", "0:x:3"], "--dg-range: expected low:high:count, got '0:x:3'"),
     ],
     ids=["infinite", "nan", "zero-count", "not-a-number"],
@@ -596,6 +596,26 @@ def test_domain_errors_are_one_line(argv, model_file):
     assert len(lines) == 1 and lines[0].startswith("cavitydark: error:")
     if argv[0] == "verify":
         assert "seed" in lines[0] and "-5" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"),
+         "Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"),
+        (MemoryError(), "MemoryError"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_an_input_too_large_to_hold_is_a_one_line_error(error, line, monkeypatch, capsys):
+    # `sweep --t-steps 1000000000000` and `protocol --trials 4000000000` ended
+    # in a traceback from numpy's allocation; the runner raises in its place
+    def runner(args):
+        raise error
+
+    monkeypatch.setitem(cli._RUNNERS, "sweep", runner)
+    assert cli.main(["sweep"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"cavitydark: error: {line}"]
 
 
 @pytest.mark.parametrize(

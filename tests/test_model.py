@@ -334,6 +334,9 @@ ATOM = AtomParams(omega=1.0, g=0.01)
         (lambda: CavityModel(1.0, (ATOM,), photon_cutoff=np.float64(2.0)), "photon cutoff"),
         (lambda: CavityModel(1.0, (ATOM,), photon_cutoff=True), "photon cutoff"),
         (lambda: CavityModel(1.0, (ATOM,), photon_cutoff="2"), "photon cutoff"),
+        (lambda: CavityModel(1.0, (ATOM,), photon_cutoff=-1), "photon cutoff"),
+        (lambda: CavityModel(1.0, (ATOM,), photon_cutoff=0), "photon cutoff"),
+        (lambda: CavityModel(1.0, (ATOM,), photon_cutoff=2**32), "photon cutoff"),
         (lambda: CavityModel(1.0, (ATOM,), rwa="no"), "rwa"),
         (lambda: CavityModel(1.0, (ATOM,), rwa=1), "rwa"),
         (lambda: CavityModel(1.0, (ATOM,), rwa=None), "rwa"),

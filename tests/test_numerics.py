@@ -156,6 +156,15 @@ def test_evolve_dimension_mismatch():
         evolve(spec, np.zeros(4), 1.0)
 
 
+def test_evolve_rejects_a_phase_that_overflows():
+    # lambda t is 2e310: exp gave nan with a warning
+    spec = herm_eig([[1e300, 1], [1, 2e300]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^phase overflows: frequency 2e\+300 times t = 1e\+10$"):
+            evolve(spec, np.array([1.0, 0.0]), 1e10)
+
+
 # darkstates.analytic_spectrum on the two-atom block (omega_c, omega_1,
 # omega_2, g1, g2): its eigenvalues are the roots of the characteristic
 # cubic, found from the block's secular equation; no cubic is solved.  The

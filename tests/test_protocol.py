@@ -83,6 +83,10 @@ def test_config_defaults_and_preset():
         # these raised TypeError from the "at least 2" comparison
         dict(t_steps=None),
         dict(t_steps="8"),
+        # negative, below the least grid of two points, and past 64 bits
+        dict(t_steps=-1),
+        dict(t_steps=1),
+        dict(t_steps=2**64),
     ],
 )
 def test_config_rejects_what_the_shifted_model_rejects(kwargs):
@@ -115,33 +119,49 @@ def test_config_rejects_a_cavity_period_that_overflows():
     assert ZSJumpConfig(omega_c=1e-308, omega_a=1e-308, t_max=1.0).window == 1.0
 
 
+BEAT = "beat phase overflows"
+
+
 @pytest.mark.parametrize(
-    "run",
+    "run, message",
     [
-        lambda: sweep(GENERIC, ds_range=(0.0, 1e308), resolution=2),
-        lambda: pds_max(ZSJumpConfig(ds=1e308)),
-        lambda: run_trials(ZSJumpConfig(ds=1e308), 3, 5, RandomSource(0)),
-        lambda: run_trials(ZSJumpConfig(g1=1e308, g2=1e308), 3, 5, RandomSource(0)),
+        (lambda: sweep(GENERIC, ds_range=(0.0, 1e308), resolution=2), BEAT),
+        (lambda: pds_max(ZSJumpConfig(ds=1e308)), BEAT),
+        (lambda: run_trials(ZSJumpConfig(ds=1e308), 3, 5, RandomSource(0)), BEAT),
+        (lambda: run_trials(ZSJumpConfig(g1=1e308, g2=1e308), 3, 5, RandomSource(0)), BEAT),
         # finite over the window, 2 pi 1e306, but not at the fixed delta_t
-        lambda: run_trials(ZSJumpConfig(ds=1e306, delta_t_distribution=DIST_FIXED,
-                                        delta_t_fixed=1e3), 3, 5, RandomSource(0)),
-        lambda: mean_yield(ZSJumpConfig(ds=1e308)),
-        lambda: mean_yield(ZSJumpConfig(ds=1e306, delta_t_distribution=DIST_FIXED,
-                                        delta_t_fixed=1e3)),
-        lambda: pds_curve(ZSJumpConfig(ds=1e308)),
-        lambda: dark_amplitude(ZSJumpConfig(ds=1e308), 5.0),
+        (lambda: run_trials(ZSJumpConfig(ds=1e306, delta_t_distribution=DIST_FIXED,
+                                         delta_t_fixed=1e3), 3, 5, RandomSource(0)), BEAT),
+        (lambda: mean_yield(ZSJumpConfig(ds=1e308)), BEAT),
+        (lambda: mean_yield(ZSJumpConfig(ds=1e306, delta_t_distribution=DIST_FIXED,
+                                         delta_t_fixed=1e3)), BEAT),
+        (lambda: pds_curve(ZSJumpConfig(ds=1e308)), BEAT),
+        (lambda: dark_amplitude(ZSJumpConfig(ds=1e308), 5.0), BEAT),
+        (lambda: simulate_cycles(ZSJumpConfig(ds=1e308), 5, RandomSource(0)), BEAT),
+        # the beat phases are small, but beta_k t itself is 1e310
+        (lambda: dark_amplitude(ZSJumpConfig(omega_c=1e300, omega_a=1e300, g1=1.0, g2=0.5,
+                                             ds=0.1), 1e10),
+         r"^phase overflows: frequency 1e\+300 times t = 1e\+10$"),
     ],
     ids=["sweep", "pds_max", "run_trials", "huge-couplings", "fixed-delta-t",
-         "mean_yield", "mean_yield-fixed-delta-t", "pds_curve", "dark_amplitude"],
+         "mean_yield", "mean_yield-fixed-delta-t", "pds_curve", "dark_amplitude",
+         "simulate_cycles", "dark_amplitude-absolute-phase"],
 )
-def test_an_overflowing_beat_phase_raises_instead_of_nan(run):
+def test_an_overflowing_beat_phase_raises_instead_of_nan(run, message):
     # t (beta_k - beta_l) overflowed: sweep printed nan and run_trials
     # warned, then failed on "probability out of range: nan"; mean_yield,
-    # pds_curve and dark_amplitude warned and returned nan
+    # pds_curve, simulate_cycles and dark_amplitude warned and returned nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="beat phase overflows"):
+        with pytest.raises(ValueError, match=message):
             run()
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
+def test_dark_amplitude_rejects_a_time_that_is_not_nonnegative_and_finite(t):
+    # nan and inf were blamed on the frequencies ("beat phase overflows")
+    with pytest.raises(ValueError, match="^switch-off time must be nonnegative and finite$"):
+        dark_amplitude(GENERIC, t)
 
 
 def test_pds_max_ends_where_xtol_is_below_the_float_spacing():
@@ -338,7 +358,9 @@ def test_sweep_rejects_non_finite_ranges(bad):
         sweep(GENERIC, dg_range=bad, resolution=2)
 
 
-@pytest.mark.parametrize("bad", [(2.5, 3), "50", True, (True, 2), -1, (3, 0), (2, 3, 4)])
+@pytest.mark.parametrize(
+    "bad", [(2.5, 3), "50", True, (True, 2), -1, (3, 0), (2, 3, 4), 2**32, (1, 2**32)]
+)
 def test_sweep_rejects_bad_resolution(bad):
     # (2.5, 3) and "50" raised TypeError from numpy, and True swept one point
     with pytest.raises(ValueError, match="resolution"):
@@ -351,7 +373,7 @@ def per_row_sweep(cfg, ds_values, dg_values):
     ts = np.linspace(0.0, cfg.window, cfg.t_steps)
     p_rows, t_rows = [], []
     for ds in ds_values:
-        betas, coef = protocol._amplitude_terms(cfg, ds, dg_values)
+        betas, coef = protocol._amplitude_terms(cfg, ds, dg_values, cfg.window)
         ps = protocol._p_of_times(betas, coef, ts)
         i = np.argmax(ps, axis=-1)
         p_grid = ps.max(axis=-1)
@@ -460,7 +482,7 @@ GRID_ARGMAX_CASES = grid_argmax_cases()
 
 @pytest.mark.parametrize("cfg, ds, dg", GRID_ARGMAX_CASES.values(), ids=GRID_ARGMAX_CASES.keys())
 def test_grid_search_is_the_argmax_of_the_full_grid(cfg, ds, dg):
-    betas, coef = protocol._amplitude_terms(cfg, ds[:, None], dg)
+    betas, coef = protocol._amplitude_terms(cfg, ds[:, None], dg, cfg.window)
     grid = protocol._p_of_times(betas, coef, np.linspace(0.0, cfg.window, cfg.t_steps))
     i, p, _ = protocol._sweep_row(betas, coef, np.linspace(0.0, cfg.window, cfg.t_steps))
     assert np.array_equal(i, np.argmax(grid, axis=-1))
@@ -473,7 +495,7 @@ def test_grid_search_working_set_stays_bounded_where_nothing_prunes(monkeypatch)
     # where splitting them all would hand 3200 to the kernel at the last level
     cfg = replace(GENERIC, t_max=1e5, t_steps=64)
     betas, coef = protocol._amplitude_terms(cfg, np.linspace(0.0, 0.01, 10)[:, None],
-                                            np.linspace(0.0, 0.007, 10))
+                                            np.linspace(0.0, 0.007, 10), cfg.window)
     ts = np.linspace(0.0, cfg.window, cfg.t_steps)
     grid = protocol._p_of_times(betas, coef, ts)
     calls = []
@@ -522,7 +544,7 @@ def test_p_of_times_rounds_a_point_the_same_in_any_batch():
     # numpy's matmul took another path for a one-row batch, so a point
     # alone was rounded differently from the same point on a grid
     betas, coef = protocol._amplitude_terms(GENERIC, np.linspace(0.0, 0.01, 7)[:, None],
-                                            np.linspace(0.0, 0.007, 5))
+                                            np.linspace(0.0, 0.007, 5), 450.0)
     ts = np.linspace(0.0, 450.0, 3000)
     grid = protocol._p_of_times(betas, coef, ts)
     picks = np.random.default_rng(5).integers(0, len(ts), size=(7, 5))
@@ -573,8 +595,10 @@ def test_simulate_cycles_seed_reproducibility():
 
 
 def test_run_trials_rejects_zero_cycles():
-    with pytest.raises(ValueError, match="max_cycles"):
-        run_trials(GENERIC, trials=2, max_cycles=0, rng=RandomSource(1))
+    # also a bool, a float, a negative count and one past 64 bits
+    for bad in (0, True, 3.0, -1, 2**64):
+        with pytest.raises(ValueError, match=r"max_cycles must be an integer in \[1, 2\*\*64\)"):
+            run_trials(GENERIC, trials=2, max_cycles=bad, rng=RandomSource(1))
 
 
 def test_run_trials_rejects_a_fractional_cycle_count():
@@ -586,6 +610,9 @@ def test_run_trials_rejects_a_fractional_cycle_count():
 def test_simulate_cycles_rejects_a_fractional_cycle_count():
     with pytest.raises(ValueError, match="max_cycles must be an integer"):
         simulate_cycles(GENERIC, max_cycles=10.5, rng=RandomSource(1))
+    for bad in (0, True, -1, 2**64):
+        with pytest.raises(ValueError, match=r"max_cycles must be an integer in \[1, 2\*\*64\)"):
+            simulate_cycles(GENERIC, max_cycles=bad, rng=RandomSource(1))
 
 
 def test_run_trials_rejects_an_infinite_cycle_count():
@@ -598,6 +625,10 @@ def test_run_trials_rejects_a_fractional_trial_count():
     # used to name spawn's argument n instead of trials
     with pytest.raises(ValueError, match="trials must be an integer"):
         run_trials(GENERIC, trials=2.5, max_cycles=10, rng=RandomSource(1))
+    # also a bool, a negative count, no trial and one past 32 bits
+    for bad in (True, -1, 0, 2**32):
+        with pytest.raises(ValueError, match=r"trials must be an integer in \[1, 2\*\*32\)"):
+            run_trials(GENERIC, trials=bad, max_cycles=10, rng=RandomSource(1))
 
 
 FIXED_AT_T_STAR = replace(
@@ -621,7 +652,7 @@ ENVELOPE_CONFIGS = [
 @pytest.mark.parametrize("cfg", ENVELOPE_CONFIGS)
 def test_yield_envelope_bounds_the_yield(cfg):
     # run_trials' envelope at a uniform delta_t: _sweep_row's bound over the window
-    betas, coef = protocol._amplitude_terms(cfg, cfg.ds, cfg.dg)
+    betas, coef = protocol._amplitude_terms(cfg, cfg.ds, cfg.dg, cfg.window)
     _, _, bound = protocol._sweep_row(betas, coef, np.linspace(0.0, cfg.window, cfg.t_steps))
     dense = np.linspace(0.0, cfg.window, 200001)
     # against the kernel itself, which the filter compares u with
@@ -633,7 +664,7 @@ def test_yield_envelope_bounds_the_yield(cfg):
 
 def test_yield_envelope_is_tight_and_exact_at_fixed_delta_t():
     t_star, p_star = pds_max(GENERIC)
-    betas, coef = protocol._amplitude_terms(GENERIC, GENERIC.ds, GENERIC.dg)
+    betas, coef = protocol._amplitude_terms(GENERIC, GENERIC.ds, GENERIC.dg, GENERIC.window)
     ts = np.linspace(0.0, GENERIC.window, GENERIC.t_steps)
     _, _, bound = protocol._sweep_row(betas, coef, ts)
     assert p_star <= bound <= 1.01 * p_star

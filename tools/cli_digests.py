@@ -109,6 +109,13 @@ def invocations(workdir):
                                  "--set", "ds=0.01"]
     yield "protocol:phase-overflow", ["protocol", "--set", "ds=1e308", "--trials", "3",
                                       "--max-cycles", "5"]
+    # the beat-phase check at both ends of the float range must not over-reject:
+    # one set of frequencies, and the same scaled by 1e600
+    for label, (w, g1, g2, ds, dg) in (("tiny", ("1e-300", "1e-302", "5e-303", "1e-302", "7e-303")),
+                                       ("huge", ("1e300", "1e298", "5e297", "1e298", "7e297"))):
+        pairs = (f"omega_c={w}", f"omega_a={w}", f"g1={g1}", f"g2={g2}", f"ds={ds}", f"dg={dg}")
+        yield f"protocol:{label}-scale", ["protocol", *(a for p in pairs for a in ("--set", p)),
+                                          "--trials", "20", "--max-cycles", "50", "--seed", "1"]
 
 
 def digest(data):
