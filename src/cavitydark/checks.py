@@ -110,8 +110,7 @@ def check_analytic_numeric(gen):
             draws.append((wa, wa, g1, g2))
         else:
             w1, w2 = 1.0 - gen.uniform(-0.05, 0.05, size=2)
-            if abs(w1 - w2) >= 1e-7:
-                draws.append((w1, w2, g1, g2))
+            draws.append((w1, w2, g1, g2))
     blocks = np.reshape(draws, (-1, 4)).T
     sp = _dark.analytic_spectrum(1.0, *blocks)
     numeric, V = np.linalg.eigh(_model._arrowhead(1.0, blocks[:2].T, blocks[2:].T))
@@ -177,8 +176,6 @@ def check_vieta(gen):
     draws = []
     for _ in range(300):
         w1, w2 = 1.0 - gen.uniform(-0.05, 0.05, size=2)
-        if abs(w1 - w2) < 1e-6:
-            continue
         g1, g2 = gen.uniform(0.001, 0.05, size=2)
         draws.append((w1, w2, g1, g2))
     wc, (w1, w2, g1, g2) = 1.0, np.reshape(draws, (-1, 4)).T

@@ -213,6 +213,7 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     unit.  States without atomic excitation (weight at or below tol) are
     never dark (there is nothing stored to protect).
     """
+    _num._check_tol(tol)
     psi = np.asarray(psi, dtype=complex)
     n = model.n_atoms
     if subspace == SUBSPACE_SINGLE:
@@ -258,8 +259,7 @@ def find_dark_states(model, subspace=SUBSPACE_SINGLE, tol=1e-10):
     amplitudes; empty when nothing qualifies (any nonzero frequency split
     between the atoms guarantees that in the one-excitation block).
     """
-    if not (0 < tol < np.inf):
-        raise ValueError(f"tol must be a positive finite number, got {tol}")
+    _num._check_tol(tol)
     n = model.n_atoms
     if subspace == SUBSPACE_SINGLE:
         if not model.rwa:

@@ -191,6 +191,12 @@ def _phase_factors(freqs, t):
     return np.exp(-1j * phase)
 
 
+def _check_tol(tol):
+    """The one tolerance rule: ValueError unless 0 < tol < inf."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be a positive finite number, got {tol}")
+
+
 def null_space(M, tol):
     """Orthonormal basis of {v : ||Mv|| <= tol * max|M| * ||v||}.
 
@@ -199,8 +205,7 @@ def null_space(M, tol):
     basis.  A real M keeps its real SVD, which is several times cheaper
     than the complex one.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     M = np.atleast_2d(np.asarray(M))
     n = M.shape[1]
     scale = max_abs(M)

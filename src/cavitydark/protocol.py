@@ -149,11 +149,6 @@ def _amplitude_terms(cfg, ds, dg, horizon):
     return betas, (dark @ V) * V[..., 2, :]
 
 
-def _horizon(cfg):
-    """The longest waiting time a cycle can draw: delta_t_fixed, or the window."""
-    return cfg.delta_t_fixed if cfg.delta_t_distribution == DIST_FIXED else cfg.window
-
-
 def dark_amplitude(cfg, t):
     """Dark-state amplitude lambda at a finite switch-off time t >= 0."""
     if not 0 <= t < math.inf:
@@ -313,18 +308,24 @@ def pds_max(cfg):
     return float(t_star[0, 0]), float(p_star[0, 0])
 
 
-def mean_yield(cfg):
-    """Average single-cycle yield over the waiting-time distribution.
-
-    For uniform waiting times this is the exact time average over the
-    window, sum_kl c_k c_l sin(x_kl) / x_kl with x_kl = (beta_k - beta_l)
-    times the window and the x = 0 terms equal to 1 (numpy's normalised
-    sinc takes x / pi)."""
-    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg, _horizon(cfg))
-    if cfg.delta_t_distribution == DIST_FIXED:
-        return float(_p_of_times(betas, coef, [cfg.delta_t_fixed])[0])
+def _terms(cfg):
+    """(betas, coef, p_bar), the one setup of a trial run: cfg's amplitude
+    terms, beat phases checked up to the longest waiting time a cycle can
+    draw (delta_t_fixed, or the window), and the mean single-cycle yield: p
+    at delta_t_fixed, or for uniform waiting times the exact time average
+    over the window, sum_kl c_k c_l sin(x_kl) / x_kl with x_kl = (beta_k -
+    beta_l) times the window, 1 at x = 0 (numpy's sinc takes x / pi)."""
+    fixed = cfg.delta_t_distribution == DIST_FIXED
+    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg, cfg.delta_t_fixed if fixed else cfg.window)
+    if fixed:
+        return betas, coef, float(_p_of_times(betas, coef, [cfg.delta_t_fixed])[0])
     x = np.subtract.outer(betas, betas) * cfg.window
-    return float(np.clip(coef @ np.sinc(x / np.pi) @ coef, 0.0, 1.0))
+    return betas, coef, float(np.clip(coef @ np.sinc(x / np.pi) @ coef, 0.0, 1.0))
+
+
+def mean_yield(cfg):
+    """Average single-cycle yield over the waiting-time distribution (_terms)."""
+    return _terms(cfg)[2]
 
 
 def sweep(cfg, ds_range=(0.0, 0.01), dg_range=(0.0, 0.007), resolution=50):
@@ -349,13 +350,11 @@ def sweep(cfg, ds_range=(0.0, 0.01), dg_range=(0.0, 0.007), resolution=50):
     return SweepResult(ds_values, dg_values, *_maxima(cfg, ds_values, dg_values))
 
 
-def _draw_block(gen, cfg, size, out=None):
-    """The raw draws of `size` cycles: u per cycle at a fixed delta_t, else
-    delta_t / window and u per cycle, interleaved in that order.  Written
-    into out if given, a contiguous array of exactly that many draws."""
-    if out is not None:
-        return gen.random(out=out)  # size as well would cost numpy a shape check
-    return gen.random(size if cfg.delta_t_distribution == DIST_FIXED else 2 * size)
+def _draw_block(gen, cfg, size, out):
+    """Fill out, a contiguous array, with the raw draws of `size` cycles of
+    cfg (the count bench/spans.py reads): u per cycle at a fixed delta_t,
+    else delta_t / window and u per cycle, interleaved in that order."""
+    return gen.random(out=out)  # size as well would cost numpy a shape check
 
 
 def _block_size(p_bar):
@@ -367,11 +366,12 @@ def _block_size(p_bar):
     return min(_TRIAL_BLOCK, math.ceil(1 / p_bar))
 
 
-def _trials(cfg, generators, max_cycles):
-    """(cycles_used, outcome) of one trial per generator, in order.
+def _trials(cfg, terms, generators, max_cycles):
+    """(cycles_used, outcome) of one trial per generator, in order, from
+    terms = _terms(cfg).
 
     The generators are taken in chunks of up to _TRIAL_ROWS, and a chunk
-    runs in rounds of ceil(1 / mean_yield) cycles (_block_size): each open
+    runs in rounds of ceil(1 / p_bar) cycles (_block_size): each open
     trial draws its round into its own row of one buffer (_draw_block),
     then the whole chunk is tested at once, and a trial closes at the
     first cycle of its row that succeeds.  A cycle can only succeed when
@@ -382,9 +382,8 @@ def _trials(cfg, generators, max_cycles):
     numbers in any split and _p_of_times rounds a point the same in any
     batch, so the results are those of drawing each trial in one block and
     evaluating p at every draw."""
-    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg, _horizon(cfg))
+    betas, coef, p_bar = terms
     exact = cfg.delta_t_distribution == DIST_FIXED
-    p_bar = mean_yield(cfg)
     ts = np.linspace(0.0, cfg.window, cfg.t_steps)
     bound = p_bar if exact else float(_sweep_row(betas, coef, ts)[2])
     size = _block_size(p_bar)
@@ -421,17 +420,18 @@ def simulate_cycles(cfg, max_cycles, rng):
     as an ideal projective measurement: success with probability
     p = |lambda(delta_t)|^2 ends the trial, otherwise the photon reaches
     the detector and the cavity is re-pumped.  The trial runs through
-    run_trials' loop (_trials, a chunk of one) on rng.generator(); its
-    cycles are then drawn again from a second rng.generator() through
-    _draw_block, the same numbers in one block, and p is evaluated at
-    each.  The records stop at the first success.
+    run_trials' loop (_trials, a chunk of one) on rng.generator(), and its
+    cycles are drawn again from a second rng.generator() (_draw_block, the
+    same numbers in one block); p at each comes from the same setup,
+    _terms.  The records stop at the first success.
     """
     max_cycles = _num._bounded_int(max_cycles, "max_cycles", 1, 64)
-    ((used, outcome),) = _trials(cfg, [rng.generator()], max_cycles)
-    raw = _draw_block(rng.generator(), cfg, used)
+    terms = _terms(cfg)
+    ((used, outcome),) = _trials(cfg, terms, [rng.generator()], max_cycles)
     fixed = cfg.delta_t_distribution == DIST_FIXED
+    raw = _draw_block(rng.generator(), cfg, used, np.empty(used if fixed else 2 * used))
     dts = np.full(used, float(cfg.delta_t_fixed)) if fixed else cfg.window * raw[0::2]
-    ps = _p_of_times(*_amplitude_terms(cfg, cfg.ds, cfg.dg, _horizon(cfg)), dts)
+    ps = _p_of_times(*terms[:2], dts)
     outcomes = [OUTCOME_PHOTON] * used
     if outcome == OUTCOME_SUCCESS:
         outcomes[-1] = OUTCOME_SUCCESS
@@ -449,7 +449,7 @@ def run_trials(cfg, trials, max_cycles, rng):
     """
     trials = _num._bounded_int(trials, "trials", 1, 32)
     max_cycles = _num._bounded_int(max_cycles, "max_cycles", 1, 64)
-    runs = _trials(cfg, rng.child_generators(trials), max_cycles)
+    runs = _trials(cfg, _terms(cfg), rng.child_generators(trials), max_cycles)
     return [TrialRecord(idx, used, outcome) for idx, (used, outcome) in enumerate(runs)]
 
 

@@ -102,13 +102,11 @@ def cubic_eig_agreement(gen):
 
 def vieta(gen):
     """The `vieta` check one block at a time: the solver's roots of 300
-    random split-frequency blocks (omega_c = 1) against Vieta's relations,
-    draws with |w1 - w2| < 1e-6 skipped.  Returns (passed, detail)."""
+    random split-frequency blocks (omega_c = 1) against Vieta's relations.
+    Returns (passed, detail)."""
     worst = 0.0
     for _ in range(300):
         w1, w2 = 1.0 - gen.uniform(-0.05, 0.05, size=2)
-        if abs(w1 - w2) < 1e-6:
-            continue
         g1, g2 = gen.uniform(0.001, 0.05, size=2)
         A = -(1.0 + w1 + w2)
         B = w1 + w2 + w1 * w2 - g1 * g1 - g2 * g2

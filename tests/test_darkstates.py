@@ -237,8 +237,6 @@ def test_vieta_relations():
     for _ in range(200):
         wc = 1.0
         w1, w2 = gen.uniform(0.95, 1.05, size=2)
-        if abs(w1 - w2) < 1e-6:
-            continue
         g1, g2 = gen.uniform(0.001, 0.05, size=2)
         A = -(wc + w1 + w2)
         B = wc * w1 + wc * w2 + w1 * w2 - g1 * g1 - g2 * g2
@@ -333,8 +331,6 @@ def test_analytic_numeric_equivalence_sample():
             w1 = w2 = wc - gen.uniform(-0.05, 0.05)
         else:
             w1, w2 = wc - gen.uniform(-0.05, 0.05, size=2)
-            if abs(w1 - w2) < 1e-7:
-                continue
         sp = analytic_spectrum(wc, w1, w2, g1, g2)
         numeric = herm_eig(single_excitation_block(block_model(w1, w2, g1, g2, wc)))
         dv, dvec = match_to_numeric(sp, numeric)
@@ -427,6 +423,23 @@ def test_is_dark_residuals_are_the_norms_of_the_collective_operators():
             report = is_dark(m, psi, SUBSPACE_FULL)
             assert np.isclose(report.emit_residual, np.linalg.norm(L @ psi), rtol=1e-12, atol=0)
             assert np.isclose(report.absorb_residual, np.linalg.norm(L.T @ psi), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda tol: numerics_module.null_space([[1.0, 2.0], [3.0, 4.0]], tol),
+        lambda tol: is_dark(block_model(g1=0.01, g2=0.01), singlet_ensemble(2), SUBSPACE_FULL, tol),
+        lambda tol: find_dark_states(block_model(), SUBSPACE_SINGLE, tol),
+    ],
+    ids=["null_space", "is_dark", "find_dark_states"],
+)
+def test_every_tolerance_follows_one_rule(call, tol):
+    # null_space gave a full-rank matrix a whole null space at tol nan or
+    # inf; is_dark said "not dark" at nan, inf and -1 and "dark" at 0
+    with pytest.raises(ValueError, match=f"^tol must be a positive finite number, got {tol}$"):
+        call(tol)
 
 
 def test_is_dark_dimension_mismatch():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cavitydark import numerics, protocol
+from cavitydark import cli, numerics, protocol
 from cavitydark.model import single_excitation_block
 from cavitydark.numerics import RandomSource, herm_eig, evolve
 from cavitydark.protocol import (
@@ -408,12 +408,17 @@ def test_sweep_single_pass_matches_per_row_loop(cfg, kwargs):
     assert t_pair == (t_ref[-1, -1], p_ref[-1, -1])
 
 
-def test_sweep_chunks_do_not_change_the_result(monkeypatch):
+def count_amplitude_terms(monkeypatch):
     calls = []
     amplitude_terms = protocol._amplitude_terms
     monkeypatch.setattr(
         protocol, "_amplitude_terms", lambda *a: calls.append(1) or amplitude_terms(*a)
     )
+    return calls
+
+
+def test_sweep_chunks_do_not_change_the_result(monkeypatch):
+    calls = count_amplitude_terms(monkeypatch)
     monkeypatch.setattr(protocol, "_SWEEP_CHUNK", 8)  # two rows of four per chunk
     res = sweep(GENERIC, resolution=(5, 4))
     assert len(calls) == 3
@@ -636,6 +641,29 @@ FIXED_AT_T_STAR = replace(
 )
 
 
+@pytest.mark.parametrize("cfg", [GENERIC, FIXED_AT_T_STAR], ids=["uniform", "fixed"])
+def test_a_trial_run_solves_the_shifted_block_once(cfg, monkeypatch):
+    # run_trials solved it twice and simulate_cycles three times: the
+    # horizon, the mean yield and the per-cycle p each redid the setup
+    calls = count_amplitude_terms(monkeypatch)
+    for run in (lambda: run_trials(cfg, trials=5, max_cycles=100, rng=RandomSource(1)),
+                lambda: simulate_cycles(cfg, max_cycles=100, rng=RandomSource(1)),
+                lambda: mean_yield(cfg)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
+def test_the_protocol_command_solves_the_shifted_block_three_times(tmp_path, monkeypatch):
+    # once each for the trials, p_star and the mean yield (it was four times)
+    calls = count_amplitude_terms(monkeypatch)
+    out = str(tmp_path / "proto.csv")
+    argv = ["protocol", "--trials", "5", "--max-cycles", "100", "--set", "ds=0.01",
+            "--set", "dg=0.007", "--out", out]
+    assert cli.main(argv) == 0
+    assert len(calls) == 3
+
+
 # the maximum lies between the two grid points: p is 3.8e-3 at both, 8.2e-2 at t*
 COARSE_GRID = replace(GENERIC, t_max=300.0, t_steps=2)
 ENVELOPE_CONFIGS = [
@@ -839,12 +867,17 @@ def test_block_size_is_the_mean_cycle_count_up_to_the_cap(monkeypatch):
 @pytest.mark.parametrize("p_bar", [None, 0.0, 5e-324], ids=["null-shift", "zero", "subnormal"])
 def test_trials_run_at_a_zero_or_subnormal_mean_yield(p_bar, monkeypatch):
     null = ZSJumpConfig()
+    terms, block_size = protocol._terms, protocol._block_size
     if p_bar is not None:
-        monkeypatch.setattr(protocol, "mean_yield", lambda cfg: p_bar)
+        monkeypatch.setattr(protocol, "_terms", lambda cfg: (*terms(cfg)[:2], p_bar))
+    seen = []
+    monkeypatch.setattr(protocol, "_block_size", lambda p: seen.append(p) or block_size(p))
     trials = run_trials(null, trials=3, max_cycles=5000, rng=RandomSource(4))
     assert [(t.cycles_used, t.outcome) for t in trials] == [(5000, OUTCOME_EXHAUSTED)] * 3
     records = simulate_cycles(null, max_cycles=5000, rng=RandomSource(4))
     assert len(records) == 5000 and records[-1].outcome == OUTCOME_PHOTON
+    # the patched mean yield reached the round size through the trial loop
+    assert seen == [mean_yield(null) if p_bar is None else p_bar] * 2
 
 
 def test_cycle_statistics_fixed_delta_t():

@@ -38,6 +38,8 @@ MODELS = {  # name -> (omega_c, omegas, gs, extra lines)
 # invocations that must fail with a one-line input error and exit 1
 INPUT_ERRORS = {
     "dark-find:single_excitation:nonrwa3",  # no one-excitation block without RWA
+    "dark-find:tol-zero",  # the one tolerance rule
+    "dark-find:tol-nan",
     "sweep:infinite-window",
     "sweep:set-shift",  # sweep scans the shifts over its ranges
     # a one-period window or a beat phase that overflows
@@ -70,6 +72,9 @@ def invocations(workdir):
         yield f"spectrum:{name}", ["spectrum", "--model", str(path)]
         for sub in ("single_excitation", "full"):
             yield f"dark-find:{sub}:{name}", ["dark-find", "--model", str(path), "--subspace", sub]
+    for label, tol in (("zero", "0"), ("nan", "nan")):
+        yield f"dark-find:tol-{label}", ["dark-find", "--model", str(workdir / "degenerate2.model"),
+                                         "--tol", tol]
     for name, spec in SPECTRUM_MODELS.items():
         path = workdir / f"{name}.model"
         write_model(path, *spec)
