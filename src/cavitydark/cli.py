@@ -76,13 +76,21 @@ def _protocol_config(args, keys):
         key = key.strip()
         if key not in keys:
             raise UsageError(f"unknown override key {key!r}; known keys: {', '.join(keys)}")
-        try:
-            fields[key] = float(value)
-        except ValueError:
-            raise UsageError(f"override {key}: not a number: {value!r}") from None
-        if not np.isfinite(fields[key]):
-            raise UsageError(f"override {key}: value must be finite")
+        fields[key] = _num._parse_number(value, f"override {key}")  # the model files' rule
     return _proto.ZSJumpConfig(**fields, t_max=args.t_max, t_steps=args.t_steps)
+
+
+def _physical(args, *values, time=False):
+    """The values in physical units under --physical HZ (frequencies times HZ,
+    times times 1 / HZ), unchanged without it; a value the scale makes
+    infinite or nan is an error, not a number in the table."""
+    if not args.physical:
+        return values
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = [np.multiply(v, 1.0 / args.physical if time else args.physical) for v in values]
+    if not all(np.isfinite(v).all() for v in scaled):
+        raise UsageError(f"--physical {args.physical!r} makes a reported value non-finite")
+    return scaled
 
 
 def _write_output(args, text):
@@ -138,7 +146,6 @@ def _interleaved(vectors):
 
 def run_spectrum(args):
     m = _model.load_model(args.model)
-    scale = args.physical or 1.0
     notes = ()
     if m.n_atoms == 2 and m.rwa:
         H = _model.single_excitation_block(m)
@@ -149,6 +156,7 @@ def run_spectrum(args):
         # max|H| or the subspace distance
         lam_n, V_n = numeric.eigenvalues, numeric.eigenvectors
         lam_a, V_a = analytic.eigenvalues, analytic.eigenvectors
+        scaled_n, scaled_a = _physical(args, lam_n, lam_a)
         distances = [_num.subspace_distance(a, v) for a, v in zip(V_a.T, V_n.T)]
         header = (
             ["index", "eigenvalue"]
@@ -158,16 +166,15 @@ def run_spectrum(args):
             + ["discrepancy"]
         )
         rows = np.column_stack(
-            [np.arange(3), lam_n * scale, _interleaved(V_n.T), lam_a * scale,
+            [np.arange(3), scaled_n, _interleaved(V_n.T), scaled_a,
              _interleaved(V_a.T), np.maximum(abs(lam_n - lam_a) / _num.max_abs(H), distances)]
         )
         notes = [f"branch,{'degenerate' if w1 == w2 else 'shifted'}"]
     else:
         spec = _num.herm_eig(_model.build_full_hamiltonian(m))
         header = ["index", "eigenvalue"] + _vector_columns("", spec.dim)
-        rows = np.column_stack(
-            [np.arange(spec.dim), spec.eigenvalues * scale, _interleaved(spec.eigenvectors.T)]
-        )
+        (values,) = _physical(args, spec.eigenvalues)
+        rows = np.column_stack([np.arange(spec.dim), values, _interleaved(spec.eigenvectors.T)])
     _write_table(args, header, rows, notes)
     for entry in m.validity_report():
         print(
@@ -206,16 +213,13 @@ def run_sweep(args):
     ds_range, ds_n = _parse_range(args.ds_range, "--ds-range")
     dg_range, dg_n = _parse_range(args.dg_range, "--dg-range")
     result = _proto.sweep(cfg, ds_range, dg_range, resolution=(ds_n, dg_n))
-    f_scale = args.physical or 1.0
-    t_scale = 1.0 / f_scale
-    # row-major in ds
-    rows = np.column_stack(
-        [np.repeat(result.ds_grid * f_scale, dg_n), np.tile(result.dg_grid * f_scale, ds_n),
-         result.p_max.ravel(), result.t_star.ravel() * t_scale]
-    )
     top = result.global_max()
+    ds, dg, top_ds, top_dg = _physical(args, result.ds_grid, result.dg_grid, top["ds"], top["dg"])
+    t_star, top_t = _physical(args, result.t_star.ravel(), top["t_star"], time=True)
+    # row-major in ds
+    rows = np.column_stack([np.repeat(ds, dg_n), np.tile(dg, ds_n), result.p_max.ravel(), t_star])
     note = "global_max,ds=%.17g,dg=%.17g,p_max=%.17g,t_star=%.17g" % (
-        top["ds"] * f_scale, top["dg"] * f_scale, top["p_max"], top["t_star"] * t_scale
+        top_ds, top_dg, top["p_max"], top_t
     )
     _write_table(args, ["ds", "dg", "p_max", "t_star"], rows, [note])
     print(

@@ -36,6 +36,11 @@ MAX_ATOMS = 12
 MAX_DIM = 8192  # a dense complex matrix of this dimension takes 1 GiB
 
 
+def _positive_finite(value, name):
+    if not (0 < value < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class AtomParams:
     """One two-level atom: transition frequency and coupling."""
@@ -44,8 +49,7 @@ class AtomParams:
     g: float
 
     def __post_init__(self):
-        if not (0 < self.omega < math.inf):
-            raise ValueError(f"atom frequency must be positive and finite, got {self.omega}")
+        _positive_finite(self.omega, "atom frequency")
         if not (0 <= self.g < math.inf):
             raise ValueError(f"coupling must be nonnegative and finite, got {self.g}")
 
@@ -59,8 +63,7 @@ class CavityModel:
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        if not (0 < self.omega_c < math.inf):
-            raise ValueError(f"cavity frequency must be positive and finite, got {self.omega_c}")
+        _positive_finite(self.omega_c, "cavity frequency")
         # the full space holds (cutoff + 1) 2**n states: 2**32 is far past any memory
         _num._bounded_int(self.photon_cutoff, "photon cutoff", 1, 32)
         if not isinstance(self.rwa, (bool, np.bool_)):
@@ -91,16 +94,18 @@ class CavityModel:
 
         The model is not rejected on large values; the rotating-wave and
         near-resonance assumptions just degrade, so callers can print
-        this as a diagnostic.
+        this as a diagnostic.  The ratios are Python float quotients, so a
+        tiny omega_c gives an infinite ratio and no numpy overflow warning.
         """
+        omega_c = float(self.omega_c)
         return [
             {
                 "atom": i + 1,
-                "detuning": float(d),
-                "detuning_ratio": float(d / self.omega_c),
-                "coupling_ratio": float(a.g / self.omega_c),
+                "detuning": d,
+                "detuning_ratio": d / omega_c,
+                "coupling_ratio": float(a.g) / omega_c,
             }
-            for i, (a, d) in enumerate(zip(self.atoms, self.detunings()))
+            for i, (a, d) in enumerate(zip(self.atoms, self.detunings().tolist()))
         ]
 
 
@@ -231,7 +236,9 @@ def apply_zs_shift(model, atom_index, ds, dg):
 
 
 def half_wavelength(omega_c):
-    """Cavity length L = pi c / omega_c (half the mode wavelength)."""
+    """Cavity length L = pi c / omega_c (half the mode wavelength); omega_c
+    is checked by the cavity's own rule first."""
+    _positive_finite(omega_c, "cavity frequency")
     return math.pi * C_LIGHT / omega_c
 
 
@@ -242,14 +249,17 @@ def coupling_from_position(x, L, omega_c, dipole_moment, volume):
     E0 = sqrt(hbar omega_c / (2 eps0 V)); the coupling is the dipole
     matrix element times the local field over hbar.  Inputs are SI; the
     result is divided by omega_c so the rest of the package stays
-    unit-free.
+    unit-free: g / omega_c = d sin(omega_c x / c) / sqrt(2 eps0 hbar omega_c V),
+    formed one square root at a time, since a product of the small SI
+    factors underflows to 0 for a tiny omega_c or V.
     """
+    _positive_finite(omega_c, "cavity frequency")
     if not (0 <= x <= L):
         raise ValueError(f"position {x} outside the cavity [0, {L}]")
     if volume <= 0:
         raise ValueError("mode volume must be positive")
-    e0 = math.sqrt(HBAR * omega_c / (2 * EPSILON_0 * volume))
-    return dipole_moment * e0 * math.sin(omega_c * x / C_LIGHT) / (HBAR * omega_c)
+    profile = math.sin(omega_c * x / C_LIGHT) / math.sqrt(omega_c)
+    return profile * (dipole_moment / math.sqrt(2 * EPSILON_0 * HBAR)) / math.sqrt(volume)
 
 
 class ModelFormatError(ValueError):
@@ -281,117 +291,88 @@ def parse_model(text):
 
     Atoms specified by position get their coupling from the mode profile
     and the whole model is returned nondimensionalized (omega_c = 1), so
-    either every atom gives 'g' or every atom gives 'x'.
+    either every atom gives 'g' or every atom gives 'x'.  Every line is
+    stored once, with its line number, and everything is read from that
+    table; numbers follow numerics._parse_number, the rule of --set too.
     Unknown or duplicate keys and unparsable numbers are reported with
     their line number.
     """
-    globals_ = {}
-    atoms = {}
-    seen = set()
+    table = {}  # key -> (value, line number), in line order
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ModelFormatError(f"expected 'key = value', got {raw.strip()!r}", lineno)
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key in seen:
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in table:
             raise ModelFormatError(f"duplicate key {key!r}", lineno)
-        seen.add(key)
-        if key.startswith("atom."):
-            parts = key.split(".")
-            if len(parts) != 3 or parts[2] not in _ATOM_KEYS:
-                raise ModelFormatError(f"unknown key {key!r}", lineno)
-            # canonical spelling only: int() reads "01", "+1" and "1_0" as 1 too
-            index = parts[1]
-            if not (index.isascii() and index.isdigit() and index[0] != "0"):
-                raise ModelFormatError(f"bad atom index in {key!r}", lineno)
-            atoms.setdefault(int(index), {})[parts[2]] = (value, lineno)
-        elif key in _GLOBAL_KEYS:
-            globals_[key] = (value, lineno)
-        else:
+        parts = key.split(".")
+        atom_key = len(parts) == 3 and parts[0] == "atom" and parts[2] in _ATOM_KEYS
+        if not (atom_key or key in _GLOBAL_KEYS):
             raise ModelFormatError(f"unknown key {key!r}", lineno)
+        # canonical spelling only: int() reads "01", "+1" and "1_0" as 1 too
+        if atom_key and not (parts[1].isascii() and parts[1].isdigit() and parts[1][0] != "0"):
+            raise ModelFormatError(f"bad atom index in {key!r}", lineno)
+        table[key] = (value, lineno)
 
-    def as_float(name, value, lineno):
+    def number(key, integer=False):
+        value, lineno = table[key]
         try:
-            out = float(value)
-        except ValueError:
-            raise ModelFormatError(f"{name}: not a number: {value!r}", lineno) from None
-        if not math.isfinite(out):
-            raise ModelFormatError(f"{name}: value must be finite", lineno)
-        return out
+            return _num._parse_number(value, key, integer)
+        except ValueError as exc:
+            raise ModelFormatError(str(exc), lineno) from None
 
-    if "omega_c" not in globals_:
+    if "omega_c" not in table:
         raise ModelFormatError("missing required key 'omega_c'")
-    omega_c = as_float("omega_c", *globals_["omega_c"])
+    omega_c = number("omega_c")
+    rwa, lineno = table.get("rwa", ("true", None))
+    if rwa.lower() not in ("true", "false"):
+        raise ModelFormatError(f"rwa: expected true or false, got {rwa!r}", lineno)
+    cutoff = number("photon_cutoff", integer=True) if "photon_cutoff" in table else 1
+    dipole, volume = (number(k) if k in table else None for k in ("dipole", "volume"))
 
-    rwa = True
-    if "rwa" in globals_:
-        value, lineno = globals_["rwa"]
-        if value.lower() not in ("true", "false"):
-            raise ModelFormatError(f"rwa: expected true or false, got {value!r}", lineno)
-        rwa = value.lower() == "true"
-
-    cutoff = 1
-    if "photon_cutoff" in globals_:
-        value, lineno = globals_["photon_cutoff"]
-        try:
-            cutoff = int(value)
-        except ValueError:
-            raise ModelFormatError(f"photon_cutoff: not an integer: {value!r}", lineno) from None
-
-    dipole = volume = None
-    if "dipole" in globals_:
-        dipole = as_float("dipole", *globals_["dipole"])
-    if "volume" in globals_:
-        volume = as_float("volume", *globals_["volume"])
-
-    if not atoms:
+    indices = sorted({int(key.split(".")[1]) for key in table if key.startswith("atom.")})
+    if not indices:
         raise ModelFormatError("model has no atoms")
-    indices = sorted(atoms)
     if indices != list(range(1, len(indices) + 1)):
         raise ModelFormatError(f"atom indices must be contiguous from 1, got {indices}")
 
-    positional = any("x" in entry for entry in atoms.values())
+    positional = any(key.endswith(".x") for key in table)
     params = []
     for i in indices:
-        entry = atoms[i]
-        if "omega" not in entry:
+        omega, g, x = (f"atom.{i}.{name}" for name in ("omega", "g", "x"))
+        if omega not in table:
             raise ModelFormatError(f"atom {i} is missing 'omega'")
-        omega = as_float(f"atom.{i}.omega", *entry["omega"])
-        if ("g" in entry) == ("x" in entry):
-            lineno = next(iter(entry.values()))[1]
-            raise ModelFormatError(
-                f"atom {i} needs exactly one of 'g' or 'x'", lineno
-            )
-        if "g" in entry:
+        omega_i = number(omega)
+        if (g in table) == (x in table):
+            lineno = min(table[key][1] for key in (omega, g, x) if key in table)
+            raise ModelFormatError(f"atom {i} needs exactly one of 'g' or 'x'", lineno)
+        if g in table:
             if positional:
                 raise ModelFormatError(
                     f"atom {i} gives 'g' but another atom gives 'x'; "
-                    "use one kind for all atoms", entry["g"][1]
+                    "use one kind for all atoms", table[g][1]
                 )
-            g = as_float(f"atom.{i}.g", *entry["g"])
-        else:
-            x_val, lineno = entry["x"]
-            x = as_float(f"atom.{i}.x", x_val, lineno)
-            if dipole is None or volume is None:
-                raise ModelFormatError(
-                    f"atom {i} uses 'x' but 'dipole'/'volume' are not set", lineno
-                )
-            L = half_wavelength(omega_c)
-            if not (0 <= x <= L):
-                raise ModelFormatError(
-                    f"atom {i}: position {x} outside the cavity [0, {L:.6g}]", lineno
-                )
-            g = coupling_from_position(x, L, omega_c, dipole, volume)
-        params.append(AtomParams(omega=omega, g=g))
+            params.append(AtomParams(omega=omega_i, g=number(g)))
+            continue
+        x_i, lineno = number(x), table[x][1]
+        if dipole is None or volume is None:
+            raise ModelFormatError(f"atom {i} uses 'x' but 'dipole'/'volume' are not set", lineno)
+        L = half_wavelength(omega_c)
+        if not (0 <= x_i <= L):
+            raise ModelFormatError(
+                f"atom {i}: position {x_i} outside the cavity [0, {L:.6g}]", lineno
+            )
+        g_i = coupling_from_position(x_i, L, omega_c, dipole, volume)
+        params.append(AtomParams(omega=omega_i, g=g_i))
 
     if positional:
         # couplings from the field profile are already in units of omega_c
         params = [replace(a, omega=a.omega / omega_c) for a in params]
         omega_c = 1.0
 
+    rwa = rwa.lower() == "true"
     return CavityModel(omega_c=omega_c, atoms=tuple(params), photon_cutoff=cutoff, rwa=rwa)
 
 

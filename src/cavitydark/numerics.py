@@ -6,6 +6,7 @@ Everything here is a pure function of its inputs; arrays are never
 mutated in place.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -310,6 +311,19 @@ def _bounded_int(value, name, low, bits):
     if not (integral and low <= value < 2**bits):
         raise ValueError(f"{name} must be an integer in [{low}, 2**{bits}), got {value!r}")
     return int(value)
+
+
+def _parse_number(text, name, integer=False):
+    """text read as a finite float, or as an int with integer=True: the one
+    number rule of model files and --set pairs, ValueError naming NAME otherwise."""
+    kind, read = ("an integer", int) if integer else ("a number", float)
+    try:
+        value = read(text)
+    except ValueError:
+        raise ValueError(f"{name}: not {kind}: {text!r}") from None
+    if not (integer or math.isfinite(value)):
+        raise ValueError(f"{name}: value must be finite")
+    return value
 
 
 @dataclass(frozen=True)

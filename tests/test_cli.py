@@ -410,6 +410,19 @@ def test_a_non_finite_override_is_a_one_line_error(command, key, value, capsys):
     assert captured.err.splitlines() == [f"cavitydark: error: override {key}: value must be finite"]
 
 
+@pytest.mark.parametrize(
+    "value, reason",
+    [("fast", "not a number: 'fast'"), ("0x10", "not a number: '0x10'"),
+     ("1e999", "value must be finite"), ("nan", "value must be finite")],
+)
+def test_set_pairs_and_model_values_share_one_number_rule(value, reason, model_file, capsys):
+    assert cli.main(["sweep", "--set", f"g1={value}"]) == 1
+    assert capsys.readouterr().err == f"cavitydark: error: override g1: {reason}\n"
+    text = RESONANT.replace("atom.1.g = 0.01", f"atom.1.g = {value}")
+    assert cli.main(["spectrum", "--model", model_file(text)]) == 1
+    assert capsys.readouterr().err == f"cavitydark: error: line 3: atom.1.g: {reason}\n"
+
+
 def test_the_order_of_set_pairs_does_not_matter(tmp_path):
     # each pair used to be applied and checked on its own, so dg=-0.015
     # before g1=0.02 failed with "shifted coupling would be negative"
@@ -667,6 +680,56 @@ def test_physical_must_be_positive_and_finite(value, model_file, capsys):
         cli.main(["spectrum", "--model", model_file(RESONANT), "--physical", value])
     assert exc.value.code == 1
     assert "--physical" in capsys.readouterr().err
+
+
+POSITIONAL = (
+    "omega_c = {0}\ndipole = 1e-29\nvolume = {1}\natom.1.omega = {0}\natom.1.x = 1e-7\n"
+)
+EDGE_MODELS = {
+    **{f"positional-{w}": POSITIONAL.format(w, "1e-15")
+       for w in ("0", "1e-300", "1e-320", "5e-324")},
+    "positional-tiny-volume": POSITIONAL.format("1e15", "1e-320"),
+    "tiny-cavity2": "omega_c = 1e-320\natom.1.omega = 1\natom.1.g = 0.01\n"
+    "atom.2.omega = 1\natom.2.g = 0.005\n",
+}
+EDGE_COMMANDS = {
+    "spectrum": ["spectrum"],
+    "dark-find": ["dark-find"],
+    "dark-find-full": ["dark-find", "--subspace", "full"],
+    "sweep": ["sweep", "--ds-range", "0:0.01:3", "--dg-range", "0:0.007:2"],
+    "protocol": ["protocol", "--trials", "5", "--max-cycles", "5"],
+}
+
+
+def _edge_case(model, command):
+    # a cavity frequency of 0 is refused; the one-atom files are no protocol base;
+    # one period of 1e-320 overflows the default window
+    refused = model.endswith("-0") or command in ("sweep", "protocol")
+    argv = EDGE_COMMANDS[command] + ["--model", model]
+    return pytest.param(argv, 1 if refused else 0, id=f"{command}:{model}")
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        *(_edge_case(model, command) for model in EDGE_MODELS for command in EDGE_COMMANDS),
+        pytest.param(["spectrum", "--model", "ONE_ATOM", "--physical", "1e308"], 1,
+                     id="spectrum:physical-overflow"),
+        pytest.param(["sweep", "--ds-range", "0:0.01:3", "--dg-range", "0:0.007:2",
+                      "--physical", "1e-310"], 1, id="sweep:physical-overflow"),
+    ],
+)
+def test_edge_inputs_end_in_a_table_or_one_error_line(argv, code, model_file, capsys):
+    # each once ended in a ZeroDivisionError, a numpy warning or a table of inf
+    models = {**EDGE_MODELS, "ONE_ATOM": "omega_c = 1\natom.1.omega = 1\natom.1.g = 0.01\n"}
+    argv = [model_file(models[a]) if a in models else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--out", os.devnull]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "Warning" not in err
+    if code:
+        assert len(err.splitlines()) == 1 and err.startswith("cavitydark: error:"), err
 
 
 def test_scaled_config_through_set_keeps_the_reference_yield(tmp_path):

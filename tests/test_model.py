@@ -311,6 +311,66 @@ def test_parse_model_errors(text, fragment, line):
         assert exc.value.line == line
 
 
+ONE_ATOM = "atom.1.omega = 1\natom.1.g = 0\n"
+POSITIONAL = "omega_c = 1.0\ndipole = 1e-29\nvolume = 1e-15\n"
+
+
+@pytest.mark.parametrize(
+    "text,message,line",
+    [
+        ("omega_c = 1.0\njust words  # a comment\n" + ONE_ATOM,
+         "line 2: expected 'key = value', got 'just words  # a comment'", 2),
+        ("omega_c = 1.0\n" + ONE_ATOM + "omega_c = 2.0\n", "line 4: duplicate key 'omega_c'", 4),
+        ("omega_c = 1.0\natom.1.omega = 1\natom.1.gg = 0\n", "line 3: unknown key 'atom.1.gg'", 3),
+        ("omega_c = 1.0\natom.01.omega = 1\natom.1.g = 0\n",
+         "line 2: bad atom index in 'atom.01.omega'", 2),
+        ("omega_c = fast\n" + ONE_ATOM, "line 1: omega_c: not a number: 'fast'", 1),
+        ("omega_c = 1.0\natom.1.omega = 1\natom.1.g = inf\n",
+         "line 3: atom.1.g: value must be finite", 3),
+        (ONE_ATOM, "missing required key 'omega_c'", None),
+        ("omega_c = 1.0\nrwa = maybe\n" + ONE_ATOM,
+         "line 2: rwa: expected true or false, got 'maybe'", 2),
+        ("omega_c = 1.0\nphoton_cutoff = 1.5\n" + ONE_ATOM,
+         "line 2: photon_cutoff: not an integer: '1.5'", 2),
+        ("omega_c = 1.0\nrwa = false\n", "model has no atoms", None),
+        ("omega_c = 1.0\n" + ONE_ATOM + "atom.3.omega = 1\natom.3.g = 0\n",
+         "atom indices must be contiguous from 1, got [1, 3]", None),
+        ("omega_c = 1.0\natom.1.g = 0\n", "atom 1 is missing 'omega'", None),
+        # the earliest of the atom's lines
+        ("omega_c = 1.0\natom.1.x = 1e-7\natom.1.omega = 1\natom.1.g = 0\n",
+         "line 2: atom 1 needs exactly one of 'g' or 'x'", 2),
+        (POSITIONAL + "atom.1.omega = 1\natom.1.g = 0.01\natom.2.omega = 1\natom.2.x = 1e-7\n",
+         "line 5: atom 1 gives 'g' but another atom gives 'x'; use one kind for all atoms", 5),
+        ("omega_c = 1.0\ndipole = 1e-29\natom.1.omega = 1\natom.1.x = 1e-7\n",
+         "line 4: atom 1 uses 'x' but 'dipole'/'volume' are not set", 4),
+        (POSITIONAL + "atom.1.omega = 1\natom.1.x = 1e9\n",
+         "line 5: atom 1: position 1000000000.0 outside the cavity [0, 9.41826e+08]", 5),
+    ],
+)
+def test_each_parse_model_error_keeps_its_text_and_line(text, message, line):
+    # one input per error text of parse_model: the whole message and its line
+    with pytest.raises(ModelFormatError) as exc:
+        parse_model(text)
+    assert (str(exc.value), exc.value.line) == (message, line)
+
+
+def test_a_positional_model_checks_omega_c_by_the_cavity_rule_first():
+    # a negative omega_c once gave a negative cavity length, and 0 a ZeroDivisionError
+    for omega_c in ("-1", "0", "1e-400"):
+        text = POSITIONAL.replace("1.0", omega_c) + "atom.1.omega = 1\natom.1.x = 1e-7\n"
+        with pytest.raises(ValueError, match="^cavity frequency must be positive and finite"):
+            parse_model(text)
+
+
+@pytest.mark.parametrize("omega_c,volume", [(1e-300, 1e-15), (5e-324, 1e-15), (1e15, 1e-320)])
+def test_a_positional_coupling_has_no_underflowing_product(omega_c, volume):
+    # hbar omega_c or 2 eps0 V once underflowed to 0 and divided by it
+    g = coupling_from_position(1e-7, half_wavelength(omega_c), omega_c, 1e-29, volume)
+    assert 0 <= g < math.inf
+    with pytest.raises(ValueError, match="cavity frequency"):
+        coupling_from_position(0.0, 1.0, 0.0, 1e-29, volume)
+
+
 def test_atom_params_validation():
     with pytest.raises(ValueError):
         AtomParams(omega=-1.0, g=0.0)

@@ -46,16 +46,21 @@ INPUT_ERRORS = {
     "sweep:window-overflow",
     "sweep:phase-overflow",
     "protocol:phase-overflow",
+    "spectrum:positional-zero-cavity",  # refused by the cavity's rule, not divided by
+    "spectrum:physical-overflow",  # a reported number that --physical makes infinite
 }
 SPECTRUM_MODELS = {  # two-atom blocks far from unit scale, an uncoupled double root,
-    # a split below DEGENERACY_RTOL, which is solved as it is, and a coupling
-    # so small that its root is its pole in float
+    # a split below DEGENERACY_RTOL, which is solved as it is, a coupling so
+    # small that its root is its pole in float, and a cavity frequency whose
+    # validity ratios overflow to inf
     "tiny2": (1e-200, [1e-200, 1.01e-200], [1e-202, 7e-203], []),
     "huge2": (1e150, [1e150, 1.01e150], [1e148, 7e147], []),
     "double-root2": (1.0, [1.0, 0.99], [0.0, 0.0], []),
     "near-degenerate2": (1.0, [1.0, 1.0 + 5e-10], [0.01, 0.005], []),
     "tiny-coupling2": (1.0, [0.5, 1.5], [1e-170, 0.1], []),
+    "tiny-cavity2": (1e-320, [1.0, 1.0], [0.01, 0.005], []),
 }
+POSITIONAL = ["dipole = 1e-29", "volume = 1e-15", "atom.1.omega = 0.0", "atom.1.x = 1e-7"]
 
 
 def write_model(path, omega_c, omegas, gs, extra):
@@ -79,6 +84,14 @@ def invocations(workdir):
         path = workdir / f"{name}.model"
         write_model(path, *spec)
         yield f"spectrum:{name}", ["spectrum", "--model", str(path)]
+    # a positional model with omega_c = 0, and a one-atom spectrum whose top
+    # eigenvalue 2 overflows at 1e308 Hz
+    for name, spec, extra in (("positional-zero-cavity", (0.0, [], [], POSITIONAL), []),
+                              ("physical-overflow", (1.0, [1.0], [0.01], []),
+                               ["--physical", "1e308"])):
+        path = workdir / f"{name}.model"
+        write_model(path, *spec)
+        yield f"spectrum:{name}", ["spectrum", "--model", str(path), *extra]
     yield "verify", ["verify"]
     # other seeds draw other instances: a drift in how a check draws them shows
     for seed in ("1", "7"):
