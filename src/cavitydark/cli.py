@@ -35,13 +35,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive_float(text):
-    value = float(text)
-    if not (np.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
-    return value
-
-
 def _parse_range(text, name):
     """((low, high), count) of a low:high:count flag; sweep checks the values."""
     try:
@@ -296,7 +289,7 @@ def build_parser():
         "--model": dict(help="model description file"),
         "--out": dict(help="output path (default: stdout)"),
         "--physical": dict(
-            type=_positive_float,
+            type=float,
             help="cavity frequency in Hz; rescales reported frequencies and times",
         ),
         "--set": dict(
@@ -373,6 +366,8 @@ def main(argv=None):
     # is freed by the next young-generation collection, not kept until a full one
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "physical", None) is not None:  # before any solve
+            _num._positive_finite(args.physical, "--physical")
         return _RUNNERS[args.command](args)
     except (ValueError, OSError, MemoryError) as exc:
         # ValueError includes UsageError, ModelFormatError and library domain

@@ -213,7 +213,7 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     unit.  States without atomic excitation (weight at or below tol) are
     never dark (there is nothing stored to protect).
     """
-    _num._check_tol(tol)
+    _num._positive_finite(tol, "tol")
     psi = np.asarray(psi, dtype=complex)
     n = model.n_atoms
     if subspace == SUBSPACE_SINGLE:
@@ -259,7 +259,7 @@ def find_dark_states(model, subspace=SUBSPACE_SINGLE, tol=1e-10):
     amplitudes; empty when nothing qualifies (any nonzero frequency split
     between the atoms guarantees that in the one-excitation block).
     """
-    _num._check_tol(tol)
+    _num._positive_finite(tol, "tol")
     n = model.n_atoms
     if subspace == SUBSPACE_SINGLE:
         if not model.rwa:

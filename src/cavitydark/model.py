@@ -36,11 +36,6 @@ MAX_ATOMS = 12
 MAX_DIM = 8192  # a dense complex matrix of this dimension takes 1 GiB
 
 
-def _positive_finite(value, name):
-    if not (0 < value < math.inf):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
 @dataclass(frozen=True)
 class AtomParams:
     """One two-level atom: transition frequency and coupling."""
@@ -49,9 +44,8 @@ class AtomParams:
     g: float
 
     def __post_init__(self):
-        _positive_finite(self.omega, "atom frequency")
-        if not (0 <= self.g < math.inf):
-            raise ValueError(f"coupling must be nonnegative and finite, got {self.g}")
+        _num._positive_finite(self.omega, "atom frequency")
+        _num._nonnegative_finite(self.g, "coupling")
 
 
 @dataclass(frozen=True)
@@ -63,7 +57,7 @@ class CavityModel:
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        _positive_finite(self.omega_c, "cavity frequency")
+        _num._positive_finite(self.omega_c, "cavity frequency")
         # the full space holds (cutoff + 1) 2**n states: 2**32 is far past any memory
         _num._bounded_int(self.photon_cutoff, "photon cutoff", 1, 32)
         if not isinstance(self.rwa, (bool, np.bool_)):
@@ -222,23 +216,20 @@ def apply_zs_shift(model, atom_index, ds, dg):
     """New model with (omega, g) -> (omega + ds, g + dg) for one atom.
 
     This is the static-field level shift applied before the jump; the
-    input model is left untouched.
+    input model is left untouched, and AtomParams checks the shifted atom.
     """
     if not (0 <= atom_index < model.n_atoms):
         raise IndexError(f"atom index {atom_index} out of range")
     atom = model.atoms[atom_index]
-    if atom.g + dg < 0:
-        raise ValueError("shifted coupling would be negative")
-    shifted = replace(atom, omega=atom.omega + ds, g=atom.g + dg)
     atoms = list(model.atoms)
-    atoms[atom_index] = shifted
+    atoms[atom_index] = replace(atom, omega=atom.omega + ds, g=atom.g + dg)
     return replace(model, atoms=tuple(atoms))
 
 
 def half_wavelength(omega_c):
     """Cavity length L = pi c / omega_c (half the mode wavelength); omega_c
     is checked by the cavity's own rule first."""
-    _positive_finite(omega_c, "cavity frequency")
+    _num._positive_finite(omega_c, "cavity frequency")
     return math.pi * C_LIGHT / omega_c
 
 
@@ -253,11 +244,11 @@ def coupling_from_position(x, L, omega_c, dipole_moment, volume):
     formed one square root at a time, since a product of the small SI
     factors underflows to 0 for a tiny omega_c or V.
     """
-    _positive_finite(omega_c, "cavity frequency")
+    _num._positive_finite(omega_c, "cavity frequency")
     if not (0 <= x <= L):
-        raise ValueError(f"position {x} outside the cavity [0, {L}]")
-    if volume <= 0:
-        raise ValueError("mode volume must be positive")
+        raise ValueError(f"position {x} outside the cavity [0, {L:.6g}]")
+    _num._positive_finite(volume, "mode volume")
+    _num._nonnegative_finite(dipole_moment, "dipole moment")
     profile = math.sin(omega_c * x / C_LIGHT) / math.sqrt(omega_c)
     return profile * (dipole_moment / math.sqrt(2 * EPSILON_0 * HBAR)) / math.sqrt(volume)
 
@@ -360,11 +351,10 @@ def parse_model(text):
         if dipole is None or volume is None:
             raise ModelFormatError(f"atom {i} uses 'x' but 'dipole'/'volume' are not set", lineno)
         L = half_wavelength(omega_c)
-        if not (0 <= x_i <= L):
-            raise ModelFormatError(
-                f"atom {i}: position {x_i} outside the cavity [0, {L:.6g}]", lineno
-            )
-        g_i = coupling_from_position(x_i, L, omega_c, dipole, volume)
+        try:
+            g_i = coupling_from_position(x_i, L, omega_c, dipole, volume)
+        except ValueError as exc:
+            raise ModelFormatError(f"atom {i}: {exc}", lineno) from None
         params.append(AtomParams(omega=omega_i, g=g_i))
 
     if positional:

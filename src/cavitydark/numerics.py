@@ -192,12 +192,6 @@ def _phase_factors(freqs, t):
     return np.exp(-1j * phase)
 
 
-def _check_tol(tol):
-    """The one tolerance rule: ValueError unless 0 < tol < inf."""
-    if not 0 < tol < np.inf:
-        raise ValueError(f"tol must be a positive finite number, got {tol}")
-
-
 def null_space(M, tol):
     """Orthonormal basis of {v : ||Mv|| <= tol * max|M| * ||v||}.
 
@@ -206,7 +200,7 @@ def null_space(M, tol):
     basis.  A real M keeps its real SVD, which is several times cheaper
     than the complex one.
     """
-    _check_tol(tol)
+    _positive_finite(tol, "tol")
     M = np.atleast_2d(np.asarray(M))
     n = M.shape[1]
     scale = max_abs(M)
@@ -311,6 +305,20 @@ def _bounded_int(value, name, low, bits):
     if not (integral and low <= value < 2**bits):
         raise ValueError(f"{name} must be an integer in [{low}, 2**{bits}), got {value!r}")
     return int(value)
+
+
+def _positive_finite(value, name):
+    """The one check of every positive real input: ValueError naming NAME
+    unless 0 < value < inf (nan fails both comparisons)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _nonnegative_finite(value, name):
+    """The one check of every nonnegative real input: ValueError naming NAME
+    unless 0 <= value < inf."""
+    if not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 def _parse_number(text, name, integer=False):

@@ -60,13 +60,13 @@ class ZSJumpConfig:
     delta_t_fixed: float | None = None
 
     def __post_init__(self):
-        if not (self.g1 > 0 and self.g2 > 0):
-            raise ValueError("couplings g1, g2 must be positive")
+        _num._positive_finite(self.g1, "g1")
+        _num._positive_finite(self.g2, "g2")
         # the kernel builds the shifted block itself, so the models it
         # stands for must be valid
         self.shifted_model()
-        if self.t_max is not None and not (0 < self.t_max < math.inf):
-            raise ValueError("t_max must be a positive finite time")
+        if self.t_max is not None:
+            _num._positive_finite(self.t_max, "t_max")
         if self.window == math.inf:
             raise ValueError("one cavity period 2 pi / omega_c overflows; give a finite t_max")
         _num._bounded_int(self.t_steps, "t_steps", 2, 64)
@@ -76,8 +76,8 @@ class ZSJumpConfig:
             )
         if self.delta_t_distribution == DIST_FIXED and self.delta_t_fixed is None:
             raise ValueError("fixed delta_t distribution needs delta_t_fixed")
-        if self.delta_t_fixed is not None and not (0 <= self.delta_t_fixed < math.inf):
-            raise ValueError("delta_t_fixed must be a nonnegative finite time")
+        if self.delta_t_fixed is not None:
+            _num._nonnegative_finite(self.delta_t_fixed, "delta_t_fixed")
 
     @property
     def window(self):
@@ -151,8 +151,7 @@ def _amplitude_terms(cfg, ds, dg, horizon):
 
 def dark_amplitude(cfg, t):
     """Dark-state amplitude lambda at a finite switch-off time t >= 0."""
-    if not 0 <= t < math.inf:
-        raise ValueError("switch-off time must be nonnegative and finite")
+    _num._nonnegative_finite(t, "switch-off time")
     betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg, t)
     return complex(np.sum(coef * _num._phase_factors(betas, t)))
 
@@ -454,11 +453,10 @@ def run_trials(cfg, trials, max_cycles, rng):
 
 
 def success_after_k(p, k):
-    """1 - (1 - p)^k, stable for tiny p."""
+    """1 - (1 - p)^k for a probability p and a cycle count k, stable for tiny p."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"probability out of range: {p}")
-    if k < 0:
-        raise ValueError("cycle count must be nonnegative")
+    k = _num._bounded_int(k, "cycle count", 0, 64)
     if k == 0 or p == 0.0:
         return 0.0
     if p == 1.0:

@@ -308,7 +308,9 @@ def test_an_infinite_window_is_a_one_line_error(command):
     run = run_python("-W", "error", "-m", "cavitydark.cli", command, "--t-max", "inf",
                      "--out", os.devnull)
     assert run.returncode == 1
-    assert run.stderr.splitlines() == ["cavitydark: error: t_max must be a positive finite time"]
+    assert run.stderr.splitlines() == [
+        "cavitydark: error: t_max must be positive and finite, got inf"
+    ]
 
 
 def test_sweep_deterministic_and_roundtrip(tmp_path, capsys):
@@ -425,7 +427,7 @@ def test_set_pairs_and_model_values_share_one_number_rule(value, reason, model_f
 
 def test_the_order_of_set_pairs_does_not_matter(tmp_path):
     # each pair used to be applied and checked on its own, so dg=-0.015
-    # before g1=0.02 failed with "shifted coupling would be negative"
+    # before g1=0.02 failed on the negative shifted coupling
     base = ["protocol", "--seed", "3", "--trials", "50", "--max-cycles", "200"]
     outputs = []
     for order in (["dg=-0.015", "g1=0.02", "ds=0.01"], ["g1=0.02", "ds=0.01", "dg=-0.015"]):
@@ -675,11 +677,15 @@ def test_readme_synopsis_names_each_commands_flags():
 
 
 @pytest.mark.parametrize("value", ["0", "-2.5", "inf", "nan"])
-def test_physical_must_be_positive_and_finite(value, model_file, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["spectrum", "--model", model_file(RESONANT), "--physical", value])
-    assert exc.value.code == 1
-    assert "--physical" in capsys.readouterr().err
+def test_physical_must_be_positive_and_finite(value, model_file, tmp_path, capsys):
+    # one error line and no output, before any solve, on both commands
+    out = tmp_path / "out.csv"
+    for command in (["spectrum", "--model", model_file(RESONANT)], ["sweep"]):
+        assert cli.main([*command, f"--physical={value}", "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"cavitydark: error: --physical must be positive and finite, got {float(value)}\n"
+        )
+        assert not out.exists()
 
 
 POSITIONAL = (

@@ -438,7 +438,7 @@ def test_is_dark_residuals_are_the_norms_of_the_collective_operators():
 def test_every_tolerance_follows_one_rule(call, tol):
     # null_space gave a full-rank matrix a whole null space at tol nan or
     # inf; is_dark said "not dark" at nan, inf and -1 and "dark" at 0
-    with pytest.raises(ValueError, match=f"^tol must be a positive finite number, got {tol}$"):
+    with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol}$"):
         call(tol)
 
 

@@ -1,9 +1,12 @@
+import contextlib
+import io
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from cavitydark import numerics
+from cavitydark import cli, numerics
 from cavitydark.numerics import (
     NonHermitianError,
     RandomSource,
@@ -17,11 +20,16 @@ from cavitydark.numerics import (
 from cavitydark.model import (
     AtomParams,
     CavityModel,
+    apply_zs_shift,
     basis_labels,
     build_full_hamiltonian,
+    coupling_from_position,
+    half_wavelength,
+    parse_model,
 )
 
-from cavitydark.darkstates import analytic_spectrum
+from cavitydark.darkstates import analytic_spectrum, find_dark_states, is_dark
+from cavitydark.protocol import ZSJumpConfig, dark_amplitude
 
 from oracles import expm_series, random_hermitian
 from oracles import fix_phase as oracle_fix_phase
@@ -622,3 +630,94 @@ def test_seeding_words_serve_pcg64_only():
     gen = next(RandomSource(5).child_generators(1))
     with pytest.raises(ValueError, match="PCG64 only"):
         np.random.MT19937(gen.bit_generator.seed_seq)
+
+
+def _raised(fn, *args, **kwargs):
+    """The message of the ValueError that fn(*args, **kwargs) raises."""
+    with pytest.raises(ValueError) as exc:
+        fn(*args, **kwargs)
+    return str(exc.value)
+
+
+def _cli_error(*argv):
+    """The last stderr line of a CLI run that exits 1."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
+    assert code == 1
+    return err.getvalue().splitlines()[-1]
+
+
+ONE_ATOM = CavityModel(1.0, (AtomParams(1.0, 0.5),))
+POSITIONAL = "omega_c = 1.0\ndipole = {}\nvolume = {}\natom.1.omega = 1\natom.1.x = 1e-7\n"
+POS, NONNEG = "positive", "nonnegative"
+NOT_FINITE = (math.nan, math.inf, -math.inf)
+RULE_VALUES = {POS: (0.0, *NOT_FINITE), NONNEG: (-1.0, *NOT_FINITE)}
+
+
+def _site(rule, name, error, values=None, form="{}"):
+    """(error text of a bad value v, the bad values, each one's whole message)."""
+    values = values or RULE_VALUES[rule]
+    messages = [form.format(f"{name} must be {rule} and finite, got {v}") for v in values]
+    return error, values, messages
+
+
+NUMBER_SITES = {
+    "null_space-tol": _site(POS, "tol", lambda v: _raised(null_space, np.eye(2), v)),
+    "is_dark-tol": _site(POS, "tol", lambda v: _raised(is_dark, ONE_ATOM, np.ones(2), "full", v)),
+    "find_dark_states-tol": _site(POS, "tol", lambda v: _raised(find_dark_states, ONE_ATOM, tol=v)),
+    "atom-omega": _site(POS, "atom frequency", lambda v: _raised(AtomParams, v, 0.01)),
+    "atom-g": _site(NONNEG, "coupling", lambda v: _raised(AtomParams, 1.0, v)),
+    "cavity-omega_c": _site(POS, "cavity frequency",
+                            lambda v: _raised(CavityModel, v, ONE_ATOM.atoms)),
+    "half_wavelength": _site(POS, "cavity frequency", lambda v: _raised(half_wavelength, v)),
+    "position-omega_c": _site(POS, "cavity frequency",
+                              lambda v: _raised(coupling_from_position, 1e-7, 1, v, 1e-29, 1e-15)),
+    "position-volume": _site(POS, "mode volume",
+                             lambda v: _raised(coupling_from_position, 1e-7, 1.0, 1.0, 1e-29, v)),
+    "position-dipole": _site(NONNEG, "dipole moment",
+                             lambda v: _raised(coupling_from_position, 1e-7, 1.0, 1.0, v, 1e-15),
+                             (-1e-29, *NOT_FINITE)),
+    # nan and inf in a model file stop at the number rule, on their own line
+    "parse_model-volume": _site(POS, "mode volume",
+                                lambda v: _raised(parse_model, POSITIONAL.format(1e-29, v)),
+                                (0.0, -1.0), "line 5: atom 1: {}"),
+    "parse_model-dipole": _site(NONNEG, "dipole moment",
+                                lambda v: _raised(parse_model, POSITIONAL.format(v, 1e-15)),
+                                (-1e-29,), "line 5: atom 1: {}"),
+    "apply_zs_shift": _site(NONNEG, "coupling",
+                            lambda v: _raised(apply_zs_shift, ONE_ATOM, 0, 0.0, v - 0.5)),
+    "config-omega_c": _site(POS, "cavity frequency", lambda v: _raised(ZSJumpConfig, omega_c=v)),
+    "config-omega_a": _site(POS, "atom frequency", lambda v: _raised(ZSJumpConfig, omega_a=v)),
+    "config-g1": _site(POS, "g1", lambda v: _raised(ZSJumpConfig, g1=v)),
+    "config-g2": _site(POS, "g2", lambda v: _raised(ZSJumpConfig, g2=v)),
+    "config-t_max": _site(POS, "t_max", lambda v: _raised(ZSJumpConfig, t_max=v)),
+    "config-delta_t_fixed": _site(NONNEG, "delta_t_fixed",
+                                  lambda v: _raised(ZSJumpConfig, delta_t_fixed=v)),
+    "dark_amplitude-t": _site(NONNEG, "switch-off time",
+                              lambda v: _raised(dark_amplitude, ZSJumpConfig(), v)),
+    # checked before any solve, once argparse has read a float
+    "cli-physical": _site(POS, "--physical", lambda v: _cli_error("sweep", f"--physical={v}"),
+                          form="cavitydark: error: {}"),
+}
+NUMBER_CASES = [
+    pytest.param(error, v, message, id=f"{site}-{v}")
+    for site, (error, values, messages) in NUMBER_SITES.items()
+    for v, message in zip(values, messages)
+] + [  # a text that is no number is argparse's error, which names no helper
+    pytest.param(NUMBER_SITES["cli-physical"][0], "abc",
+                 "cavitydark sweep: error: argument --physical: invalid float value: 'abc'",
+                 id="cli-physical-text"),
+]
+
+
+@pytest.mark.parametrize("error,value,message", NUMBER_CASES)
+def test_every_positive_or_nonnegative_input_follows_one_rule(error, value, message):
+    # coupling_from_position returned nan at a nan volume or dipole, 0 at
+    # volume inf and a negative coupling at a negative dipole
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert error(value) == message

@@ -108,7 +108,7 @@ def test_derived_window_follows_omega_c():
 @pytest.mark.parametrize("t_max", [math.inf, math.nan, 0.0, -1.0])
 def test_config_rejects_a_window_that_is_not_positive_and_finite(t_max):
     # an infinite window made every sweep point nan and mean_yield nan
-    with pytest.raises(ValueError, match="t_max must be a positive finite time"):
+    with pytest.raises(ValueError, match=f"^t_max must be positive and finite, got {t_max}$"):
         ZSJumpConfig(ds=0.01, dg=0.007, t_max=t_max)
 
 
@@ -160,7 +160,8 @@ def test_an_overflowing_beat_phase_raises_instead_of_nan(run, message):
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -1.0])
 def test_dark_amplitude_rejects_a_time_that_is_not_nonnegative_and_finite(t):
     # nan and inf were blamed on the frequencies ("beat phase overflows")
-    with pytest.raises(ValueError, match="^switch-off time must be nonnegative and finite$"):
+    message = f"^switch-off time must be nonnegative and finite, got {t}$"
+    with pytest.raises(ValueError, match=message):
         dark_amplitude(GENERIC, t)
 
 
@@ -917,3 +918,11 @@ def test_success_after_k_values():
     assert success_after_k(1e-4, 10**4) == pytest.approx(0.6321391, abs=1e-6)
     with pytest.raises(ValueError):
         success_after_k(1.5, 3)
+
+
+@pytest.mark.parametrize("k", [math.nan, 2.5, -1, True, 2**64])
+def test_success_after_k_takes_an_integer_cycle_count(k):
+    # k = nan returned nan, and k = 2.5 gave 0.823
+    message = rf"^cycle count must be an integer in \[0, 2\*\*64\), got {k!r}$"
+    with pytest.raises(ValueError, match=message):
+        success_after_k(0.5, k)

@@ -47,7 +47,11 @@ INPUT_ERRORS = {
     "sweep:phase-overflow",
     "protocol:phase-overflow",
     "spectrum:positional-zero-cavity",  # refused by the cavity's rule, not divided by
+    "spectrum:positional-negative-volume",  # the positive rule, with the atom's line
     "spectrum:physical-overflow",  # a reported number that --physical makes infinite
+    "spectrum:physical-text",  # --physical is a float, then positive and finite
+    "spectrum:physical-zero",
+    "protocol:negative-shifted-coupling",  # g1 + dg < 0, refused by the atom's coupling rule
 }
 SPECTRUM_MODELS = {  # two-atom blocks far from unit scale, an uncoupled double root,
     # a split below DEGENERACY_RTOL, which is solved as it is, a coupling so
@@ -84,11 +88,15 @@ def invocations(workdir):
         path = workdir / f"{name}.model"
         write_model(path, *spec)
         yield f"spectrum:{name}", ["spectrum", "--model", str(path)]
-    # a positional model with omega_c = 0, and a one-atom spectrum whose top
-    # eigenvalue 2 overflows at 1e308 Hz
+    # positional models with omega_c = 0 and with a negative volume, and a
+    # one-atom spectrum whose top eigenvalue 2 overflows at 1e308 Hz
+    negative_volume = [line.replace("1e-15", "-1e-15") for line in POSITIONAL]
+    one_atom = (1.0, [1.0], [0.01], [])
     for name, spec, extra in (("positional-zero-cavity", (0.0, [], [], POSITIONAL), []),
-                              ("physical-overflow", (1.0, [1.0], [0.01], []),
-                               ["--physical", "1e308"])):
+                              ("positional-negative-volume", (1.0, [], [], negative_volume), []),
+                              ("physical-overflow", one_atom, ["--physical", "1e308"]),
+                              ("physical-text", one_atom, ["--physical", "abc"]),
+                              ("physical-zero", one_atom, ["--physical", "0"])):
         path = workdir / f"{name}.model"
         write_model(path, *spec)
         yield f"spectrum:{name}", ["spectrum", "--model", str(path), *extra]
@@ -125,6 +133,7 @@ def invocations(workdir):
     yield "protocol:set-order", ["protocol", "--seed", "3", "--trials", "50", "--max-cycles",
                                  "200", "--set", "dg=-0.015", "--set", "g1=0.02",
                                  "--set", "ds=0.01"]
+    yield "protocol:negative-shifted-coupling", [*protocol, "--set", "dg=-0.02"]
     yield "protocol:phase-overflow", ["protocol", "--set", "ds=1e308", "--trials", "3",
                                       "--max-cycles", "5"]
     # the beat-phase check at both ends of the float range must not over-reject:
