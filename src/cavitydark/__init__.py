@@ -16,12 +16,9 @@ from .darkstates import (
 )
 from .model import (
     AtomParams,
-    BasisLabel,
     CavityModel,
     ModelFormatError,
     apply_zs_shift,
-    basis_index,
-    basis_labels,
     build_full_hamiltonian,
     coupling_from_position,
     half_wavelength,

@@ -216,8 +216,8 @@ def run_sweep(args):
     )
     _write_table(args, ["ds", "dg", "p_max", "t_star"], rows, [note])
     print(
-        f"global max p = {top['p_max']:.6e} at ds = {top['ds']:.6g}, "
-        f"dg = {top['dg']:.6g}, t* = {top['t_star']:.6g}",
+        f"global max p = {top['p_max']:.6e} at ds = {top_ds:.6g}, "
+        f"dg = {top_dg:.6g}, t* = {top_t:.6g}",
         file=sys.stderr,
     )
     return EXIT_OK
@@ -324,7 +324,9 @@ def build_parser():
         choices=[_dark.SUBSPACE_SINGLE, _dark.SUBSPACE_FULL],
         default=_dark.SUBSPACE_SINGLE,
     )
-    p_dark.add_argument("--tol", type=float, default=1e-8)
+    p_dark.add_argument(
+        "--tol", type=float, default=1e-8, help="in (0, 1); the search uses max(tol, 1e-12)"
+    )
 
     p_sweep = command(
         "sweep", "maximal yield over the shift grid",

@@ -208,12 +208,12 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     requires the emission amplitude below tol * max_i g_i and the photon
     support below tol.  full expects a 2^n atomic-sector vector and
     additionally requires the absorption amplitude below tol * max_i g_i.
-    Channel residuals are thus relative to the coupling scale, as in
-    find_dark_states, so the verdict does not depend on the frequency
-    unit.  States without atomic excitation (weight at or below tol) are
-    never dark (there is nothing stored to protect).
+    Channel residuals are relative to the model's largest coupling, so the
+    verdict is unit-free; find_dark_states uses each group's own, never larger,
+    so for 1e-12 <= tol < 1 each state it returns passes here, not conversely.
+    States without atomic excitation (weight at or below tol) are never dark.
     """
-    _num._positive_finite(tol, "tol")
+    _num._open_unit(tol, "tol")
     psi = np.asarray(psi, dtype=complex)
     n = model.n_atoms
     if subspace == SUBSPACE_SINGLE:
@@ -259,7 +259,7 @@ def find_dark_states(model, subspace=SUBSPACE_SINGLE, tol=1e-10):
     amplitudes; empty when nothing qualifies (any nonzero frequency split
     between the atoms guarantees that in the one-excitation block).
     """
-    _num._positive_finite(tol, "tol")
+    _num._open_unit(tol, "tol")
     n = model.n_atoms
     if subspace == SUBSPACE_SINGLE:
         if not model.rwa:

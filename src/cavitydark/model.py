@@ -103,38 +103,6 @@ class CavityModel:
         ]
 
 
-@dataclass(frozen=True)
-class BasisLabel:
-    """|photon_number> x |atomic_bits>, bit i of the string = atom i excited."""
-
-    photon_number: int
-    atomic_bits: str
-
-    @property
-    def excitation(self):
-        return self.photon_number + self.atomic_bits.count("1")
-
-
-def basis_labels(model):
-    """All basis labels in matrix order (photon major, atom 1 the most
-    significant bit)."""
-    n = model.n_atoms
-    return [
-        BasisLabel(p, format(b, f"0{n}b"))
-        for p in range(model.photon_cutoff + 1)
-        for b in range(2**n)
-    ]
-
-
-def basis_index(label, model):
-    n = model.n_atoms
-    if len(label.atomic_bits) != n:
-        raise ValueError("atomic bit string length does not match atom count")
-    if not (0 <= label.photon_number <= model.photon_cutoff):
-        raise ValueError("photon number outside cutoff")
-    return label.photon_number * 2**n + int(label.atomic_bits, 2)
-
-
 def _check_scale(model):
     if model.n_atoms > MAX_ATOMS or model.dim > MAX_DIM:
         raise ValueError(

@@ -200,7 +200,7 @@ def null_space(M, tol):
     basis.  A real M keeps its real SVD, which is several times cheaper
     than the complex one.
     """
-    _positive_finite(tol, "tol")
+    _open_unit(tol, "tol")
     M = np.atleast_2d(np.asarray(M))
     n = M.shape[1]
     scale = max_abs(M)
@@ -319,6 +319,13 @@ def _nonnegative_finite(value, name):
     unless 0 <= value < inf."""
     if not 0 <= value < math.inf:
         raise ValueError(f"{name} must be nonnegative and finite, got {value}")
+
+
+def _open_unit(value, name):
+    """The one check of every tolerance: ValueError naming NAME unless 0 < value < 1;
+    from 1 on, a bright state, whose channel residual is at least max g, passes as dark."""
+    if not 0 < value < 1:
+        raise ValueError(f"{name} must be in (0, 1), got {value}")
 
 
 def _parse_number(text, name, integer=False):

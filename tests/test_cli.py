@@ -354,6 +354,21 @@ def test_sweep_rows_row_major_in_ds(tmp_path):
     assert dg_col[:2] == sorted(dg_col[:2])
 
 
+def test_sweep_physical_echoes_its_summary_in_the_units_it_writes(tmp_path, capsys):
+    # stderr gave the dimensionless ds, dg and t* beside a table in Hz and s
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--ds-range", "0:0.01:3", "--dg-range", "0:0.007:2", "--out", str(out)]
+    assert cli.main([*argv, "--physical", "1e9"]) == 0
+    note = out.read_text().splitlines()[-1]
+    assert note.startswith("# global_max,")
+    top = {k: float(v) for k, v in (item.split("=") for item in note.split(",")[1:])}
+    assert top["ds"] == 1e7 and top["t_star"] < 1e-8
+    assert capsys.readouterr().err == (
+        f"global max p = {top['p_max']:.6e} at ds = {top['ds']:.6g}, "
+        f"dg = {top['dg']:.6g}, t* = {top['t_star']:.6g}\n"
+    )
+
+
 def test_sweep_bad_range_usage_error(capsys):
     assert cli.main(["sweep", "--ds-range", "0:0.01"]) == 1
     assert "low:high:count" in capsys.readouterr().err

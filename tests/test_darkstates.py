@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -338,6 +339,164 @@ def test_analytic_numeric_equivalence_sample():
         assert dvec <= 1e-7
 
 
+# darkstates.analytic_spectrum on the two-atom block (omega_c, omega_1,
+# omega_2, g1, g2): its eigenvalues are the roots of the characteristic
+# cubic, found from the block's secular equation; no cubic is solved.  The
+# scalar oracle of the "pinned" tests is the same solver on one block at a
+# time.
+
+
+def _block(wc, w1, w2, g1, g2):
+    return np.array([[w1, 0.0, g1], [0.0, w2, g2], [g1, g2, wc]])
+
+
+def _arrowheads(gen, n):
+    """(omega_c, omega_1, omega_2, g1, g2) rows of the arrowhead part of n
+    random real symmetric 3x3 matrices, entries scaled by 10^-4 ... 10^4."""
+    M = gen.normal(size=(n, 3, 3)) * 10.0 ** gen.integers(-4, 5, size=(n, 1, 1))
+    return np.stack([M[:, 2, 2], M[:, 0, 0], M[:, 1, 1], M[:, 0, 2], M[:, 1, 2]])
+
+
+def test_secular_simple():
+    # poles 1.5 and 2.5, omega_c = 2 and g^2 = 0.375 give the cubic (x-1)(x-2)(x-3)
+    g = np.sqrt(0.375)
+    roots = analytic_spectrum(2.0, 1.5, 2.5, g, g).eigenvalues
+    np.testing.assert_allclose(roots, (1.0, 2.0, 3.0), rtol=0, atol=1e-15)
+
+
+def test_secular_triple_zero():
+    sp = analytic_spectrum(0.0, 0.0, 0.0, 0.0, 0.0)
+    assert sp.eigenvalues.tolist() == [0.0, 0.0, 0.0]
+    assert np.array_equal(sp.eigenvectors, np.eye(3))
+
+
+def test_secular_residual_bound():
+    # roots near 1e6, -5e5 and 1e-9: the cubic's float64 roots left a
+    # residual of about eps |x|^3, above its absolute bound, and eigh has
+    # the small root to about eps * 1e6 only.  Measured from its pole, the
+    # small root keeps its relative digits: 1e-9 + g^2 / (1e-9 - 1e6) to
+    # first order, with a relative error of about (g / 1e6)^2.
+    wc, w1, w2, g = 1e6, -5e5, 1e-9, 1e-3
+    sp = analytic_spectrum(wc, w1, w2, g, g)
+    assert sp.eigenvalues[1] == pytest.approx(w2 + g * g / (w2 - wc), rel=1e-12)
+    H = _block(wc, w1, w2, g, g)
+    residual = H @ sp.eigenvectors - sp.eigenvectors * sp.eigenvalues
+    assert np.abs(residual).max() <= 2 * np.finfo(float).eps * max_abs(H)
+
+
+def test_secular_block_cross_check():
+    # the split-frequency block's roots reproduce the eigensolver
+    block = (1.0, 1.01, 1.0, 0.01, 0.005)
+    numeric = herm_eig(_block(*block)).eigenvalues
+    assert np.max(np.abs(analytic_spectrum(*block).eigenvalues - numeric)) < 1e-15
+
+
+def test_secular_random_hermitian_agreement():
+    blocks = _arrowheads(np.random.default_rng(17), 1000)
+    roots = analytic_spectrum(*blocks).eigenvalues
+    numeric = np.linalg.eigvalsh(np.stack([_block(*b) for b in blocks.T]))
+    scale = np.abs(blocks).max(axis=0)
+    assert (np.abs(roots - numeric).max(axis=-1) <= 1e-14 * scale).all()
+
+
+def test_secular_rejects_non_finite():
+    with pytest.raises(ValueError, match="block entries must be finite"):
+        analytic_spectrum(np.nan, 1.0, 1.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="block entries must be finite"):
+        analytic_spectrum(1.0, [1.0, np.inf], 1.0, 0.0, 0.0)
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    a, b = np.stack([a.real, a.imag]), np.stack([b.real, b.imag])
+    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(np.signbit(a), np.signbit(b))  # -0.0 too
+
+
+def _assert_alone_as_in_batch(blocks, rows):
+    """Each listed row of the broadcast blocks, solved alone, gives the
+    bits it gets inside the batch."""
+    batch = analytic_spectrum(*blocks)
+    for i in rows:
+        alone = analytic_spectrum(*(np.broadcast_to(x, batch.eigenvalues.shape[:-1])[i]
+                                    for x in blocks))
+        _assert_same_bits(alone.eigenvalues, batch.eigenvalues[i])
+        _assert_same_bits(alone.eigenvectors, batch.eigenvectors[i])
+
+
+# blocks (omega_c, omega_1, omega_2, g1, g2) with the cubic's edge cases:
+# x^3, the triple root (x-1)^3, the double root x(x-1)^2, and the g = 0
+# double roots at (1, 1, 0.99) and (0.001, 0.001, 0.00101)
+EDGE_CUBICS = [
+    (0.0, 0.0, 0.0, 0.0, 0.0),
+    (1.0, 1.0, 1.0, 0.0, 0.0),
+    (0.0, 1.0, 1.0, 0.0, 0.0),
+    (1.0, 1.0, 0.99, 0.0, 0.0),
+    (0.001, 0.001, 0.00101, 0.0, 0.0),
+]
+
+
+def test_secular_pinned_to_scalar_oracle_on_hermitian_triples():
+    blocks = _arrowheads(np.random.default_rng(23), 2000)
+    assert analytic_spectrum(*blocks).eigenvalues.shape == (2000, 3)
+    _assert_alone_as_in_batch(blocks, range(0, 2000, 7))
+
+
+def test_secular_pinned_to_scalar_oracle_on_shifted_blocks():
+    gen = np.random.default_rng(29)
+    n = 300
+    wc = gen.uniform(0.5, 2.0, size=n)
+    w1, w2 = wc * (1.0 - gen.uniform(-0.05, 0.05, size=(2, n)))
+    g1, g2 = wc * gen.uniform(0.0, 0.05, size=(2, n))
+    g1[:30] = g2[20:50] = 0.0  # uncoupled atoms deflate
+    w2[50:80] = w1[50:80]  # equal poles deflate to the dark vector
+    _assert_alone_as_in_batch((wc, w1, w2, g1, g2), range(n))
+
+
+@pytest.mark.parametrize("abc", EDGE_CUBICS)
+def test_secular_edge_cases_pinned_alone_and_in_a_batch(abc):
+    # abc is the block; the roots of its cubic are its diagonal
+    sp = analytic_spectrum(*abc)
+    assert sp.eigenvalues.tolist() == sorted(abc[:3])
+    blocks = np.array(EDGE_CUBICS + [(1.0, 1.01, 1.0, 0.01, 0.005)]).T
+    _assert_alone_as_in_batch(blocks, range(len(EDGE_CUBICS) + 1))
+
+
+def test_secular_shapes_and_broadcasting():
+    # (7, 1) x (1, 5) blocks, a scalar omega_c, and an empty batch
+    w1 = np.linspace(0.9, 1.1, 7)[:, None]
+    g2 = np.linspace(0.0, 0.05, 5)[None, :]
+    sp = analytic_spectrum(1.0, w1, 1.02, 0.01, g2)
+    assert sp.eigenvalues.shape == (7, 5, 3)
+    assert sp.eigenvectors.shape == (7, 5, 3, 3) and sp.dim == 3
+    _assert_alone_as_in_batch((1.0, w1, 1.02, 0.01, g2), np.ndindex(7, 5))
+    assert analytic_spectrum(np.zeros(0), 0.0, 0.0, 0.0, 0.0).eigenvalues.shape == (0, 3)
+
+
+def test_secular_masked_branches_raise_no_warning():
+    # deflated rows divide by zero inside masked branches, and no row may
+    # warn for another
+    blocks = np.array(EDGE_CUBICS + [(1.0, 1.01, 1.0, 0.01, 0.005)] * 3).T
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        analytic_spectrum(*blocks)
+        for abc in EDGE_CUBICS:
+            analytic_spectrum(*abc)
+    _assert_alone_as_in_batch(blocks, range(blocks.shape[1]))
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("rel_split", [1e-2, 1e-4])
+def test_secular_double_root_limit(scale, rel_split):
+    # rounding the cubic's float64 coefficients moved a g = 0 double root by
+    # about sqrt(eps * scale / split) * scale; deflation returns it exactly
+    wc, w = scale, scale * (1.0 + rel_split)
+    sp = analytic_spectrum(wc, wc, w, 0.0, 0.0)
+    assert sp.eigenvalues.tolist() == [wc, wc, w]
+    assert np.array_equal(np.abs(sp.eigenvectors), np.eye(3)[:, [0, 2, 1]])
+
+
 def test_singlet_pair():
     state = singlet_ensemble(2)
     expected = np.zeros(4)
@@ -425,7 +584,7 @@ def test_is_dark_residuals_are_the_norms_of_the_collective_operators():
             assert np.isclose(report.absorb_residual, np.linalg.norm(L.T @ psi), rtol=1e-12, atol=0)
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0, 1.0, 1e300])
 @pytest.mark.parametrize(
     "call",
     [
@@ -437,9 +596,11 @@ def test_is_dark_residuals_are_the_norms_of_the_collective_operators():
 )
 def test_every_tolerance_follows_one_rule(call, tol):
     # null_space gave a full-rank matrix a whole null space at tol nan or
-    # inf; is_dark said "not dark" at nan, inf and -1 and "dark" at 0
-    with pytest.raises(ValueError, match=f"^tol must be positive and finite, got {tol}$"):
+    # inf; is_dark said "not dark" at nan, inf and -1 and "dark" at 0; from
+    # tol = 1 on, both kept the bright state as dark
+    with pytest.raises(ValueError) as exc:
         call(tol)
+    assert str(exc.value) == f"tol must be in (0, 1), got {tol}"
 
 
 def test_is_dark_dimension_mismatch():
@@ -594,3 +755,39 @@ def test_is_dark_accepts_found_states_at_every_frequency_scale(scale):
                 psi = v if subspace == SUBSPACE_SINGLE else v[:8]
                 rejected += not is_dark(m, psi, subspace).is_dark
     assert rejected == 0
+
+
+def test_is_dark_passes_what_the_search_keeps_but_not_conversely():
+    # two near-uncoupled equal atoms beside a coupled one: the search scales
+    # the pair's singular values by the pair's largest coupling, is_dark by
+    # the model's, so it also passes the pair's bright vector, emit 2.2e-12
+    m = chain_model([1.0, 1.0, 1.1], [1e-12, 2e-12, 0.01])
+    states = find_dark_states(m, SUBSPACE_SINGLE, tol=1e-8)
+    assert len(states) == 1
+    dark, bright = (with_photon_amplitude(np.array(v + [0.0]) / np.sqrt(5))
+                    for v in ([-2.0, 1.0], [1.0, 2.0]))
+    assert subspace_distance(states[0], dark) < 1e-15
+    assert is_dark(m, states[0], SUBSPACE_SINGLE, tol=1e-8).is_dark
+    report = is_dark(m, bright, SUBSPACE_SINGLE, tol=1e-8)
+    assert report.is_dark and report.emit_residual == pytest.approx(np.sqrt(5) * 1e-12)
+
+
+@pytest.mark.parametrize("subspace", [SUBSPACE_SINGLE, SUBSPACE_FULL])
+def test_every_found_state_passes_is_dark_at_the_same_tol(subspace):
+    # groups of equal frequency, each with a coupling scale in 13 decades
+    # and couplings that differ from it by 1e-15 to 1 relative, so that
+    # singular values fall on both sides of tol; 1e-12 <= tol < 1
+    gen = np.random.default_rng(43)
+    found = 0
+    for _ in range(200):
+        n = int(gen.integers(2, 7))
+        level = gen.integers(0, 3, n)
+        scale = 0.02 * 10.0 ** gen.integers(-12, 1, 3)
+        gs = scale[level] * (1 + 10.0 ** gen.uniform(-15, 0, n))
+        tol = 10.0 ** gen.uniform(-12, -1e-3)
+        m = chain_model(np.array([1.0, 1.05, 1.2])[level], gs)
+        for v in find_dark_states(m, subspace, tol=tol):
+            psi = v if subspace == SUBSPACE_SINGLE else v[: 2**n]
+            assert is_dark(m, psi, subspace, tol=tol).is_dark
+            found += 1
+    assert found > 60

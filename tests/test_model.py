@@ -5,14 +5,11 @@ import pytest
 
 from cavitydark.model import (
     AtomParams,
-    BasisLabel,
     CavityModel,
     HBAR,
     EPSILON_0,
     ModelFormatError,
     apply_zs_shift,
-    basis_index,
-    basis_labels,
     build_full_hamiltonian,
     coupling_from_position,
     excitation_number_operator,
@@ -41,18 +38,6 @@ def random_model(gen, n_atoms=None, cutoff=None, rwa=True):
         for _ in range(n)
     )
     return CavityModel(omega_c=1.0, atoms=atoms, photon_cutoff=cut, rwa=rwa)
-
-
-def test_basis_ordering_photon_major():
-    m = two_atom_model(cutoff=2)
-    labels = basis_labels(m)
-    assert len(labels) == m.dim == 3 * 4
-    assert labels[0] == BasisLabel(0, "00")
-    assert labels[1] == BasisLabel(0, "01")
-    assert labels[2] == BasisLabel(0, "10")
-    assert labels[4] == BasisLabel(1, "00")
-    for i, lab in enumerate(labels):
-        assert basis_index(lab, m) == i
 
 
 def test_full_hamiltonian_decoupled_diagonal():
@@ -163,7 +148,6 @@ def test_excitation_number_operator_is_the_kron_construction(n_atoms, cutoff):
     N = excitation_number_operator(m)
     assert N.dtype == complex
     assert np.array_equal(N, kron_excitation_operator(m))
-    assert np.diag(N).real.tolist() == [label.excitation for label in basis_labels(m)]
 
 
 def test_dimension_guard():

@@ -1,29 +1,43 @@
 """Print sha256 digests of a fixed set of cavitydark CLI invocations.
 
-Usage: python3 tools/cli_digests.py
+Usage: python3 tools/cli_digests.py [--check]
 
 Each invocation runs in a fresh Python process against the `src/` of the
 checkout this script sits in, with model files written to a temporary
-directory.  One line per invocation: its label, the sha256 of stdout,
-of stderr and of the --out file ("-" when none was written), and the
-exit code.  Diffing the output of two checkouts shows whether a change
-keeps every CLI byte.  The script exits 1, after printing every line,
-when an invocation exits with another code than expected (0, or 1 for
-the input errors in INPUT_ERRORS), writes "Traceback" or "Warning" to
-stderr, or runs longer than TIMEOUT seconds (its line then reads
-"timeout").
+directory and OpenBLAS pinned to one thread and its Haswell kernels (the
+core type OpenBLAS picks changes the last bits of some eigensolves).
+The first line names the Python, numpy and BLAS versions; then one line
+per invocation: its label, the sha256 of stdout, of stderr and of the
+--out file ("-" when none was written), and the exit code.  The script
+exits 1, after printing every line, when an invocation exits with
+another code than expected (0, or 1 for the input errors in
+INPUT_ERRORS), writes "Traceback" or "Warning" to stderr, or runs longer
+than TIMEOUT seconds (its line then reads "timeout").
+
+With --check it also compares the lines with the committed baseline
+BASELINE and exits 1 naming each changed, added or missing label, and
+then also the versions if they differ from the baseline's.  A change
+that alters CLI bytes rewrites the baseline in the same commit:
+
+    python3 tools/cli_digests.py > tools/cli_digests.txt
 """
 
+import argparse
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 SRC = Path(__file__).resolve().parent.parent / "src"
+BASELINE = Path(__file__).with_name("cli_digests.txt")
 MAIN = "import sys; from cavitydark.cli import main; sys.exit(main())"
 TIMEOUT = 120  # seconds per invocation; the slowest takes a few
+PINNED = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
 
 DISTINCT = [1.0 + 0.013 * k * (-1) ** k for k in range(8)]
 MODELS = {  # name -> (omega_c, omegas, gs, extra lines)
@@ -38,8 +52,10 @@ MODELS = {  # name -> (omega_c, omegas, gs, extra lines)
 # invocations that must fail with a one-line input error and exit 1
 INPUT_ERRORS = {
     "dark-find:single_excitation:nonrwa3",  # no one-excitation block without RWA
-    "dark-find:tol-zero",  # the one tolerance rule
+    "dark-find:tol-zero",  # the one tolerance rule, 0 < tol < 1
     "dark-find:tol-nan",
+    "dark-find:tol-one",  # from tol = 1 on, the bright state would pass as dark
+    "dark-find:tol-huge",
     "sweep:infinite-window",
     "sweep:set-shift",  # sweep scans the shifts over its ranges
     # a one-period window or a beat phase that overflows
@@ -81,8 +97,9 @@ def invocations(workdir):
         yield f"spectrum:{name}", ["spectrum", "--model", str(path)]
         for sub in ("single_excitation", "full"):
             yield f"dark-find:{sub}:{name}", ["dark-find", "--model", str(path), "--subspace", sub]
-    for label, tol in (("zero", "0"), ("nan", "nan")):
-        yield f"dark-find:tol-{label}", ["dark-find", "--model", str(workdir / "degenerate2.model"),
+    for label, name, tol in (("zero", "degenerate2", "0"), ("nan", "degenerate2", "nan"),
+                             ("one", "equal8", "1"), ("huge", "equal8", "1e300")):
+        yield f"dark-find:tol-{label}", ["dark-find", "--model", str(workdir / f"{name}.model"),
                                          "--tol", tol]
     for name, spec in SPECTRUM_MODELS.items():
         path = workdir / f"{name}.model"
@@ -149,33 +166,70 @@ def digest(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def main():
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    failed = []
+def versions():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"# python {platform.python_version()} numpy {np.__version__} "
+            f"blas {blas['name']} {blas['version']}")
+
+
+def compare(lines, baseline):
+    """Messages naming each label whose line differs from the baseline's,
+    and the versions when they differ; the first line of each names the versions."""
+    head, *rest = baseline
+    old = dict(line.split(" ", 1) for line in rest)
+    new = dict(line.split(" ", 1) for line in lines[1:])
+    found = [
+        f"{kind}: {', '.join(labels)}"
+        for kind, labels in (
+            ("changed", [k for k in new if k in old and new[k] != old[k]]),
+            ("added", [k for k in new if k not in old]),
+            ("missing", [k for k in old if k not in new]),
+        )
+        if labels
+    ]
+    if found and head != lines[0]:
+        found.append(f"baseline made with {head[2:]}, this run with {lines[0][2:]}")
+    return found
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description="Digest the CLI output of fixed invocations.")
+    parser.add_argument("--check", action="store_true", help=f"diff against {BASELINE.name}")
+    args = parser.parse_args(argv)
+    env = dict(os.environ, PYTHONPATH=str(SRC), **PINNED)
+    lines, failed = [versions()], []
+    print(lines[0])
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        for label, args in invocations(workdir):
+        for label, cli_args in invocations(workdir):
             out = workdir / "out"
             try:
                 run = subprocess.run(
-                    [sys.executable, "-c", MAIN, *args, "--out", str(out)],
+                    [sys.executable, "-c", MAIN, *cli_args, "--out", str(out)],
                     env=env, cwd=tmp, capture_output=True, timeout=TIMEOUT,
                 )
+                written = digest(out.read_bytes()) if out.exists() else "-"
+                digests = f"{digest(run.stdout)} {digest(run.stderr)} {written}"
+                line = f"{label} {digests} {run.returncode}"
+                warned = b"Traceback" in run.stderr or b"Warning" in run.stderr
+                ok = run.returncode == (1 if label in INPUT_ERRORS else 0) and not warned
             except subprocess.TimeoutExpired:
-                out.unlink(missing_ok=True)
-                print(label, "timeout")
-                failed.append(label)
-                continue
-            written = digest(out.read_bytes()) if out.exists() else "-"
+                line, ok = f"{label} timeout", False
             out.unlink(missing_ok=True)
-            print(label, digest(run.stdout), digest(run.stderr), written, run.returncode)
-            warned = b"Traceback" in run.stderr or b"Warning" in run.stderr
-            if run.returncode != (1 if label in INPUT_ERRORS else 0) or warned:
+            lines.append(line)
+            print(line)
+            if not ok:
                 failed.append(label)
+    status = 0
     if failed:
         print(f"unexpected exit code, warning or timeout: {', '.join(failed)}", file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    if args.check:
+        differences = compare(lines, BASELINE.read_text(encoding="utf-8").splitlines())
+        for message in differences:
+            print(f"differs from {BASELINE.name}: {message}", file=sys.stderr)
+        status = status or int(bool(differences))
+    return status
 
 
 if __name__ == "__main__":
