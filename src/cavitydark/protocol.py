@@ -162,8 +162,7 @@ def _p_of_times(betas, coef, ts):
     betas and coef have shape S + (3,); ts broadcasts against S + (T,),
     and so does the result.  Each value is rounded the same whatever the
     batch shape (an elementwise sum, where matmul takes another path for
-    one row), so a point alone, on a grid or in a golden bracket agrees
-    bit for bit."""
+    one row), so a point alone or on a grid agrees bit for bit."""
     k, l = _PAIRS
     phase = np.asarray(ts, dtype=float)[..., None] * (betas[..., k] - betas[..., l])[..., None, :]
     beats = np.add.reduce(np.cos(phase) * (2 * coef[..., k] * coef[..., l])[..., None, :], axis=-1)
@@ -177,30 +176,37 @@ def pds_curve(cfg):
     return ts, _p_of_times(betas, coef, ts)
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+def _beat_slopes(betas, coef, t):
+    """(p' / u, p'' / u^2, u) at times t (shape S): p' = -sum_{k<l} 2 c_k c_l w_kl
+    sin(w_kl t), w_kl = beta_k - beta_l, is the slope of _p_of_times' series, and u a
+    power of two at each point's widest beat, so that nothing over- or underflows."""
+    k, l = _PAIRS
+    omega = betas[..., k] - betas[..., l]
+    unit = np.ldexp(1.0, np.frexp(omega[..., 1])[1] - 1)  # betas ascend: (0, 2) is the widest
+    w, phase = omega / unit[..., None], t[..., None] * omega
+    amp = 2 * coef[..., k] * coef[..., l] * w
+    return (-np.add.reduce(amp * np.sin(phase), axis=-1),
+            -np.add.reduce(amp * w * np.cos(phase), axis=-1), unit)
 
 
-def _golden_max(f, lo, hi, xtol):
-    """Golden-section maxima of f on the brackets [lo, hi], elementwise:
-    f maps an array of points to an array of values, and a bracket stops
-    shrinking once it is narrower than xtol or than four ulps of its ends
-    (at large times xtol can be below the float spacing)."""
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while np.any(active := b - a > np.maximum(xtol, 4 * np.spacing(np.abs(b)))):
-        left = active & (fc >= fd)  # the maximum lies in [a, d]
-        right = active & ~left
-        a, b = np.where(right, c, a), np.where(left, d, b)
-        c, d, fc, fd = (np.where(right, d, c), np.where(left, c, d),
-                        np.where(right, fd, fc), np.where(left, fc, fd))
-        probe = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        fp = f(probe)
-        c, fc = np.where(left, probe, c), np.where(left, fp, fc)
-        d, fd = np.where(right, probe, d), np.where(right, fp, fd)
-    x = (a + b) / 2
-    return x, f(x)
+# the name the benchmark's tracer patches; the refiner is safeguarded Newton
+def _golden_max(slopes, a, t, b):
+    """Maxima of p from t in the brackets [a, b], elementwise: Newton steps on p' = 0
+    (slopes(t), from _beat_slopes) where p'' < 0 and the step lands strictly inside
+    the bracket, else bisection on the side p' points to.  A bracket closes on t for
+    good where p' = 0, t stops moving or it holds adjacent floats; 16 rounds at most."""
+    for _ in range(16):
+        d1, d2, unit = slopes(t)
+        with np.errstate(over="ignore"):
+            step = t - np.divide(d1, d2, out=np.zeros_like(d1), where=d2 < 0) / unit
+        newton = (d2 < 0) & (a < step) & (step < b)
+        a, b = np.where(d1 > 0, t, a), np.where(d1 < 0, t, b)
+        new = np.where(newton, step, a + (b - a) / 2)
+        stop = (d1 == 0) | (new == t) | (np.nextafter(a, b) >= b)
+        a, b, t = [np.where(stop, t, x) for x in (a, b, new)]
+        if np.all(a == b):
+            break
+    return t
 
 
 def _sweep_row(betas, coef, ts):
@@ -274,16 +280,11 @@ def _sweep_row(betas, coef, ts):
 
 
 def _maxima(cfg, ds_values, dg_values):
-    """(p_max, t_star) on the grid ds_values x dg_values: per point the
-    argmax on the time grid (the lowest index on ties, found by _sweep_row's
-    branch-and-bound without evaluating the whole grid), refined by
-    golden-section search between its neighbours.
-
-    Whole ds rows are taken in chunks of at most _SWEEP_CHUNK points (at
-    least one row): one eigensolve, one grid search and one golden pass per
-    chunk.  The grid argmax is exact, and a converged bracket stays frozen
-    while the others shrink, so each point's result does not depend on its
-    chunk."""
+    """(p_max, t_star) on the grid ds_values x dg_values: per point the time grid's
+    argmax (the lowest index on ties, by _sweep_row's branch-and-bound), or its
+    _golden_max refinement where p is no lower.  Whole ds rows go in chunks of at most
+    _SWEEP_CHUNK points (at least one row), one eigensolve, grid search and refinement
+    each; no result depends on its chunk: the argmax is exact, each point refines alone."""
     ts = np.linspace(0.0, cfg.window, cfg.t_steps)
     p_max = np.empty((len(ds_values), len(dg_values)))
     t_star = np.empty_like(p_max)
@@ -293,8 +294,8 @@ def _maxima(cfg, ds_values, dg_values):
         betas, coef = _amplitude_terms(cfg, ds_values[chunk, None], dg_values, cfg.window)
         i, p_grid, _ = _sweep_row(betas, coef, ts)
         lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, len(ts) - 1)]
-        t_ref, p_ref = _golden_max(lambda t: _p_of_times(betas, coef, t[..., None])[..., 0],
-                                   lo, hi, xtol=1e-6 / cfg.omega_c)
+        t_ref = _golden_max(lambda t: _beat_slopes(betas, coef, t), lo, ts[i], hi)
+        p_ref = _p_of_times(betas, coef, t_ref[..., None])[..., 0]
         refined = p_ref >= p_grid
         p_max[chunk] = np.where(refined, p_ref, p_grid)
         t_star[chunk] = np.where(refined, t_ref, ts[i])
@@ -302,7 +303,7 @@ def _maxima(cfg, ds_values, dg_values):
 
 
 def pds_max(cfg):
-    """(t_star, p_star): grid argmax refined by golden-section search."""
+    """(t_star, p_star): grid argmax refined by Newton on p' (_maxima)."""
     p_star, t_star = _maxima(cfg, np.array([cfg.ds]), np.array([cfg.dg]))
     return float(t_star[0, 0]), float(p_star[0, 0])
 
@@ -333,9 +334,8 @@ def sweep(cfg, ds_range=(0.0, 0.01), dg_range=(0.0, 0.007), resolution=50):
     ranges are (low, high) in units of omega_c; resolution is the number
     of points per axis (one int or a pair).  Each point's maximum on the
     time grid is found by branch-and-bound, typically from a few dozen of
-    its t_steps values, and refined by golden-section search; both run on
-    chunks of whole rows, at most _SWEEP_CHUNK points, which bounds the
-    working memory.
+    its t_steps values, and refined by Newton on p'; both run on chunks of
+    whole rows, at most _SWEEP_CHUNK points, which bounds the working memory.
     """
     axes = [resolution] * 2 if np.ndim(resolution) == 0 else list(resolution)
     if len(axes) != 2:

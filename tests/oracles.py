@@ -248,3 +248,26 @@ def dark_kernel_count(omegas, gs, full=True, rtol=1e-9):
             count += len(cols) - int(np.sum(s > thresh))
             start = stop
     return count
+
+
+def golden_max(f, lo, hi, xtol):
+    """Golden-section maxima of f on the brackets [lo, hi], elementwise:
+    f maps an array of points to an array of values, and a bracket stops
+    shrinking once it is narrower than xtol or than four ulps of its ends."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while np.any(active := b - a > np.maximum(xtol, 4 * np.spacing(np.abs(b)))):
+        left = active & (fc >= fd)  # the maximum lies in [a, d]
+        right = active & ~left
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        c, d, fc, fd = (np.where(right, d, c), np.where(left, c, d),
+                        np.where(right, fd, fc), np.where(left, fc, fd))
+        probe = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        fp = f(probe)
+        c, fc = np.where(left, probe, c), np.where(left, fp, fc)
+        d, fd = np.where(right, probe, d), np.where(right, fp, fd)
+    x = (a + b) / 2
+    return x, f(x)

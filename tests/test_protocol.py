@@ -28,7 +28,7 @@ from cavitydark.protocol import (
     sweep,
 )
 
-from oracles import expm_series, time_average_yield, yield_on_grid
+from oracles import expm_series, golden_max, time_average_yield, yield_on_grid
 
 
 GENERIC = ZSJumpConfig(ds=0.01, dg=0.007)
@@ -166,9 +166,10 @@ def test_dark_amplitude_rejects_a_time_that_is_not_nonnegative_and_finite(t):
 
 
 def test_pds_max_ends_where_xtol_is_below_the_float_spacing():
-    # at t ~ 1e12 a golden bracket a few ulps wide is still wider than
-    # xtol = 1e-6 / omega_c, and the search used to spin forever; it runs
-    # in a subprocess so that a hang fails the test instead of the suite
+    # at t ~ 1e12 the float spacing is wider than a time tolerance of
+    # 1e-6 / omega_c, where a golden-section search once spun forever; the
+    # refinement must end there too, and runs in a subprocess so that a
+    # hang fails the test instead of the suite
     code = (
         "from cavitydark.protocol import ZSJumpConfig, pds_curve, pds_max\n"
         "for t_max in (1e12, 1e15, 1e300):\n"
@@ -282,7 +283,7 @@ def test_pds_max_stable_under_perturbation():
 
 
 def test_pds_max_refines_beyond_grid():
-    # interior maximum: coarse grid plus golden refinement must reach the
+    # interior maximum: coarse grid plus Newton refinement must reach the
     # same point as a dense grid
     cfg = replace(GENERIC, t_max=600.0, t_steps=401)
     t_coarse, p_coarse = pds_max(cfg)
@@ -370,7 +371,7 @@ def test_sweep_rejects_bad_resolution(bad):
 
 def per_row_sweep(cfg, ds_values, dg_values):
     """Reference: the sweep as one eigensolve, one grid argmax and one
-    golden-section refinement per ds row."""
+    Newton refinement per ds row."""
     ts = np.linspace(0.0, cfg.window, cfg.t_steps)
     p_rows, t_rows = [], []
     for ds in ds_values:
@@ -379,9 +380,9 @@ def per_row_sweep(cfg, ds_values, dg_values):
         i = np.argmax(ps, axis=-1)
         p_grid = ps.max(axis=-1)
         lo, hi = ts[np.maximum(i - 1, 0)], ts[np.minimum(i + 1, len(ts) - 1)]
-        t_ref, p_ref = protocol._golden_max(
-            lambda t: protocol._p_of_times(betas, coef, t[:, None])[:, 0], lo, hi, 1e-6
-        )
+        t_ref = protocol._golden_max(lambda t: protocol._beat_slopes(betas, coef, t),
+                                     lo, ts[i], hi)
+        p_ref = protocol._p_of_times(betas, coef, t_ref[:, None])[:, 0]
         refined = p_ref >= p_grid
         p_rows.append(np.where(refined, p_ref, p_grid))
         t_rows.append(np.where(refined, t_ref, ts[i]))
@@ -430,28 +431,107 @@ def test_sweep_chunks_do_not_change_the_result(monkeypatch):
 
 def test_sweep_solves_and_refines_the_default_grid_once(monkeypatch):
     # a work count, not a wall clock: the default 50x50 grid is one chunk,
-    # and its (shift, time) pairs handed to the yield kernel (the full time
-    # grid plus the golden pass would be about 2.6 million)
-    count = {"_amplitude_terms": 0, "_golden_max": 0, "pairs": 0}
-    for name in ("_amplitude_terms", "_golden_max"):
-        fn = getattr(protocol, name)
+    # and its (shift, time) pairs handed to the yield kernel are about 41,000
+    # for the grid search and 2,500 for the refined points (the full time
+    # grid would be 2.6 million).  Every grid maximum is the window's end,
+    # where p' points out of the window, so the refinement stops after one
+    # evaluation of the slopes and keeps the end
+    count = {"_amplitude_terms": 0, "_golden_max": 0, "slopes": 0, "pairs": 0}
+    amplitude_terms, golden, p_of_times = (
+        protocol._amplitude_terms, protocol._golden_max, protocol._p_of_times
+    )
 
-        def counted(*args, name=name, fn=fn, **kwargs):
-            count[name] += 1
-            return fn(*args, **kwargs)
+    def counted_terms(*args):
+        count["_amplitude_terms"] += 1
+        return amplitude_terms(*args)
 
-        monkeypatch.setattr(protocol, name, counted)
-    p_of_times = protocol._p_of_times
+    def counted_golden(slopes, *args):
+        def counted_slopes(t):
+            count["slopes"] += 1
+            return slopes(t)
+
+        count["_golden_max"] += 1
+        return golden(counted_slopes, *args)
 
     def counted_p(betas, coef, ts):
         p = p_of_times(betas, coef, ts)
         count["pairs"] += p.size
         return p
 
+    monkeypatch.setattr(protocol, "_amplitude_terms", counted_terms)
+    monkeypatch.setattr(protocol, "_golden_max", counted_golden)
     monkeypatch.setattr(protocol, "_p_of_times", counted_p)
-    sweep(ZSJumpConfig())
+    cfg = ZSJumpConfig()
+    res = sweep(cfg)
     assert count["_amplitude_terms"] == 1 and count["_golden_max"] == 1
-    assert count["pairs"] <= 200_000
+    assert count["slopes"] <= 2
+    assert count["pairs"] <= 50_000
+    assert np.all(res.t_star == cfg.window)
+
+
+def test_newton_refinement_reaches_golden_section_search():
+    # seeded (config, ds, dg) points against the golden-section search the
+    # sweep used before, between the same grid neighbours with the same
+    # accept rule.  Where the grid resolves the fastest beat (|w_kl| dt <=
+    # 0.5) there is one maximum per bracket, and Newton must reach golden's
+    # value to roundoff; where it aliases, neither search is defined, and
+    # the result must still be p(t_star) and at least the grid maximum
+    gen = np.random.default_rng(27)
+    resolved = 0
+    for window in (None, 50.0, 450.0, 1000.0):
+        for steps in (64, 256, 1024):
+            for _ in range(16):
+                g1 = float(np.exp(gen.uniform(math.log(1e-3), math.log(3.0))))
+                cfg = ZSJumpConfig(g1=g1, g2=g1 * float(gen.uniform(0.1, 1.0)),
+                                   t_max=window, t_steps=steps)
+                res = sweep(cfg, ds_range=(0.0, g1 * float(gen.uniform(0.1, 2.0))),
+                            dg_range=(0.0, g1 * float(gen.uniform(0.1, 1.0))), resolution=4)
+                ts = np.linspace(0.0, cfg.window, steps)
+                betas, coef = protocol._amplitude_terms(cfg, res.ds_grid[:, None], res.dg_grid,
+                                                        cfg.window)
+                grid = protocol._p_of_times(betas, coef, ts)
+                i, p_grid = grid.argmax(axis=-1), grid.max(axis=-1)
+
+                def p_of(t):
+                    return protocol._p_of_times(betas, coef, t[..., None])[..., 0]
+
+                _, p_golden = golden_max(p_of, ts[np.maximum(i - 1, 0)],
+                                         ts[np.minimum(i + 1, steps - 1)], 1e-6)
+                p_golden = np.maximum(p_golden, p_grid)
+                unaliased = (betas[..., 2] - betas[..., 0]) * (ts[1] - ts[0]) <= 0.5
+                resolved += np.count_nonzero(unaliased)
+                assert np.all(res.p_max[unaliased] >= p_golden[unaliased] * (1 - 1e-14))
+                assert np.all(res.p_max >= p_grid)
+                assert np.array_equal(res.p_max, p_of(res.t_star))
+    assert resolved >= 2000
+
+
+@pytest.mark.parametrize("k", [-1000, -300, -100, 100, 300, 1000])
+def test_refinement_is_covariant_under_powers_of_two(k):
+    # every frequency times 2^k and the window times 2^-k: the grid and the
+    # slopes, taken in a power-of-two unit, scale exactly, and so does the
+    # eigensolve for |k| <= 300, so no bit of p or of t 2^k may change; at
+    # 2^+-1000 the eigensolve's last bits move, but still nothing may overflow
+    def scaled(cfg, k):
+        f = {name: math.ldexp(getattr(cfg, name), k)
+             for name in ("omega_c", "omega_a", "g1", "g2", "ds", "dg")}
+        return replace(cfg, **f, t_max=None if cfg.t_max is None else math.ldexp(cfg.t_max, -k))
+
+    def results(cfg, k):
+        res = sweep(scaled(cfg, k), ds_range=(math.ldexp(0.005, k), math.ldexp(0.01, k)),
+                    dg_range=(math.ldexp(0.003, k), math.ldexp(0.007, k)), resolution=(3, 2))
+        t, p = pds_max(scaled(cfg, k))
+        return np.append(res.p_max, p), np.ldexp(np.append(res.t_star, t), k)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cfg in (GENERIC, replace(GENERIC, t_max=450.0)):
+            (p_ref, t_ref), (p, t) = results(cfg, 0), results(cfg, k)
+            if abs(k) <= 300:
+                assert np.array_equal(p, p_ref) and np.array_equal(t, t_ref)
+            else:
+                np.testing.assert_allclose(p, p_ref, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(t, t_ref, rtol=1e-12, atol=0)
 
 
 def grid_argmax_cases():
@@ -563,8 +643,8 @@ def test_p_of_times_rounds_a_point_the_same_in_any_batch():
 
 @pytest.mark.parametrize("s", [1.0, 1e3, 1e5, 1e7, 1e15])
 def test_refinement_is_scale_invariant(s):
-    # every frequency times s and every time over s: the golden tolerance
-    # is relative to 1 / omega_c, so refinement is not skipped at large s
+    # every frequency times s and every time over s: the refinement's slopes
+    # are taken in a unit of the beat frequency, so no scale skips or stalls it
     def scaled(s):
         return ZSJumpConfig(
             omega_c=s, omega_a=s, g1=0.01 * s, g2=0.005 * s, ds=0.01 * s, dg=0.007 * s,

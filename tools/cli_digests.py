@@ -130,7 +130,7 @@ def invocations(workdir):
     # a frequency scale where the yield grid's bound once overflowed
     yield "sweep:tiny-scale", ["sweep", "--set", "omega_c=1e-300", "--set", "omega_a=1e-300",
                                "--set", "g1=1e-302", "--set", "g2=1e-302"]
-    # golden brackets at t ~ 1e12, where 1e-6 is below the float spacing
+    # a refinement at t ~ 1e12, where the float spacing is about 1e-4 (the grid aliases)
     yield "sweep:huge-window", ["sweep", "--t-max", "1e12", "--ds-range", "0.01:0.01:1",
                                 "--dg-range", "0.007:0.007:1"]
     yield "sweep:infinite-window", ["sweep", "--t-max", "inf"]
