@@ -161,8 +161,10 @@ def check_spectral_reconstruction(gen):
 
 
 def check_cubic_eig_agreement(gen):
-    # the secular solver's roots against eigvalsh on the arrowhead part of 1000 random
-    # Hermitian 3x3 matrices, with 100 rows of g1 = 0, 50 of g2 = 0, 50 of both and 100 of equal w
+    # the secular solver's roots, each the float where the exact secular function changes
+    # sign, against eigvalsh on the arrowhead part of 1000 random Hermitian 3x3 matrices, with
+    # 100 rows of g1 = 0, 50 of g2 = 0, 50 of both and 100 of equal w: the gap is eigvalsh's
+    # error and at most one ulp
     M = _random_hermitian(gen, 3, stack=(1000,)).real
     wc, w, g = M[:, 2, 2], M[:, [0, 1], [0, 1]], M[:, :2, 2]
     g[:100, 0] = g[100:150, 1] = g[150:200] = 0.0

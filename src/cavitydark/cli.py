@@ -94,7 +94,8 @@ def _write_output(args, text):
         sys.stdout.write(text)
 
 
-_ZERO_CELLS = bytes.maketrans(b"\x00\x01", b"g0")  # bool mask byte -> template cell
+# cell code byte (0 to format, 1 for +0.0, 2 for -0.0) -> template cell
+_ZERO_CELLS = bytes.maketrans(b"\x00\x01\x02", b"g0m")
 
 
 def _write_table(args, header, rows, notes=(), row_format=None):
@@ -103,18 +104,21 @@ def _write_table(args, header, rows, notes=(), row_format=None):
     Each row is formatted with one %-template, by default "%.17g" per
     header column (integral values print as integers).  Rows are
     formatted one at a time: a whole-table .tolist() costs memory.  With
-    the default template an exact +0.0 cell is written as "0" without
-    formatting it: full-space spectrum tables are mostly such zeros.
+    the default template an exact +0.0 or -0.0 cell is written as "0" or
+    "-0" without formatting it: full-space spectrum tables are mostly such
+    zeros.
     """
     lines = [",".join(header) + "\n"] if header else []
     if row_format is None:
         rows = np.asarray(rows, dtype=float)
-        zero = (rows == 0) & ~np.signbit(rows)
+        zero = rows == 0
+        code = zero.view(np.uint8) + (zero & np.signbit(rows)).view(np.uint8)
         template = ",".join(["%.17g"] * len(header)) + "\n"
-        for row, z, any_zero in zip(rows, zero, zero.any(axis=-1).tolist()):
+        for row, z, any_zero in zip(rows, code, zero.any(axis=-1).tolist()):
             if any_zero:  # one "g" per cell to format, then "g" -> "%.17g"
                 cells = ",".join(z.tobytes().translate(_ZERO_CELLS).decode())
-                lines.append(cells.replace("g", "%.17g") % tuple(row[~z].tolist()) + "\n")
+                cells = cells.replace("g", "%.17g").replace("m", "-0")
+                lines.append(cells % tuple(row[z == 0].tolist()) + "\n")
             else:
                 lines.append(template % tuple(row.tolist()))
     else:

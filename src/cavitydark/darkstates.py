@@ -14,6 +14,7 @@ Every block is solved through its secular equation, whose deflation at
 equal frequencies gives the dark vector.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,44 +44,235 @@ def _secular(mu, dc, d, gsq):
     return mu + dc - gsq[0] / (mu + d[0]) - gsq[1] / (mu + d[1])
 
 
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for float64
+# the filter's bound per unit of S (see _offset_values): 2^16 times the
+# about 50 u^2 its error analysis allows, which costs nothing, since a
+# float within 2^-37 ulps of a root is as rare as that
+_SLACK = 2.0**-90
+# with each coupling 0 or at least 2^-400, every two-product in the filter
+# is about gp^2 or go^2 >= 2^-800, so none underflows; rows with a smaller
+# coupling go to the exact stage
+_TINY = 2.0**-400
+_GUIDED_ROUNDS = 8  # probes placed by _step, then bisection on the bits
+
+
+def _two_sum(a, b):
+    """(s, t) with s = fl(a + b) and s + t = a + b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
+
+
+def _two_product(a, b):
+    """(p, t) with p = fl(a b) and p + t = a b exactly (Dekker, with
+    Veltkamp's split; numpy has no fma), when |a b| >= 2^-968 and
+    |a|, |b| < 2^995."""
+    p = a * b
+    t = a * _SPLIT
+    ah = t - (t - a)
+    t = b * _SPLIT
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _scaled(x):
+    """The float x as the integer x 2^1074 (every float is a multiple of 2^-1074)."""
+    n, d = x.as_integer_ratio()
+    return n << (1075 - d.bit_length())
+
+
+def _exact_values(m, col):
+    """F(m) (see _offset_values) in integer arithmetic, rounded to float
+    with its sign kept: with every float x read as the integer x 2^1074,
+    F m D 2^3222 = (m + c) m D - gp^2 D - go^2 m is an integer, D = m + e."""
+    c1, c2, e1, e2, *_, gp, go, _ = col
+    out = []
+    for row in zip(*(x.tolist() for x in (m, c1, c2, e1, e2, gp, go))):
+        M, C1, C2, E1, E2, GP, GO = map(_scaled, row)
+        D = M + E1 + E2
+        num, den = (M + C1 + C2) * M * D - GP * GP * D - GO * GO * M, (M * D) << 1074
+        try:
+            value = abs(num / den)  # correctly rounded
+        except OverflowError:
+            value = math.inf
+        value = max(value, 5e-324) if num else 0.0
+        out.append(value if (num < 0) == (den < 0) else -value)
+    return np.array(out)
+
+
+def _offset_values(m, col):
+    """(F(m), b1, k1, d1) at float offsets m > 0 from the pole, where
+    F(m) = s f(p + s m) = m + c - gp^2/m - go^2/(m + e) rises with m.
+
+    col holds c1, c2, e1, e2, P1, P2, O1, O2, gp, go and an ok flag, with
+    c = c1 + c2 = s (p - wc) and e = e1 + e2 = s (p - w_o) exactly, and
+    P1 + P2 = gp^2 and O1 + O2 = go^2 exactly where ok is 1.  The sign of
+    the returned F is exact: F is evaluated in double-double (error-free
+    sums and products, one correction step per quotient) together with a
+    bound on its error (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, section 3), and only the rows whose bound
+    does not exclude 0 get F in exact arithmetic (Shewchuk's
+    filter-then-exact predicates, Discrete Comput. Geom. 18, 1997).
+
+    The bound, with u = 2^-53 and S = m + |c1| + b1 + |k1|: m + c, gp^2/m
+    and go^2/(d1 + d2) are within 2 u^2 S, 6 u^2 b1 and 20 u^2 |k1| of
+    their double-doubles, d1 + d2 is within 2 u |d2| of D = m + e before
+    the last two-sum, which moves go^2/D by at most 3 u |k1| loose while
+    loose < 2^50, and the final sums add at most 21 u^2 S.  _SLACK covers
+    the u^2 terms many times over; a quotient that underflows errs by at
+    most 2^-1075, far below _SLACK S >= _SLACK 2 gp >= 2^-489; and any
+    overflow leaves a nan, which goes to the exact stage.  b1 ~ gp^2/m,
+    k1 ~ go^2/(m + e) and d1 ~ m + e are float estimates for _step.
+    """
+    c1, c2, e1, e2, P1, P2, O1, O2, gp, go, ok = col
+    a1, a2 = _two_sum(m, c1)
+    a2 = a2 + c2
+    b1 = P1 / m
+    x1, x2 = _two_product(b1, m)
+    b2 = (((P1 - x1) - x2) + P2) / m
+    d1, d2 = _two_sum(m, e1)
+    d2 = d2 + e2
+    loose = abs(d2)
+    d1, d2 = _two_sum(d1, d2)
+    loose /= abs(d1)
+    k1 = O1 / d1
+    y1, y2 = _two_product(k1, d1)
+    k2 = ((((O1 - y1) - y2) + O2) - k1 * d2) / d1
+    h, h1 = _two_sum(a1, -b1)
+    v, h2 = _two_sum(h, -k1)
+    value = v + ((((h1 + h2) + a2) - b2) - k2)
+    bound = _SLACK * (m + abs(c1) + b1 + abs(k1)) + 2.0**-50 * abs(k1) * loose
+    exact = ~((abs(value) > 2 * bound) & (loose < 2.0**50) & (ok > 0))
+    if exact.any():
+        value[exact] = _exact_values(m[exact], col[:, exact])
+    return value, b1, k1, d1
+
+
+def _start(x, width, col):
+    """Float offsets near the roots: two osculatory steps (the own pole's
+    term exact, the rest of F linear at x; Bunch, Nielsen and Sorensen,
+    Numer. Math. 31, 1978) from the offsets x in [0, width)."""
+    c1, c2, e1, e2, P1, P2, O1, O2 = col[:8]
+    fold = e1 == 0  # equal poles: one pole with residue gp^2 + go^2
+    gp2, go2 = P1 + np.where(fold, O1, 0.0), np.where(fold, 0.0, O1)
+    e, c = np.where(fold, 1.0, e1), c1 + c2
+    for _ in range(2):
+        q = go2 / (x + e)
+        slope = 1 + q / (x + e)
+        b = x + c - q - slope * x
+        root = np.sqrt(b * b + 4 * slope * gp2)
+        x = np.where(b > 0, 2 * gp2 / (b + root), (root - b) / (2 * slope))
+        x = np.where(np.isfinite(x), np.minimum(x, width), width / 2)
+    return x
+
+
+def _step(m, value, b1, k1, d1):
+    """The offset m + delta where the model F(m) + gp'^2 (1/m - 1/x)
+    + go^2 (1/d1 - 1/(x - m + d1)) of F vanishes: both poles exact, and
+    F's slope 1 put into the own residue gp'^2 = gp^2 + m^2, so that the
+    model has F's value and slope at m (two-pole models of this kind are
+    R.-C. Li's, LAPACK Working Note 89, 1993).  delta is the small root of
+    A delta^2 + B delta + C = 0, which keeps F's accuracy."""
+    own = b1 + m  # gp'^2 / m
+    A = value + own + k1
+    B = value * (m + d1) + own * d1 + k1 * m
+    C = value * m * d1
+    return m - 2 * C / (B + np.copysign(np.sqrt(B * B - 4 * A * C), B))
+
+
+def _estimates(wc, w, g):
+    """Float64 eigenvalues of the blocks, ascending, as starting points:
+    the trigonometric solution of the symmetric 3x3 eigenproblem (Smith,
+    Commun. ACM 4, 1961)."""
+    q = (wc + w[0] + w[1]) / 3
+    a, ac, gsq = w - q, wc - q, g * g
+    r = np.sqrt((a[0] * a[0] + a[1] * a[1] + ac * ac + 2 * (gsq[0] + gsq[1])) / 6)
+    det = (a[0] * a[1] * ac - gsq[0] * a[1] - gsq[1] * a[0]) / (2 * r * r * r)
+    phi = np.arccos(np.clip(np.nan_to_num(det), -1.0, 1.0)) / 3
+    high, low = q + 2 * r * np.cos(phi), q + 2 * r * np.cos(phi + 2 * np.pi / 3)
+    return np.stack([low, 3 * q - high - low, high])
+
+
 def _secular_roots(wc, w, g, deflate):
     """(p, mu, d): per interlacing bracket (below, between and above the
     poles w; first axis of p and mu, second of d), the pole p its root x is
     measured from, mu = x - p, and d_i = p - w_i.  The middle root is
     measured from the nearer pole, as f at the midpoint tells; where
     deflate is set, it is the dark pair's own pole (mu = 0) and the outer
-    roots are measured from the bright pole.  Each mu is 64 bisection
-    steps on the bit pattern of |mu|: the float where f changes sign.
-    Only brackets of nonzero width in a coupled block are bisected; the
-    others keep |mu| at their width (0 for a deflated root).
+    roots are measured from the bright pole.
+
+    With s the side of the pole the bracket lies on, each live root's |mu|
+    is the least float m in (0, width], in bit-pattern order, where the
+    exact s f(p + s m) >= 0: f taken on the real numbers p + s m, w_i, wc
+    and g_i, and tending to -inf toward the pole.  So mu is the float where
+    the exact f changes sign, and depends on nothing but the block.  The
+    search starts near the root and decides each sign exactly
+    (_offset_values); it ends where two adjacent bit patterns bracket the
+    change.  Only brackets of nonzero width in a coupled block are
+    searched; the others keep |mu| at their width (0 for a deflated root).
     """
-    bright = np.where((g[1] == 0) & (g[0] != 0), 0, 1)
-    lo, hi = np.argmin(w, axis=0), np.argmax(w, axis=0)
-    w_lo, gap = np.minimum(w[0], w[1]), abs(w[0] - w[1])
-    near_lo = _secular(gap / 2, w_lo - wc, w_lo - w, g * g) >= 0
-    pole = np.where(deflate, [bright, 1 - bright, bright], [lo, np.where(near_lo, lo, hi), hi])
-    p = np.where(pole == 0, w[0], w[1])
-    sign = np.stack([-np.ones_like(wc), np.where(near_lo, 1.0, -1.0), np.ones_like(wc)])
-    # outer roots lie within 2 (|wc - p| + |g1| + |g2|) of their pole, where
-    # f has the sign of the far side; the middle one lies before the other pole
-    reach = 2 * (abs(wc - p) + abs(g[0]) + abs(g[1]))
-    width = np.stack([reach[0], np.where(deflate, 0.0, gap), reach[2]])
-    # f in long double: a root whose near term is not f's largest one
-    # needs the extra bits to come within an ulp of mu
-    pl, gl = p.astype(np.longdouble), g.astype(np.longdouble)
-    # a zero coupling's term is 0 / (mu + d), kept +0 by a finite d beyond any mu
-    d = np.where(g[:, None] == 0, np.finfo(float).max, pl - w[:, None])
-    live = (width > 0) & ((g[0] != 0) | (g[1] != 0))
-    s, dc, dl = sign[live], (pl - wc)[live], d[:, live]
-    gsq = np.broadcast_to(gl[:, None] * gl[:, None], d.shape)[:, live]
-    a, b = np.zeros(s.shape, np.int64), width[live].view(np.int64)
-    for _ in range(64):
-        m = a + (b - a) // 2
-        low = s * _secular(s * m.view(float), dc, dl, gsq) < 0
-        a, b = np.where(low, m, a), np.where(low, b, m)
-    bits = width.view(np.int64).copy()
-    bits[live] = b
-    return p, sign * bits.view(float), d.astype(float)
+    # the float steps divide by zero on masked rows, and the start and the
+    # filter may overflow or underflow by design: no sign rests on them
+    with np.errstate(all="ignore"):
+        bright = np.where((g[1] == 0) & (g[0] != 0), 0, 1)
+        lo, hi = np.argmin(w, axis=0), np.argmax(w, axis=0)
+        w_lo, gap = np.minimum(w[0], w[1]), abs(w[0] - w[1])
+        near_lo = _secular(gap / 2, w_lo - wc, w_lo - w, g * g) >= 0
+        pole = np.where(deflate, [bright, 1 - bright, bright], [lo, np.where(near_lo, lo, hi), hi])
+        p = np.where(pole == 0, w[0], w[1])
+        sign = np.stack([-np.ones_like(wc), np.where(near_lo, 1.0, -1.0), np.ones_like(wc)])
+        # outer roots lie within 2 (|wc - p| + |g1| + |g2|) of their pole, where
+        # f has the sign of the far side; the middle one lies before the other pole
+        reach = 2 * (abs(wc - p) + abs(g[0]) + abs(g[1]))
+        width = np.stack([reach[0], np.where(deflate, 0.0, gap), reach[2]])
+        # a zero coupling's term is 0 / (mu + d), kept +0 by a finite d beyond any mu
+        d = np.where(g[:, None] == 0, np.finfo(float).max, p - w[:, None])
+        bits = width.view(np.int64).copy()
+        (live,) = np.nonzero(((bits > 1) & ((g[0] != 0) | (g[1] != 0))).ravel())
+        if live.size:
+            own, s = pole.ravel()[live], sign.ravel()[live]
+            k = live % wc.size
+            gp, go = g.reshape(2, -1)[own, k], g.reshape(2, -1)[1 - own, k]
+            sp = s * p.ravel()[live]
+            c1, c2 = _two_sum(sp, -s * wc.ravel()[k])
+            e1, e2 = _two_sum(sp, -s * w.reshape(2, -1)[1 - own, k])
+            e1, e2 = np.where(go == 0, 1.0, e1), np.where(go == 0, 0.0, e2)
+            ok = (abs(gp) >= _TINY) & ((go == 0) | (abs(go) >= _TINY))
+            squares = (*_two_product(gp, gp), *_two_product(go, go))
+            col = np.stack([c1, c2, e1, e2, *squares, gp, go, ok])
+            flat = bits.reshape(-1)
+            flat[live] = _search(_estimates(wc, w, g).ravel()[live] * s - sp, flat[live], col)
+    return p, sign * bits.view(float), d
+
+
+def _search(x, top, col):
+    """The least bit pattern in (0, top] whose offset F is >= 0, per row,
+    given F < 0 toward 0 and F >= 0 at top, from the float estimates x.
+    Each round probes one pattern per open row inside its bracket: the
+    first _GUIDED_ROUNDS where _step predicts the root, then the bracket's
+    midpoint, so no row takes more than _GUIDED_ROUNDS + 63 rounds."""
+    width, found = top.view(float), top.copy()
+    x = _start(np.where((x > 0) & (x < width), x, 0.0), width, col)
+    probe, low, high = np.clip(x.view(np.int64), 1, top - 1), np.zeros_like(top), top
+    rows, round_ = np.arange(top.size), 0
+    while rows.size:
+        round_ += 1
+        value, *model = _offset_values(probe.view(float), col)
+        up = value >= 0
+        low, high = np.where(up, low, probe), np.where(up, probe, high)
+        guess = low + (high - low) // 2
+        if round_ <= _GUIDED_ROUNDS:
+            t = _step(probe.view(float), value, *model)
+            t = np.where(np.isfinite(t), t, -1.0).view(np.int64)
+            # the predicted pattern is the root's float or the one below
+            guess = np.where((t >= low) & (t <= high), np.clip(t, low + 1, high - 1), guess)
+        done = high - low == 1
+        if done.any():
+            found[rows[done]] = high[done]
+            rows, low, high, col = rows[~done], low[~done], high[~done], col[:, ~done]
+        probe = guess[~done]
+    return found
 
 
 def analytic_spectrum(omega_c, omega_a1, omega_a2, g1, g2):
@@ -93,10 +285,13 @@ def analytic_spectrum(omega_c, omega_a1, omega_a2, g1, g2):
     entry positive.  Each block is divided by the power of two of its
     largest entry (exact) and every step is elementwise, so a block scaled
     by 2^k gives the same bits times 2^k, and alone the same bits as in
-    any batch.  Root x has the vector (g1 / (x - w1), g2 / (x - w2), 1),
-    each difference taken from its pole.  A zero coupling g_i deflates to
-    e_i at w_i, exactly equal poles to the dark vector (-g2, g1, 0)/G at
-    w1, the middle root of a coupled block; with both couplings zero H is
+    any batch.  Each root is p + mu, with mu the float offset from its pole
+    p where the exact f changes sign (_secular_roots), so the eigenvalue
+    bits depend on the block alone, on no platform's long double or libm.
+    Root x has the vector (g1 / (x - w1), g2 / (x - w2), 1), each
+    difference taken from its pole.  A zero coupling g_i deflates to e_i
+    at w_i, exactly equal poles to the dark vector (-g2, g1, 0)/G at w1,
+    the middle root of a coupled block; with both couplings zero H is
     diagonal.
     """
     block = np.array(np.broadcast_arrays(omega_c, omega_a1, omega_a2, g1, g2), dtype=float)
@@ -107,12 +302,13 @@ def analytic_spectrum(omega_c, omega_a1, omega_a2, g1, g2):
     wc, w, g = block[0], block[1:3], block[3:]
     G = np.hypot(*g)
     deflate = (g[0] == 0) | (g[1] == 0) | (w[0] == w[1])
-    # a root nearer its pole than the least subnormal probes the pole
-    # itself, and masked rows divide by zero; np.where drops both.  That root
-    # is its pole in float, so it gets e_i as at g_i = 0 (an equal pair (g1, g2, 0)/G)
+    # a root whose exact offset from its pole is below the least subnormal
+    # (|mu| = 2^-1074) is its pole in float, so it gets e_i as at g_i = 0
+    # (an equal pair (g1, g2, 0)/G); masked rows divide by zero, and
+    # np.where drops them
     with np.errstate(divide="ignore", invalid="ignore"):
         p, mu, d = _secular_roots(wc, w, g, deflate)
-        on_pole = mu + d == 0
+        on_pole = (abs(mu) == 5e-324) & (d == 0)
         raw = np.ones((3,) + mu.shape)
         raw[:2] = np.where(on_pole.any(axis=0), g[:, None] * on_pole, g[:, None] / (mu + d))
         raw[2] = ~on_pole.any(axis=0)

@@ -791,12 +791,15 @@ def test_import_leaves_numpy_random_unloaded():
 
 
 def test_table_cells_match_per_cell_17g(capsys):
-    # exact +0.0 cells skip the formatting; every cell still reads as "%.17g"
+    # exact +0.0 and -0.0 cells skip the formatting; every cell still reads
+    # as "%.17g", so -0.0 is "-0"
     rows = np.array(
         [
             [0.0, -0.0, 3.0, np.nan, np.inf, -np.inf, 0.1, -2.5e-300],
             [-0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
             [1.0, 2.0, 1 / 3, 5e-324, 2.0**60 + 2048, -7.0, 1e22, 12345.0],
+            [-0.0, -5e-324, -0.0, 2.2250738585072014e-308, -0.0, 0.0, -0.0, 4.0],
+            [-0.0] * 8,
         ]
     )
     header = [f"c{i}" for i in range(rows.shape[1])]
@@ -809,4 +812,5 @@ def test_table_cells_match_per_cell_17g(capsys):
         ) + "# note\n"
         assert text == expected
         assert capsys.readouterr().out == expected
-    assert cli._write_table(args, header, rows).splitlines()[2].startswith("-0,0,0,")
+    lines = cli._write_table(args, header, rows).splitlines()
+    assert lines[2].startswith("-0,0,0,") and lines[5] == ",".join(["-0"] * 8)

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 from fractions import Fraction
 
@@ -248,40 +249,106 @@ def test_vieta_relations():
         assert np.isclose(np.prod(b), -C, rtol=1e-9)
 
 
-def _exact_secular(x, wc, w, g):
-    """The secular function x - wc - sum_i g_i^2 / (x - w_i) in exact
-    rational arithmetic, at the Fraction x and the exact float entries."""
-    return x - Fraction(wc) - sum(Fraction(gi) ** 2 / (x - Fraction(wi)) for wi, gi in zip(w, g))
+def _exact_secular_of(wc, w1, w2, g1, g2):
+    """The secular function x - wc - sum_i g_i^2 / (x - w_i) of one block
+    in exact rational arithmetic, as a function of the Fraction x, at the
+    exact float entries; a zero coupling's term is 0."""
+    wc, w1, w2 = Fraction(wc), Fraction(w1), Fraction(w2)
+    poles = [(w, Fraction(g) ** 2) for w, g in ((w1, g1), (w2, g2)) if g != 0]
+    return lambda x: x - wc - sum(gsq / (x - w) for w, gsq in poles)
 
 
-def _ulps(x, n):
-    """The float n steps of one ulp away from x (toward +inf for n > 0)."""
-    for _ in range(abs(n)):
-        x = np.nextafter(x, np.copysign(np.inf, n))
-    return x
+def _solver_cases(gen):
+    """About 10^4 blocks (wc, w1, w2, g1, g2), columns of a (5, n) array,
+    across the secular solver's cases: detuned atoms with uncoupled ones
+    and equal frequencies, near-pole splits down to 1e-12, couplings near
+    1e-170, blocks scaled by 2^k and the 10^+-4 arrowheads."""
+    n = 2000
+    wc = gen.uniform(0.9, 1.1, size=n)
+    w = wc * (1.0 - gen.uniform(-0.05, 0.05, size=(2, n)))
+    g = gen.uniform(0.0, 0.05, size=(2, n))
+    g[0, :300] = g[1, 200:500] = 0.0  # uncoupled atoms, both at 200:300
+    w[1, 500:900] = w[0, 500:900]  # equal frequencies
+    detuned = np.stack([wc, *w, *g])
+    w1 = gen.uniform(0.9, 1.1, size=n)
+    splits = gen.choice([-1.0, 1.0], size=n) * 10.0 ** gen.uniform(-12, np.log10(5e-2), size=n)
+    near_pole = np.stack([gen.uniform(0.9, 1.1, size=n), w1, w1 + splits,
+                          *10.0 ** gen.uniform(-8, np.log10(5e-2), size=(2, n))])
+    tiny = detuned[:, :1000].copy()
+    tiny[3] = 10.0 ** gen.uniform(-175, -160, size=1000)
+    tiny[4, :500] = 10.0 ** gen.uniform(-175, -160, size=500)
+    scaled = np.ldexp(near_pole[:, :1000], gen.integers(-1000, 200, size=1000))
+    return np.concatenate([detuned, near_pole, tiny, scaled, _arrowheads(gen, 4000)], axis=1)
 
 
 def test_roots_certified_by_the_exact_secular_sign_change():
-    # independent of any eigensolver: across each root's bracket f rises,
-    # so the exact f must change sign within 2 ulps of each offset mu from
-    # its pole.  Poles within a factor 2 of each other differ exactly in
-    # float (Sterbenz), so the roots are those of the exact block.
-    gen = np.random.default_rng(53)
-    n = 200
-    wc = gen.uniform(0.9, 1.1, size=n)
-    w1 = gen.uniform(0.9, 1.1, size=n)
-    w2 = w1 + gen.choice([-1.0, 1.0], size=n) * 10.0 ** gen.uniform(-12, np.log10(5e-2), size=n)
-    g1, g2 = 10.0 ** gen.uniform(-8, np.log10(5e-2), size=(2, n))
+    # independent of any eigensolver: each offset mu = s m from its pole p
+    # is the least float m where the exact s f(p + s m) >= 0, so s f is
+    # negative one float below (or at the pole itself, where it tends to
+    # -inf) and nonnegative at m.  The blocks go in as they are, unscaled,
+    # so the 2^k ones also reach the exact stage through underflow.
+    wc, w1, w2, g1, g2 = _solver_cases(np.random.default_rng(53))
     w, g = np.stack([w1, w2]), np.stack([g1, g2])
-    p, mu, _ = darkstates_module._secular_roots(wc, w, g, np.zeros(n, dtype=bool))
-    for k in range(n):
-        for j in range(3):
-            below, above = (
-                _exact_secular(Fraction(p[j, k]) + Fraction(_ulps(mu[j, k], step)),
-                               wc[k], w[:, k], g[:, k])
-                for step in (-2, 2)
-            )
-            assert below <= 0 <= above, (k, j)
+    deflate = (g1 == 0) | (g2 == 0) | (w1 == w2)
+    p, mu, _ = darkstates_module._secular_roots(wc, w, g, deflate)
+    checked = 0
+    for k in np.flatnonzero((g1 != 0) | (g2 != 0)):
+        f = _exact_secular_of(wc[k], w1[k], w2[k], g1[k], g2[k])
+        for j in np.flatnonzero(mu[:, k]):
+            s, m, pole = (1 if mu[j, k] > 0 else -1), abs(mu[j, k]), Fraction(p[j, k])
+            below = np.nextafter(m, 0.0)
+            if below > 0:
+                assert s * f(pole + s * Fraction(below)) < 0, (j, k)
+            assert s * f(pole + s * Fraction(m)) >= 0, (j, k)
+            checked += 1
+    assert wc.size >= 10**4 and checked >= 2.5 * 10**4
+
+
+def test_filter_decides_no_sign_the_exact_stage_would_not(monkeypatch):
+    # with the double-double filter's bound made infinite every sign comes
+    # from exact integer arithmetic: the roots keep their bits.  The last
+    # two blocks have roots that are floats, where f = 0 exactly: (1, 2, 3)
+    # up to the rounding of g = sqrt(0.375), and exactly (-1, 2, 5)
+    gen = np.random.default_rng(59)
+    exact = np.array([[2.0, 1.5, 2.5, np.sqrt(0.375), np.sqrt(0.375)], [2.0, 1.0, 3.0, 2.0, 2.0]])
+    blocks = np.concatenate([_solver_cases(gen)[:, ::5], exact.T], axis=1)
+    assert analytic_spectrum(*exact[1]).eigenvalues.tolist() == [-1.0, 2.0, 5.0]
+    filtered = analytic_spectrum(*blocks).eigenvalues
+    monkeypatch.setattr(darkstates_module, "_SLACK", np.inf)
+    _assert_same_bits(analytic_spectrum(*blocks).eigenvalues, filtered)
+    assert blocks.shape[1] >= 2000
+
+
+def _pinned_blocks(gen, n=10_000):
+    """n blocks drawn with uniform doubles and powers of two only, so that
+    no libm function (pow, log, exp) enters their bits: detuned atoms, some
+    uncoupled, equal, split by 2^-45 ... 2^-5 or with a coupling near
+    1e-170, and a tenth scaled by 2^k."""
+    wc = gen.uniform(0.5, 2.0, size=n)
+    w = wc * (1.0 - gen.uniform(-0.05, 0.05, size=(2, n)))
+    g = np.ldexp(gen.uniform(0.5, 1.0, size=(2, n)), gen.integers(-30, -3, size=(2, n)))
+    g[0, : n // 10] = g[1, n // 20 : 3 * n // 20] = 0.0
+    w[1, 3 * n // 20 : n // 4] = w[0, 3 * n // 20 : n // 4]
+    split = np.ldexp(gen.uniform(-1.0, 1.0, size=n // 10), gen.integers(-45, -5, size=n // 10))
+    w[1, n // 4 : 7 * n // 20] = w[0, n // 4 : 7 * n // 20] + split
+    g[0, 7 * n // 20 : 9 * n // 20] = np.ldexp(gen.uniform(0.5, 1.0, size=n // 10), -565)
+    blocks = np.stack([wc, *w, *g])
+    blocks[:, 9 * n // 20 : 11 * n // 20] *= np.ldexp(1.0, gen.integers(-1000, 1000, size=n // 10))
+    return blocks
+
+
+# sha256 of analytic_spectrum(*_pinned_blocks(default_rng(61))).eigenvalues.tobytes()
+PINNED_EIGENVALUES = "e8300d60d6a1445edc7d8afb90585f9e0b8e83634d04cd52bbc3a540dd38cd17"
+
+
+def test_eigenvalue_bits_are_pinned():
+    # each root is the float where the exact f changes sign, so its bits
+    # depend on the block alone, not on long double or libm: the digest
+    # must hold on every platform.  Eigenvectors are not pinned, since
+    # they pass through libm's hypot.
+    values = analytic_spectrum(*_pinned_blocks(np.random.default_rng(61))).eigenvalues
+    assert values.shape == (10_000, 3) and np.isfinite(values).all()
+    assert hashlib.sha256(values.tobytes()).hexdigest() == PINNED_EIGENVALUES
 
 
 @pytest.mark.parametrize(
