@@ -94,33 +94,32 @@ def _write_output(args, text):
         sys.stdout.write(text)
 
 
-# cell code byte (0 to format, 1 for +0.0, 2 for -0.0) -> template cell
-_ZERO_CELLS = bytes.maketrans(b"\x00\x01\x02", b"g0m")
+# cell code (0 to format, 1 for +0.0, 2 for -0.0) -> template byte
+_CELLS = np.frombuffer(b"g0m", dtype=np.uint8)
+_BLOCK_CELLS = 2**16  # at most this many cells per % call
 
 
 def _write_table(args, header, rows, notes=(), row_format=None):
     """Write the header, one line per row and a `# ` line per note; return the text.
 
-    Each row is formatted with one %-template, by default "%.17g" per
-    header column (integral values print as integers).  Rows are
-    formatted one at a time: a whole-table .tolist() costs memory.  With
-    the default template an exact +0.0 or -0.0 cell is written as "0" or
-    "-0" without formatting it: full-space spectrum tables are mostly such
-    zeros.
+    Rows are formatted with the %-template row_format, or by default with
+    "%.17g" per cell (integral values print as integers), where an exact
+    +0.0 or -0.0 is written as "0" or "-0" unformatted: full-space spectrum
+    tables are mostly such zeros.  The default template is one byte per
+    cell and separator of the whole table, filled in blocks of whole rows
+    of at most _BLOCK_CELLS cells, so no string or value list grows with it.
     """
     lines = [",".join(header) + "\n"] if header else []
     if row_format is None:
         rows = np.asarray(rows, dtype=float)
         zero = rows == 0
-        code = zero.view(np.uint8) + (zero & np.signbit(rows)).view(np.uint8)
-        template = ",".join(["%.17g"] * len(header)) + "\n"
-        for row, z, any_zero in zip(rows, code, zero.any(axis=-1).tolist()):
-            if any_zero:  # one "g" per cell to format, then "g" -> "%.17g"
-                cells = ",".join(z.tobytes().translate(_ZERO_CELLS).decode())
-                cells = cells.replace("g", "%.17g").replace("m", "-0")
-                lines.append(cells % tuple(row[z == 0].tolist()) + "\n")
-            else:
-                lines.append(template % tuple(row.tolist()))
+        code = np.full((len(rows), 2 * len(header)), ord(","), dtype=np.uint8)
+        code[:, 0::2] = _CELLS[zero.view(np.uint8) + (zero & np.signbit(rows)).view(np.uint8)]
+        code[:, -1] = ord("\n")
+        step = max(1, _BLOCK_CELLS // len(header))
+        for part in (slice(start, start + step) for start in range(0, len(rows), step)):
+            template = code[part].tobytes().decode().replace("g", "%.17g").replace("m", "-0")
+            lines.append(template % tuple(rows[part][~zero[part]].tolist()))
     else:
         lines.extend(row_format % tuple(row) + "\n" for row in rows)
     lines.extend(f"# {note}\n" for note in notes)
@@ -185,14 +184,9 @@ def run_spectrum(args):
 def run_dark_find(args):
     m = _model.load_model(args.model)
     states = _dark.find_dark_states(m, args.subspace, tol=args.tol)
-    single = args.subspace == _dark.SUBSPACE_SINGLE
-    dim = m.n_atoms + 1 if single else m.dim
-    residuals = []
-    for psi in states:
-        if not single:
-            psi = _num.normalize(psi[: 2**m.n_atoms])
-        report = _dark.is_dark(m, psi, args.subspace, tol=args.tol)
-        residuals.append((report.emit_residual, report.absorb_residual, report.photon_support))
+    dim = m.n_atoms + 1 if args.subspace == _dark.SUBSPACE_SINGLE else m.dim
+    reports = [_dark.is_dark(m, psi, args.subspace, tol=args.tol) for psi in states]
+    residuals = [(r.emit_residual, r.absorb_residual, r.photon_support) for r in reports]
     header = ["index"] + _vector_columns("", dim) + [
         "emit_residual", "absorb_residual", "photon_support"
     ]

@@ -211,38 +211,36 @@ def _secular_roots(wc, w, g, deflate):
     (_offset_values); it ends where two adjacent bit patterns bracket the
     change.  Only brackets of nonzero width in a coupled block are
     searched; the others keep |mu| at their width (0 for a deflated root).
+    Runs under analytic_spectrum's error state.
     """
-    # the float steps divide by zero on masked rows, and the start and the
-    # filter may overflow or underflow by design: no sign rests on them
-    with np.errstate(all="ignore"):
-        bright = np.where((g[1] == 0) & (g[0] != 0), 0, 1)
-        lo, hi = np.argmin(w, axis=0), np.argmax(w, axis=0)
-        w_lo, gap = np.minimum(w[0], w[1]), abs(w[0] - w[1])
-        near_lo = _secular(gap / 2, w_lo - wc, w_lo - w, g * g) >= 0
-        pole = np.where(deflate, [bright, 1 - bright, bright], [lo, np.where(near_lo, lo, hi), hi])
-        p = np.where(pole == 0, w[0], w[1])
-        sign = np.stack([-np.ones_like(wc), np.where(near_lo, 1.0, -1.0), np.ones_like(wc)])
-        # outer roots lie within 2 (|wc - p| + |g1| + |g2|) of their pole, where
-        # f has the sign of the far side; the middle one lies before the other pole
-        reach = 2 * (abs(wc - p) + abs(g[0]) + abs(g[1]))
-        width = np.stack([reach[0], np.where(deflate, 0.0, gap), reach[2]])
-        # a zero coupling's term is 0 / (mu + d), kept +0 by a finite d beyond any mu
-        d = np.where(g[:, None] == 0, np.finfo(float).max, p - w[:, None])
-        bits = width.view(np.int64).copy()
-        (live,) = np.nonzero(((bits > 1) & ((g[0] != 0) | (g[1] != 0))).ravel())
-        if live.size:
-            own, s = pole.ravel()[live], sign.ravel()[live]
-            k = live % wc.size
-            gp, go = g.reshape(2, -1)[own, k], g.reshape(2, -1)[1 - own, k]
-            sp = s * p.ravel()[live]
-            c1, c2 = _two_sum(sp, -s * wc.ravel()[k])
-            e1, e2 = _two_sum(sp, -s * w.reshape(2, -1)[1 - own, k])
-            e1, e2 = np.where(go == 0, 1.0, e1), np.where(go == 0, 0.0, e2)
-            ok = (abs(gp) >= _TINY) & ((go == 0) | (abs(go) >= _TINY))
-            squares = (*_two_product(gp, gp), *_two_product(go, go))
-            col = np.stack([c1, c2, e1, e2, *squares, gp, go, ok])
-            flat = bits.reshape(-1)
-            flat[live] = _search(_estimates(wc, w, g).ravel()[live] * s - sp, flat[live], col)
+    bright = np.where((g[1] == 0) & (g[0] != 0), 0, 1)
+    lo, hi = np.argmin(w, axis=0), np.argmax(w, axis=0)
+    w_lo, gap = np.minimum(w[0], w[1]), abs(w[0] - w[1])
+    near_lo = _secular(gap / 2, w_lo - wc, w_lo - w, g * g) >= 0
+    pole = np.where(deflate, [bright, 1 - bright, bright], [lo, np.where(near_lo, lo, hi), hi])
+    p = np.where(pole == 0, w[0], w[1])
+    sign = np.stack([-np.ones_like(wc), np.where(near_lo, 1.0, -1.0), np.ones_like(wc)])
+    # outer roots lie within 2 (|wc - p| + |g1| + |g2|) of their pole, where
+    # f has the sign of the far side; the middle one lies before the other pole
+    reach = 2 * (abs(wc - p) + abs(g[0]) + abs(g[1]))
+    width = np.stack([reach[0], np.where(deflate, 0.0, gap), reach[2]])
+    # a zero coupling's term is 0 / (mu + d), kept +0 by a finite d beyond any mu
+    d = np.where(g[:, None] == 0, np.finfo(float).max, p - w[:, None])
+    bits = width.view(np.int64).copy()
+    (live,) = np.nonzero(((bits > 1) & ((g[0] != 0) | (g[1] != 0))).ravel())
+    if live.size:
+        own, s = pole.ravel()[live], sign.ravel()[live]
+        k = live % wc.size
+        gp, go = g.reshape(2, -1)[own, k], g.reshape(2, -1)[1 - own, k]
+        sp = s * p.ravel()[live]
+        c1, c2 = _two_sum(sp, -s * wc.ravel()[k])
+        e1, e2 = _two_sum(sp, -s * w.reshape(2, -1)[1 - own, k])
+        e1, e2 = np.where(go == 0, 1.0, e1), np.where(go == 0, 0.0, e2)
+        ok = (abs(gp) >= _TINY) & ((go == 0) | (abs(go) >= _TINY))
+        squares = (*_two_product(gp, gp), *_two_product(go, go))
+        col = np.stack([c1, c2, e1, e2, *squares, gp, go, ok])
+        flat = bits.reshape(-1)
+        flat[live] = _search(_estimates(wc, w, g).ravel()[live] * s - sp, flat[live], col)
     return p, sign * bits.view(float), d
 
 
@@ -302,25 +300,27 @@ def analytic_spectrum(omega_c, omega_a1, omega_a2, g1, g2):
     wc, w, g = block[0], block[1:3], block[3:]
     G = np.hypot(*g)
     deflate = (g[0] == 0) | (g[1] == 0) | (w[0] == w[1])
-    # a root whose exact offset from its pole is below the least subnormal
-    # (|mu| = 2^-1074) is its pole in float, so it gets e_i as at g_i = 0
-    # (an equal pair (g1, g2, 0)/G); masked rows divide by zero, and
-    # np.where drops them
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # masked rows divide by zero, and np.where drops them; the root search's
+    # start and filter and the vectors' small entries may overflow or
+    # underflow by design: no sign or kept value rests on them
+    with np.errstate(all="ignore"):
         p, mu, d = _secular_roots(wc, w, g, deflate)
+        # a root whose exact offset from its pole is below the least subnormal
+        # (|mu| = 2^-1074) is its pole in float, so it gets e_i as at g_i = 0
+        # (an equal pair (g1, g2, 0)/G)
         on_pole = (abs(mu) == 5e-324) & (d == 0)
         raw = np.ones((3,) + mu.shape)
         raw[:2] = np.where(on_pole.any(axis=0), g[:, None] * on_pole, g[:, None] / (mu + d))
         raw[2] = ~on_pole.any(axis=0)
         raw[:, 1] = np.where(deflate, np.stack([-g[1], g[0], np.zeros_like(wc)]) / G, raw[:, 1])
-    values = np.where(G == 0, block[[1, 2, 0]], p + mu)  # a diagonal block
-    raw = np.where(G == 0, np.eye(3).reshape((3, 3) + (1,) * wc.ndim), raw)
-    order = np.argsort(values, axis=0, kind="stable")
-    values, raw = np.take_along_axis(values, order, 0), np.take_along_axis(raw, order[None], 1)
-    # dividing by the largest entry with its sign (the first on ties) is
-    # fix_phase's convention for real vectors, and no square overflows
-    unit = raw / np.take_along_axis(raw, np.abs(raw).argmax(axis=0)[None], 0)
-    unit /= np.sqrt(unit[0] * unit[0] + unit[1] * unit[1] + unit[2] * unit[2])
+        values = np.where(G == 0, block[[1, 2, 0]], p + mu)  # a diagonal block
+        raw = np.where(G == 0, np.eye(3).reshape((3, 3) + (1,) * wc.ndim), raw)
+        order = np.argsort(values, axis=0, kind="stable")
+        values, raw = np.take_along_axis(values, order, 0), np.take_along_axis(raw, order[None], 1)
+        # dividing by the largest entry with its sign (the first on ties) is
+        # fix_phase's convention for real vectors, and no square overflows
+        unit = raw / np.take_along_axis(raw, np.abs(raw).argmax(axis=0)[None], 0)
+        unit /= np.sqrt(unit[0] * unit[0] + unit[1] * unit[1] + unit[2] * unit[2])
     vectors = np.moveaxis(unit, (0, 1), (-2, -1)).astype(complex)
     return _num.Spectrum(np.moveaxis(np.ldexp(values, e), 0, -1), vectors)
 
@@ -402,8 +402,10 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
 
     single_excitation expects the (n+1)-component block vector and
     requires the emission amplitude below tol * max_i g_i and the photon
-    support below tol.  full expects a 2^n atomic-sector vector and
-    additionally requires the absorption amplitude below tol * max_i g_i.
+    support below tol.  full expects a 2^n atomic-sector vector or a
+    full-basis vector (the photon support is then its weight outside the
+    first 2^n components, the zero-photon sector) and additionally
+    requires the absorption amplitude below tol * max_i g_i.
     Channel residuals are relative to the model's largest coupling, so the
     verdict is unit-free; find_dark_states uses each group's own, never larger,
     so for 1e-12 <= tol < 1 each state it returns passes here, not conversely.
@@ -417,9 +419,10 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
             raise ValueError(f"expected a {n + 1}-component block vector, got {psi.shape}")
         occ, atomic, photon_support = np.eye(n, dtype=bool), psi[:n], float(abs(psi[n]) ** 2)
     elif subspace == SUBSPACE_FULL:
-        if psi.shape != (2**n,):
-            raise ValueError(f"expected a {2**n}-component atomic vector, got {psi.shape}")
-        occ, atomic, photon_support = _model._atomic_flags(n), psi, 0.0
+        if psi.shape not in ((2**n,), (model.dim,)):
+            raise ValueError(f"expected a {2**n}- or {model.dim}-component vector, got {psi.shape}")
+        occ, atomic = _model._atomic_flags(n), psi[: 2**n]
+        photon_support = float(np.sum(np.abs(psi[2**n :]) ** 2))
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
     support = np.flatnonzero(atomic)  # a zero amplitude adds to no channel

@@ -72,14 +72,6 @@ def fix_phase(V):
     return out
 
 
-def normalize(v):
-    v = np.asarray(v, dtype=complex)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / n
-
-
 def subspace_distance(u, v):
     """sin of the principal angle between two unit vectors, via the
     projection residual (stays resolvable for tiny angles)."""

@@ -78,6 +78,8 @@ class ZSJumpConfig:
             raise ValueError("fixed delta_t distribution needs delta_t_fixed")
         if self.delta_t_fixed is not None:
             _num._nonnegative_finite(self.delta_t_fixed, "delta_t_fixed")
+            if self.delta_t_distribution != DIST_FIXED:
+                raise ValueError("delta_t_fixed is only used by the fixed delta_t distribution")
 
     @property
     def window(self):

@@ -814,3 +814,17 @@ def test_table_cells_match_per_cell_17g(capsys):
         assert capsys.readouterr().out == expected
     lines = cli._write_table(args, header, rows).splitlines()
     assert lines[2].startswith("-0,0,0,") and lines[5] == ",".join(["-0"] * 8)
+    # blocks of whole rows: three full blocks and a partial last one, of
+    # distinct random values mixed with zeros, subnormals and integers
+    gen = np.random.default_rng(7)
+    per_block = cli._BLOCK_CELLS // 7
+    shape = (3 * per_block + per_block // 3, 7)
+    big = gen.normal(size=shape) * 10.0 ** gen.integers(-300, 300, shape)
+    pick = gen.integers(0, 6, shape)
+    specials = [0.0, -0.0, 5e-324, -1e-310, gen.integers(-99, 99, shape)]
+    for k, special in enumerate(specials):
+        big = np.where(pick == k, special, big)
+    text = cli._write_table(args, header[:7], big)
+    assert text == ",".join(header[:7]) + "\n" + "".join(
+        ",".join("%.17g" % x for x in row) + "\n" for row in big.tolist()
+    )

@@ -290,7 +290,8 @@ def test_roots_certified_by_the_exact_secular_sign_change():
     wc, w1, w2, g1, g2 = _solver_cases(np.random.default_rng(53))
     w, g = np.stack([w1, w2]), np.stack([g1, g2])
     deflate = (g1 == 0) | (g2 == 0) | (w1 == w2)
-    p, mu, _ = darkstates_module._secular_roots(wc, w, g, deflate)
+    with np.errstate(all="ignore"):  # as analytic_spectrum runs the solver
+        p, mu, _ = darkstates_module._secular_roots(wc, w, g, deflate)
     checked = 0
     for k in np.flatnonzero((g1 != 0) | (g2 != 0)):
         f = _exact_secular_of(wc[k], w1[k], w2[k], g1[k], g2[k])
@@ -543,12 +544,15 @@ def test_secular_shapes_and_broadcasting():
 
 def test_secular_masked_branches_raise_no_warning():
     # deflated rows divide by zero inside masked branches, and no row may
-    # warn for another
-    blocks = np.array(EDGE_CUBICS + [(1.0, 1.01, 1.0, 0.01, 0.005)] * 3).T
+    # warn for another; a coupling near 1e-170 underflows in the vectors'
+    # normalisation and one at 1e-320 divides by zero there
+    edge = EDGE_CUBICS + [(1.0, 0.5, 1.5, 1e-170, 0.1), (1.0, 0.5, 0.5, 1e-170, 3e-170),
+                          (1.0, 0.0, 0.5, 1e-320, 0.2)]
+    blocks = np.array(edge + [(1.0, 1.01, 1.0, 0.01, 0.005)] * 3).T
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         analytic_spectrum(*blocks)
-        for abc in EDGE_CUBICS:
+        for abc in edge:
             analytic_spectrum(*abc)
     _assert_alone_as_in_batch(blocks, range(blocks.shape[1]))
 
@@ -837,6 +841,29 @@ def test_is_dark_passes_what_the_search_keeps_but_not_conversely():
     assert is_dark(m, states[0], SUBSPACE_SINGLE, tol=1e-8).is_dark
     report = is_dark(m, bright, SUBSPACE_SINGLE, tol=1e-8)
     assert report.is_dark and report.emit_residual == pytest.approx(np.sqrt(5) * 1e-12)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_is_dark_takes_the_full_basis_vectors_the_search_returns(n, cutoff):
+    # is_dark refused them ("expected a 2^n-component atomic vector"), so a
+    # caller had to cut out and renormalise their zero-photon sector
+    found = 0
+    for gs in (np.full(n, 0.01), np.r_[np.full(n - 1, 0.01), 0.0]):  # last atom uncoupled
+        m = chain_model(np.ones(n), gs, cutoff)
+        for tol in (1e-12, 1e-8):
+            for psi in find_dark_states(m, SUBSPACE_FULL, tol=tol):
+                assert psi.shape == (m.dim,)
+                report = is_dark(m, psi, SUBSPACE_FULL, tol=tol)
+                assert report.is_dark and report.photon_support == 0.0
+                assert report == is_dark(m, psi[: 2**n], SUBSPACE_FULL, tol=tol)
+                # weight moved into a photon sector counts as photon support
+                mixed = np.sqrt(0.75) * psi
+                mixed[-1] = 0.5
+                report = is_dark(m, mixed, SUBSPACE_FULL, tol=tol)
+                assert not report.is_dark and report.photon_support == 0.25
+                found += 1
+    assert found >= 2
 
 
 @pytest.mark.parametrize("subspace", [SUBSPACE_SINGLE, SUBSPACE_FULL])

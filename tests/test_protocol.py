@@ -193,6 +193,13 @@ def test_config_rejects_bad_delta_t_fixed(dt):
     assert ZSJumpConfig(delta_t_distribution=DIST_FIXED, delta_t_fixed=0.0).delta_t_fixed == 0.0
 
 
+def test_config_rejects_delta_t_fixed_it_would_ignore():
+    # with uniform waiting times mean_yield returned the window average,
+    # the value without the field
+    with pytest.raises(ValueError, match="^delta_t_fixed is only used by the fixed"):
+        ZSJumpConfig(ds=0.01, dg=0.007, delta_t_fixed=3.0)
+
+
 def test_dark_amplitude_zero_without_shift():
     cfg = ZSJumpConfig()
     for t in (0.0, 0.7, 3.0, 50.0, 400.0):

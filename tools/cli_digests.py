@@ -101,6 +101,10 @@ def invocations(workdir):
                              ("one", "equal8", "1"), ("huge", "equal8", "1e300")):
         yield f"dark-find:tol-{label}", ["dark-find", "--model", str(workdir / f"{name}.model"),
                                          "--tol", tol]
+    # a full search on a basis with two photon sectors, whose vectors is_dark takes whole
+    path = workdir / "equal4-cutoff2.model"
+    write_model(path, 1.0, [1.0] * 4, [0.01] * 4, ["photon_cutoff = 2"])
+    yield "dark-find:full:equal4-cutoff2", ["dark-find", "--model", str(path), "--subspace", "full"]
     for name, spec in SPECTRUM_MODELS.items():
         path = workdir / f"{name}.model"
         write_model(path, *spec)
@@ -134,6 +138,8 @@ def invocations(workdir):
     yield "sweep:huge-window", ["sweep", "--t-max", "1e12", "--ds-range", "0.01:0.01:1",
                                 "--dg-range", "0.007:0.007:1"]
     yield "sweep:infinite-window", ["sweep", "--t-max", "inf"]
+    # 19200 rows of 4 cells: the table is written in two blocks, the last one partial
+    yield "sweep:160x120", ["sweep", "--ds-range", "0:0.01:160", "--dg-range", "0:0.007:120"]
     small = ["--ds-range", "0:0.01:4", "--dg-range", "0:0.007:3"]
     yield "sweep:set-shift", ["sweep", *small, "--set", "ds=0.005", "--set", "dg=0.9"]
     yield "sweep:window-overflow", ["sweep", "--set", "omega_c=1e-308", "--set", "omega_a=1e-308",
