@@ -149,24 +149,6 @@ def _offset_values(m, col):
     return value, b1, k1, d1
 
 
-def _start(x, width, col):
-    """Float offsets near the roots: two osculatory steps (the own pole's
-    term exact, the rest of F linear at x; Bunch, Nielsen and Sorensen,
-    Numer. Math. 31, 1978) from the offsets x in [0, width)."""
-    c1, c2, e1, e2, P1, P2, O1, O2 = col[:8]
-    fold = e1 == 0  # equal poles: one pole with residue gp^2 + go^2
-    gp2, go2 = P1 + np.where(fold, O1, 0.0), np.where(fold, 0.0, O1)
-    e, c = np.where(fold, 1.0, e1), c1 + c2
-    for _ in range(2):
-        q = go2 / (x + e)
-        slope = 1 + q / (x + e)
-        b = x + c - q - slope * x
-        root = np.sqrt(b * b + 4 * slope * gp2)
-        x = np.where(b > 0, 2 * gp2 / (b + root), (root - b) / (2 * slope))
-        x = np.where(np.isfinite(x), np.minimum(x, width), width / 2)
-    return x
-
-
 def _step(m, value, b1, k1, d1):
     """The offset m + delta where the model F(m) + gp'^2 (1/m - 1/x)
     + go^2 (1/d1 - 1/(x - m + d1)) of F vanishes: both poles exact, and
@@ -246,12 +228,12 @@ def _secular_roots(wc, w, g, deflate):
 
 def _search(x, top, col):
     """The least bit pattern in (0, top] whose offset F is >= 0, per row,
-    given F < 0 toward 0 and F >= 0 at top, from the float estimates x.
-    Each round probes one pattern per open row inside its bracket: the
-    first _GUIDED_ROUNDS where _step predicts the root, then the bracket's
+    given F < 0 toward 0 and F >= 0 at top.  Each round probes one pattern
+    per open row in its bracket: first the estimate x (half the width if x
+    is outside), then _GUIDED_ROUNDS where _step predicts the root, then the
     midpoint, so no row takes more than _GUIDED_ROUNDS + 63 rounds."""
     width, found = top.view(float), top.copy()
-    x = _start(np.where((x > 0) & (x < width), x, 0.0), width, col)
+    x = np.where((x > 0) & (x < width), x, width / 2)
     probe, low, high = np.clip(x.view(np.int64), 1, top - 1), np.zeros_like(top), top
     rows, round_ = np.arange(top.size), 0
     while rows.size:
@@ -285,7 +267,7 @@ def analytic_spectrum(omega_c, omega_a1, omega_a2, g1, g2):
     by 2^k gives the same bits times 2^k, and alone the same bits as in
     any batch.  Each root is p + mu, with mu the float offset from its pole
     p where the exact f changes sign (_secular_roots), so the eigenvalue
-    bits depend on the block alone, on no platform's long double or libm.
+    bits depend on the block alone: not on the search's start, nor on libm.
     Root x has the vector (g1 / (x - w1), g2 / (x - w2), 1), each
     difference taken from its pole.  A zero coupling g_i deflates to e_i
     at w_i, exactly equal poles to the dark vector (-g2, g1, 0)/G at w1,
@@ -397,6 +379,13 @@ def _channels(occ, couplings, absorb):
     return target.reshape(-1), source, couplings[atom], lowering
 
 
+def _norm(v):
+    """Norm of the contiguous complex v, taken on v over the power of two of
+    its largest part and multiplied back: exact, and no square over- or underflows."""
+    e = math.frexp(np.abs(v.view(float)).max(initial=0.0))[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(v.view(float), -e).view(complex)), e))
+
+
 def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     """Decide darkness of a state relative to the chosen subspace.
 
@@ -409,6 +398,8 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     Channel residuals are relative to the model's largest coupling, so the
     verdict is unit-free; find_dark_states uses each group's own, never larger,
     so for 1e-12 <= tol < 1 each state it returns passes here, not conversely.
+    Each residual is a norm taken on its vector over a power of two (exact),
+    so one near the float maximum or minimum is a number, not inf or 0.
     States without atomic excitation (weight at or below tol) are never dark.
     """
     _num._open_unit(tol, "tol")
@@ -433,8 +424,7 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     np.add.at(reached, target, amplitude * atomic[source])
     emitted = np.zeros(len(reached), dtype=bool)
     emitted[target] = lowering
-    emit = float(np.linalg.norm(reached[emitted]))
-    absorb = float(np.linalg.norm(reached[~emitted]))
+    emit, absorb = _norm(reached[emitted]), _norm(reached[~emitted])
     excitation = float(np.abs(atomic) ** 2 @ occ.sum(axis=1))
     gated = absorb if subspace == SUBSPACE_FULL else 0.0
     dark = bool(max(emit, gated) <= tol * gs.max() and photon_support <= tol < excitation)
@@ -451,7 +441,9 @@ def find_dark_states(model, subspace=SUBSPACE_SINGLE, tol=1e-10):
     in the product basis.  So the dark eigenvectors are the kernel of the
     gating channels inside each group of product states with equal bare
     energy (chained within DEGENERACY_RTOL of the largest atomic
-    frequency), and no Hamiltonian is built or diagonalised.  The
+    frequency), and no Hamiltonian is built or diagonalised.  The energies
+    are of the frequencies over the largest one's power of two (exact), so
+    none overflows and a model scaled by 2^k keeps its groups.  The
     one-excitation block gates on emission, the full space on emission
     and absorption over every excited atomic state.  Returns phase-fixed
     vectors of the block or full-basis length, with zero photon
@@ -470,6 +462,7 @@ def find_dark_states(model, subspace=SUBSPACE_SINGLE, tol=1e-10):
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
     omegas, gs = model.omegas(), model.couplings()
+    omegas = np.ldexp(omegas, -np.frexp(omegas.max())[1])  # exact: no bare energy overflows
     energies = occ @ omegas
     order = np.argsort(energies, kind="stable")
     out = []

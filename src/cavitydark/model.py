@@ -127,19 +127,25 @@ def build_full_hamiltonian(model):
     g_i sqrt(p+1) at both (p, s) <-> (p+1, s ^ bit_i), for the states s
     with atom i excited under RWA and for every s without.  Construction
     is exactly symmetric, so the result is Hermitian to the last bit.
+    An entry beyond the float range raises ValueError naming its kind.
     """
     _check_scale(model)
     n, flags = model.n_atoms, _atomic_flags(model.n_atoms)
     photons, states = np.arange(model.photon_cutoff + 1), np.arange(2**n)
-    energy = photons[:, None] * model.omega_c + np.zeros(2**n)
-    for i, atom in enumerate(model.atoms):
-        energy[:, flags[:, i]] += atom.omega
+    with np.errstate(over="ignore"):  # an overflow is caught below
+        energy = photons[:, None] * model.omega_c + np.zeros(2**n)
+        for i, atom in enumerate(model.atoms):
+            energy[:, flags[:, i]] += atom.omega
+        hops = model.couplings()[:, None] * np.sqrt(photons[1:])
+    for kind, entries in (("bare energy", energy), ("coupling g_i sqrt(p + 1)", hops)):
+        if not np.isfinite(entries).all():
+            raise ValueError(f"Hamiltonian entry overflows: a {kind} exceeds the float range")
     H = np.diag(energy.ravel().astype(complex))
-    for i, atom in enumerate(model.atoms):
+    for i, hop in enumerate(hops):
         source = states[flags[:, i]] if model.rwa else states
         lower = (photons[:-1, None] * 2**n + source).ravel()
         upper = (photons[1:, None] * 2**n + (source ^ (1 << (n - 1 - i)))).ravel()
-        H[lower, upper] = H[upper, lower] = np.repeat(atom.g * np.sqrt(photons[1:]), len(source))
+        H[lower, upper] = H[upper, lower] = np.repeat(hop, len(source))
     return H
 
 

@@ -738,11 +738,25 @@ def _edge_case(model, command):
                      id="spectrum:physical-overflow"),
         pytest.param(["sweep", "--ds-range", "0:0.01:3", "--dg-range", "0:0.007:2",
                       "--physical", "1e-310"], 1, id="sweep:physical-overflow"),
+        pytest.param(["spectrum", "--model", "HUGE_ENERGY3"], 1, id="spectrum:overflow-energy3"),
+        pytest.param(["spectrum", "--model", "HUGE_COUPLING_CUTOFF3"], 1,
+                     id="spectrum:overflow-coupling3"),
+        pytest.param(["dark-find", "--subspace", "full", "--model", "HUGE4"], 0,
+                     id="dark-find-full:huge4"),
+        pytest.param(["dark-find", "--model", "HUGE_COUPLING2"], 0, id="dark-find:huge-coupling2"),
     ],
 )
 def test_edge_inputs_end_in_a_table_or_one_error_line(argv, code, model_file, capsys):
     # each once ended in a ZeroDivisionError, a numpy warning or a table of inf
-    models = {**EDGE_MODELS, "ONE_ATOM": "omega_c = 1\natom.1.omega = 1\natom.1.g = 0.01\n"}
+    models = {
+        **EDGE_MODELS,
+        "ONE_ATOM": "omega_c = 1\natom.1.omega = 1\natom.1.g = 0.01\n",
+        "HUGE_ENERGY3": equal_atoms(3).replace("omega = 1.0", "omega = 1.7e308"),
+        "HUGE_COUPLING_CUTOFF3":
+            "omega_c = 1\nphoton_cutoff = 3\natom.1.omega = 1\natom.1.g = 1.7e308\n",
+        "HUGE4": equal_atoms(4, g=0.01).replace("omega = 1.0", "omega = 1e308"),
+        "HUGE_COUPLING2": two_atom_text(1.0, (1.0, 1.0), (1.0, 1e300)),
+    }
     argv = [model_file(models[a]) if a in models else a for a in argv]
     with warnings.catch_warnings():
         warnings.simplefilter("error")

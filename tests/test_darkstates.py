@@ -320,6 +320,19 @@ def test_filter_decides_no_sign_the_exact_stage_would_not(monkeypatch):
     assert blocks.shape[1] >= 2000
 
 
+def test_root_search_start_moves_no_bit(monkeypatch):
+    # each root is where the exact f changes sign, so the start only moves
+    # the probe count: with nan estimates every search starts at half its
+    # bracket's width, and the roots keep their bits
+    blocks = _solver_cases(np.random.default_rng(59))[:, ::5]
+    started = analytic_spectrum(*blocks).eigenvalues
+    monkeypatch.setattr(
+        darkstates_module, "_estimates", lambda wc, w, g: np.full((3,) + wc.shape, np.nan)
+    )
+    _assert_same_bits(analytic_spectrum(*blocks).eigenvalues, started)
+    assert blocks.shape[1] >= 2000
+
+
 def _pinned_blocks(gen, n=10_000):
     """n blocks drawn with uniform doubles and powers of two only, so that
     no libm function (pow, log, exp) enters their bits: detuned atoms, some
@@ -826,6 +839,44 @@ def test_is_dark_accepts_found_states_at_every_frequency_scale(scale):
                 psi = v if subspace == SUBSPACE_SINGLE else v[:8]
                 rejected += not is_dark(m, psi, subspace).is_dark
     assert rejected == 0
+
+
+@pytest.mark.parametrize("omega", [1.0, 2.0**-1000, 1e300, 1e308, 1.7e308])
+def test_the_full_search_keeps_its_dark_states_near_the_float_maximum(omega):
+    # the bare energies of four atoms at 1e308 overflowed, and the groups
+    # chained on inf and nan found none of the two dark states
+    m = CavityModel(omega_c=1.0, atoms=(AtomParams(omega=omega, g=0.01),) * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(find_dark_states(m, SUBSPACE_FULL)) == 2
+
+
+def test_a_residual_near_the_float_maximum_is_a_number():
+    # np.linalg.norm squared 1e300 and returned inf
+    m = block_model(g1=1.0, g2=1e300)
+    psi = with_photon_amplitude([-1e300, 1.0]) / np.hypot(1e300, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = is_dark(m, psi, SUBSPACE_SINGLE)
+    assert report.absorb_residual == pytest.approx(1e300, rel=1e-15)
+
+
+@pytest.mark.parametrize("subspace", [SUBSPACE_SINGLE, SUBSPACE_FULL])
+def test_residuals_scale_with_the_couplings_bit_for_bit(subspace):
+    # couplings times 2^k give both residuals times 2^k exactly; squaring
+    # the channel amplitudes overflowed at k = 900 and underflowed at -900
+    gen = np.random.default_rng(67)
+    gs = gen.uniform(0.5, 1.0, 3)
+    size = 4 if subspace == SUBSPACE_SINGLE else 8
+    psi = gen.normal(size=size) + 1j * gen.normal(size=size)
+    psi /= np.linalg.norm(psi)
+    base = is_dark(chain_model(np.ones(3), gs), psi, subspace)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-900, 901):
+            report = is_dark(chain_model(np.ones(3), np.ldexp(gs, k)), psi, subspace)
+            assert report.emit_residual == np.ldexp(base.emit_residual, k), k
+            assert report.absorb_residual == np.ldexp(base.absorb_residual, k), k
 
 
 def test_is_dark_passes_what_the_search_keeps_but_not_conversely():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,25 @@ def test_excitation_number_operator_is_the_kron_construction(n_atoms, cutoff):
     N = excitation_number_operator(m)
     assert N.dtype == complex
     assert np.array_equal(N, kron_excitation_operator(m))
+
+
+@pytest.mark.parametrize(
+    "model, kind",
+    [
+        (CavityModel(1.0, (AtomParams(omega=1.7e308, g=0.01),) * 3), "bare energy"),
+        (CavityModel(1.0, (AtomParams(omega=1.0, g=1.7e308),), photon_cutoff=3),
+         "coupling g_i sqrt(p + 1)"),
+    ],
+    ids=["energy", "coupling"],
+)
+def test_an_overflowing_entry_is_one_error_without_a_warning(model, kind):
+    # the sums and products overflowed with RuntimeWarnings, and herm_eig
+    # then refused the matrix for a non-finite entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            build_full_hamiltonian(model)
+    assert str(exc.value) == f"Hamiltonian entry overflows: a {kind} exceeds the float range"
 
 
 def test_dimension_guard():

@@ -68,17 +68,23 @@ INPUT_ERRORS = {
     "spectrum:physical-text",  # --physical is a float, then positive and finite
     "spectrum:physical-zero",
     "protocol:negative-shifted-coupling",  # g1 + dg < 0, refused by the atom's coupling rule
+    # a bare energy (3 x 1.7e308) or a coupling (1.7e308 sqrt(3)) beyond the float range
+    "spectrum:overflow-energy3",
+    "spectrum:overflow-coupling3",
 }
 SPECTRUM_MODELS = {  # two-atom blocks far from unit scale, an uncoupled double root,
     # a split below DEGENERACY_RTOL, which is solved as it is, a coupling so
     # small that its root is its pole in float, and a cavity frequency whose
-    # validity ratios overflow to inf
+    # validity ratios overflow to inf; then two full models with an entry
+    # that overflows
     "tiny2": (1e-200, [1e-200, 1.01e-200], [1e-202, 7e-203], []),
     "huge2": (1e150, [1e150, 1.01e150], [1e148, 7e147], []),
     "double-root2": (1.0, [1.0, 0.99], [0.0, 0.0], []),
     "near-degenerate2": (1.0, [1.0, 1.0 + 5e-10], [0.01, 0.005], []),
     "tiny-coupling2": (1.0, [0.5, 1.5], [1e-170, 0.1], []),
     "tiny-cavity2": (1e-320, [1.0, 1.0], [0.01, 0.005], []),
+    "overflow-energy3": (1.0, [1.7e308] * 3, [0.01] * 3, []),
+    "overflow-coupling3": (1.0, [1.0], [1.7e308], ["photon_cutoff = 3"]),
 }
 POSITIONAL = ["dipole = 1e-29", "volume = 1e-15", "atom.1.omega = 0.0", "atom.1.x = 1e-7"]
 
@@ -105,6 +111,13 @@ def invocations(workdir):
     path = workdir / "equal4-cutoff2.model"
     write_model(path, 1.0, [1.0] * 4, [0.01] * 4, ["photon_cutoff = 2"])
     yield "dark-find:full:equal4-cutoff2", ["dark-find", "--model", str(path), "--subspace", "full"]
+    # bare energies near the float maximum, and a residual near 1e300
+    path = workdir / "huge4.model"
+    write_model(path, 1.0, [1e308] * 4, [0.01] * 4, [])
+    yield "dark-find:full:huge4", ["dark-find", "--model", str(path), "--subspace", "full"]
+    path = workdir / "huge-coupling2.model"
+    write_model(path, 1.0, [1.0, 1.0], [1.0, 1e300], [])
+    yield "dark-find:single_excitation:huge-coupling2", ["dark-find", "--model", str(path)]
     for name, spec in SPECTRUM_MODELS.items():
         path = workdir / f"{name}.model"
         write_model(path, *spec)
