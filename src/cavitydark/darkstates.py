@@ -25,12 +25,12 @@ from . import numerics as _num
 
 def dark_state_degenerate(g1, g2):
     """The interference-protected two-atom state (-g2, g1)/norm over
-    (|10>, |01>).  Undefined when both couplings vanish (every state
-    decouples then)."""
-    norm = float(np.hypot(g1, g2))
-    if norm == 0.0:
+    (|10>, |01>); g1 and g2 have one shape S, the states S + (2,).  Undefined
+    when both couplings vanish (every state decouples then)."""
+    norm = np.hypot(g1, g2)
+    if (norm == 0.0).any():
         raise ValueError("dark state undefined for g1 = g2 = 0")
-    return np.array([-g2, g1], dtype=complex) / norm
+    return np.stack([-np.asarray(g2), g1], axis=-1) / (norm[..., None] + 0j)
 
 
 def with_photon_amplitude(atomic):
@@ -166,14 +166,14 @@ def _step(m, value, b1, k1, d1):
 def _estimates(wc, w, g):
     """Float64 eigenvalues of the blocks, ascending, as starting points:
     the trigonometric solution of the symmetric 3x3 eigenproblem (Smith,
-    Commun. ACM 4, 1961)."""
+    Commun. ACM 4, 1961), from the pairs w and g; a triple of arrays."""
     q = (wc + w[0] + w[1]) / 3
-    a, ac, gsq = w - q, wc - q, g * g
-    r = np.sqrt((a[0] * a[0] + a[1] * a[1] + ac * ac + 2 * (gsq[0] + gsq[1])) / 6)
-    det = (a[0] * a[1] * ac - gsq[0] * a[1] - gsq[1] * a[0]) / (2 * r * r * r)
-    phi = np.arccos(np.clip(np.nan_to_num(det), -1.0, 1.0)) / 3
+    a0, a1, ac, gsq0, gsq1 = w[0] - q, w[1] - q, wc - q, g[0] * g[0], g[1] * g[1]
+    r = np.sqrt((a0 * a0 + a1 * a1 + ac * ac + 2 * (gsq0 + gsq1)) / 6)
+    det = (a0 * a1 * ac - gsq0 * a1 - gsq1 * a0) / (2 * r * r * r)
+    phi = np.arccos(np.fmin(np.fmax(det, -1.0), 1.0)) / 3  # a nan det (r = 0) reads -1
     high, low = q + 2 * r * np.cos(phi), q + 2 * r * np.cos(phi + 2 * np.pi / 3)
-    return np.stack([low, 3 * q - high - low, high])
+    return low, 3 * q - high - low, high
 
 
 def _secular_roots(wc, w, g, deflate):
@@ -222,7 +222,7 @@ def _secular_roots(wc, w, g, deflate):
         squares = (*_two_product(gp, gp), *_two_product(go, go))
         col = np.stack([c1, c2, e1, e2, *squares, gp, go, ok])
         flat = bits.reshape(-1)
-        flat[live] = _search(_estimates(wc, w, g).ravel()[live] * s - sp, flat[live], col)
+        flat[live] = _search(np.stack(_estimates(wc, w, g)).ravel()[live] * s - sp, flat[live], col)
     return p, sign * bits.view(float), d
 
 
@@ -398,8 +398,10 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     Channel residuals are relative to the model's largest coupling, so the
     verdict is unit-free; find_dark_states uses each group's own, never larger,
     so for 1e-12 <= tol < 1 each state it returns passes here, not conversely.
-    Each residual is a norm taken on its vector over a power of two (exact),
-    so one near the float maximum or minimum is a number, not inf or 0.
+    The channel sums are taken on the couplings over the power of two of the
+    largest one, and each residual norm on its vector over a power of two
+    (both exact), so one near the float maximum or minimum is a number, not
+    inf or 0; one beyond the float range is inf, without a warning.
     States without atomic excitation (weight at or below tol) are never dark.
     """
     _num._open_unit(tol, "tol")
@@ -418,8 +420,8 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
         raise ValueError(f"unknown subspace {subspace!r}")
     support = np.flatnonzero(atomic)  # a zero amplitude adds to no channel
     occ, atomic = occ[support], atomic[support]
-    gs = model.couplings()
-    target, source, amplitude, lowering = _channels(occ, gs, True)
+    top, e = math.frexp(model.couplings().max())  # the channel sums are on gs / 2^e (exact)
+    target, source, amplitude, lowering = _channels(occ, np.ldexp(model.couplings(), -e), True)
     reached = np.zeros(target.max(initial=-1) + 1, dtype=complex)
     np.add.at(reached, target, amplitude * atomic[source])
     emitted = np.zeros(len(reached), dtype=bool)
@@ -427,7 +429,9 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     emit, absorb = _norm(reached[emitted]), _norm(reached[~emitted])
     excitation = float(np.abs(atomic) ** 2 @ occ.sum(axis=1))
     gated = absorb if subspace == SUBSPACE_FULL else 0.0
-    dark = bool(max(emit, gated) <= tol * gs.max() and photon_support <= tol < excitation)
+    dark = bool(max(emit, gated) <= tol * top and photon_support <= tol < excitation)
+    with np.errstate(over="ignore"):  # a residual beyond the float range is inf
+        emit, absorb = np.ldexp([emit, absorb], e).tolist()
     return DarknessReport(dark, emit, absorb, photon_support, subspace)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import model as _model
 from . import numerics as _num
-from .darkstates import dark_state_degenerate, with_photon_amplitude
+from . import darkstates as _dark
 
 OUTCOME_SUCCESS = "dark_success"
 OUTCOME_PHOTON = "photon_detected"
@@ -35,6 +35,7 @@ _TRIAL_BLOCK = 1024  # cycles per round, at most
 _TRIAL_ROWS = 64  # trials per chunk: a round buffer of at most 1 MiB
 _SWEEP_CHUNK = 4096  # sweep points refined together: the default 50x50 grid is one chunk
 _PAIRS = (np.array([0, 0, 1]), np.array([1, 2, 2]))  # eigenpairs k < l of the 3x3 block
+_SIDE = np.array([-1.0, 1.0])  # the side of its adjacent pole the lowest and highest root lie on
 
 
 @dataclass(frozen=True)
@@ -132,30 +133,63 @@ class SweepResult:
 
 
 def _amplitude_terms(cfg, ds, dg, horizon):
-    """Eigenfrequencies beta_k and real weights c_k = <dark|v_k><v_k|photon>
-    of the shifted block, lambda(t) = sum_k c_k exp(-i beta_k t), for a batch
-    of shifts: ds and dg broadcast to a shape S, both results are S + (3,).
-    The one check of the beat phases: ValueError unless every
-    (beta_k - beta_l) t with 0 <= t <= horizon, the caller's longest time, is finite."""
-    atom1 = np.array([1.0, 0.0])  # the field shifts atom 1 only
-    omegas = cfg.omega_a + np.multiply.outer(ds, atom1)
-    gs = np.array([cfg.g1, cfg.g2]) + np.multiply.outer(dg, atom1)
-    betas, V = np.linalg.eigh(_model._arrowhead(cfg.omega_c, omegas, gs))
-    with np.errstate(over="ignore"):  # eigh sorts betas ascending; inf is caught below
-        spread = float(np.max(betas[..., -1] - betas[..., 0]))
+    """Terms of lambda(t) = exp(-i omega_a t) sum_k c_k exp(-i mu_k t) for a batch of
+    shifts: ds and dg broadcast to a shape S, both results are S + (3,).  The mu_k
+    ascend: the roots of the shifted block minus omega_a, diag(ds, 0, d) with couplings
+    (a, g2), d = omega_c - omega_a and a = g1 + dg.  On that block over the power of two
+    of its largest entry (exact), the outer roots are Smith's trigonometric ones after
+    one Newton step on f(mu) = mu - d - a^2/(mu - ds) - g2^2/mu, the middle one comes
+    from the determinants, and v_k ~ (a/(mu_k - ds), g2/mu_k, 1) gives the real residues
+    c_k = <dark|v_k><v_k|photon> = g2 (-g1 ds - dg mu_k) / (G mu_k (mu_k - ds) f'(mu_k)),
+    G = hypot(g1, g2), with no cancellation; they sum to 0, and a root without photon
+    amplitude (0 at ds = 0, ds at a = 0) has c_k = 0, so all are 0 at ds = dg = 0.  The
+    one check of the beat phases: ValueError unless (mu_k - mu_l) t is finite for all
+    0 <= t <= horizon, the caller's longest time."""
+    ds, dg = np.asarray(ds, dtype=float)[..., None], np.asarray(dg, dtype=float)[..., None]
+    a = cfg.g1 + dg  # |dg| <= max(g1, a): the largest entry is one of these
+    d = cfg.omega_c - cfg.omega_a
+    e = np.frexp(np.maximum(np.maximum(abs(ds), a), max(abs(d), cfg.g1, cfg.g2)))[1]
+    d, s, a, b, g1, dg = (np.ldexp(x, -e) for x in (d, ds, a, cfg.g2, cfg.g1, dg))
+    with np.errstate(all="ignore"):  # rows left to the certified roots divide by zero
+        # outer roots as offsets x from the adjacent poles p: p + x, (p - ds) + x do not cancel
+        lo, _, hi = _dark._estimates(d, (s, 0.0), (a, b))
+        p = _SIDE * np.maximum(_SIDE * s, 0)
+        x, aa, bb = np.concatenate([lo, hi], axis=-1) - p, a * a, b * b
+        mu, gap = p + x, (p - s) + x
+        step = (mu - d - aa / gap - bb / mu) / (1 + (a / gap) ** 2 + (b / mu) ** 2)
+        # |f''/f'| <= 2 / |x|, x on its side of the nearer pole p, so a step below
+        # 2^-26 |x| leaves an error below 2^-52 |x|; other rows take the certified roots
+        good = abs(step) <= 2.0**-26 * (x * _SIDE)
+        x = x - step
+        mu, gap = p + x, (p - s) + x
+        lo, hi, glo, ghi = mu[..., :1], mu[..., 1:], gap[..., :1], gap[..., 1:]
+        # mu_lo mu_mid mu_hi = -g2^2 ds and (mu_lo - ds)(mu_mid - ds)(mu_hi - ds) = a^2 ds
+        mu = np.concatenate([lo, -s * (b / lo) * (b / hi), hi], axis=-1)
+        gap = np.concatenate([glo, s * (a / glo) * (a / ghi), ghi], axis=-1)
+        ok = good[..., :1] & good[..., 1:] & np.isfinite(mu[..., 1:2] + gap[..., 1:2])
+        if not ok.all():  # certified roots: the vectors (a/(mu - ds), g2/mu, 1) give both
+            sp = _dark.analytic_spectrum(d[..., 0], s[..., 0], 0.0, a[..., 0], b[..., 0])
+            v = np.moveaxis(sp.eigenvectors.real, -2, 0)
+            mu = np.where(ok, mu, np.where(v[1] != 0, b * v[2] / v[1], sp.eigenvalues))
+            gap = np.where(ok, gap, np.where(v[0] != 0, a * v[2] / v[0], sp.eigenvalues - s))
+        coef = b * (-g1 * s - dg * mu) / (
+            np.hypot(g1, b) * (mu * gap + a * (a / gap) * mu + bb / mu * gap))
+        mu = np.ldexp(mu, e)
+        spread = float(np.max(mu[..., 2] - mu[..., 0]))  # inf is caught below
     if not spread * float(horizon) < math.inf:
         raise ValueError(
             f"beat phase overflows: frequency spread {spread:.6g} times t = {horizon:.6g}"
         )
-    dark = with_photon_amplitude(dark_state_degenerate(cfg.g1, cfg.g2)).real
-    return betas, (dark @ V) * V[..., 2, :]
+    # no photon amplitude on the pole ds (dark at ds = 0, decoupled at a = 0), nor at g2 = 0
+    return mu, np.where((gap == 0) | (b == 0), 0.0, coef)
 
 
 def dark_amplitude(cfg, t):
-    """Dark-state amplitude lambda at a finite switch-off time t >= 0."""
+    """Dark-state amplitude lambda(t >= 0, finite): the frame's sum times exp(-i omega_a t)."""
     _num._nonnegative_finite(t, "switch-off time")
-    betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg, t)
-    return complex(np.sum(coef * _num._phase_factors(betas, t)))
+    mus, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg, t)
+    phases = _num._phase_factors(np.append(mus, cfg.omega_a), t)  # the frame's, then its own
+    return complex(np.sum(coef * phases[:3]) * phases[3])
 
 
 def _p_of_times(betas, coef, ts):
@@ -313,16 +347,17 @@ def pds_max(cfg):
 def _terms(cfg):
     """(betas, coef, p_bar), the one setup of a trial run: cfg's amplitude
     terms, beat phases checked up to the longest waiting time a cycle can
-    draw (delta_t_fixed, or the window), and the mean single-cycle yield: p
-    at delta_t_fixed, or for uniform waiting times the exact time average
-    over the window, sum_kl c_k c_l sin(x_kl) / x_kl with x_kl = (beta_k -
-    beta_l) times the window, 1 at x = 0 (numpy's sinc takes x / pi)."""
+    draw (delta_t_fixed, or the window), and the mean single-cycle yield: p at
+    delta_t_fixed, or the exact time average over the window of uniform waits,
+    sum_kl c_k c_l sinc(x_kl) = 2 sum_{k<l} c_k c_l (sinc(x_kl) - 1) by sum_k c_k
+    = 0, x_kl = (beta_k - beta_l) window (numpy's sinc takes x / pi)."""
     fixed = cfg.delta_t_distribution == DIST_FIXED
     betas, coef = _amplitude_terms(cfg, cfg.ds, cfg.dg, cfg.delta_t_fixed if fixed else cfg.window)
     if fixed:
         return betas, coef, float(_p_of_times(betas, coef, [cfg.delta_t_fixed])[0])
-    x = np.subtract.outer(betas, betas) * cfg.window
-    return betas, coef, float(np.clip(coef @ np.sinc(x / np.pi) @ coef, 0.0, 1.0))
+    k, l = _PAIRS
+    sinc = np.sinc((betas[k] - betas[l]) * cfg.window / np.pi)
+    return betas, coef, float(np.clip(np.add.reduce(2 * coef[k] * coef[l] * (sinc - 1)), 0, 1))
 
 
 def mean_yield(cfg):

@@ -5,10 +5,12 @@ cross-check two different computational routes.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from cavitydark.darkstates import analytic_spectrum
+from cavitydark.darkstates import analytic_spectrum, dark_state_degenerate, with_photon_amplitude
+from cavitydark.model import AtomParams, CavityModel, single_excitation_block
 
 
 def expm_series(M, terms=30):
@@ -72,6 +74,45 @@ def equal_frequency_spectrum(wc, wa, g1, g2):
     return values, vectors
 
 
+def frame_terms(omega_c, omega_a, g1, g2, ds, dg):
+    """The yield kernel's terms of one shifted block, as (mu, c): mu the
+    ascending roots of its frame block diag(ds, 0, omega_c - omega_a) with
+    couplings (g1 + dg, g2), each the float where the exact secular function
+    changes sign (analytic_spectrum), and c_k = <dark|v_k><v_k|photon> from
+    the residue formula
+
+        c_k G = g2 (-g1 ds - dg mu_k) / (mu_k (mu_k - ds) f'(mu_k)),
+
+    f'(mu) = 1 + a^2/(mu - ds)^2 + g2^2/mu^2 and a = g1 + dg, evaluated in
+    exact rational arithmetic at those roots, then divided by G = hypot(g1,
+    g2) once.  A root on a pole, ds or 0, has c = 0: the block deflates
+    there (ds at a = 0, 0 at ds = 0), or the root's offset from the pole is
+    below the least subnormal, and its photon amplitude with it."""
+    a = g1 + dg
+    mu = analytic_spectrum(omega_c - omega_a, ds, 0.0, a, g2).eigenvalues
+    A, B, S, D, G1 = map(Fraction, (a, g2, ds, dg, g1))
+    coef = []
+    for root in mu.tolist():
+        if root in (ds, 0.0):
+            coef.append(0.0)
+            continue
+        m = Fraction(root)
+        gap = m - S
+        value = B * (-G1 * S - D * m) / (m * gap + A * A * m / gap + B * B * gap / m)
+        coef.append(float(value) / math.hypot(g1, g2))
+    return mu, np.array(coef)
+
+
+def small_shift_yield(g1, g2, t):
+    """lim p(t) / ds^2 as ds -> 0, on resonance with dg = 0, by first-order
+    (Duhamel) perturbation theory about the unshifted block H0: the dark
+    state (-g2, g1, 0)/G is its eigenvector at omega_a, and on resonance
+    <atom 1|exp(-i (H0 - omega_a) s)|photon> = -i (g1/G) sin(G s), so
+    lambda(t) = ds g1 g2 (1 - cos(G t)) / G^3 up to O(ds^2)."""
+    G = math.hypot(g1, g2)
+    return (g1 * g2 * 2 * math.sin(G * t / 2) ** 2 / G**3) ** 2
+
+
 def random_hermitian(gen, dim, scale=1.0):
     X = gen.normal(size=(dim, dim)) + 1j * gen.normal(size=(dim, dim))
     return scale * (X + X.conj().T) / 2
@@ -119,6 +160,23 @@ def vieta(gen):
         )
         worst = max(worst, float(rel))
     return worst <= 1e-9, f"max relative defect {worst:.2e}"
+
+
+def dark_eigenpair(gen):
+    """The `dark-eigenpair` check one block at a time: 300 resonant
+    equal-frequency blocks, the residual of (-g2, g1, 0)/G at the cavity
+    frequency.  Returns (passed, detail)."""
+    worst = 0.0
+    for _ in range(300):
+        wc = float(gen.uniform(0.5, 2.0))
+        g1, g2 = gen.uniform(0.0, 0.05, size=2) * wc
+        if g1 == 0.0 and g2 == 0.0:
+            continue
+        atoms = (AtomParams(omega=wc, g=g1), AtomParams(omega=wc, g=g2))
+        H = single_excitation_block(CavityModel(omega_c=wc, atoms=atoms))
+        v = with_photon_amplitude(dark_state_degenerate(g1, g2))
+        worst = max(worst, float(np.linalg.norm(H @ v - wc * v)))
+    return worst <= 1e-12, f"max residual {worst:.2e}"
 
 
 def _lift(op, i, n):

@@ -78,6 +78,16 @@ def test_dark_state_decoupled_second_atom():
 def test_dark_state_undefined_for_zero_couplings():
     with pytest.raises(ValueError, match="undefined"):
         dark_state_degenerate(0.0, 0.0)
+    with pytest.raises(ValueError, match="undefined"):
+        dark_state_degenerate(np.array([1.0, 0.0]), np.array([2.0, 0.0]))
+
+
+def test_dark_states_of_a_batch_are_those_of_its_pairs_bit_for_bit():
+    g1, g2 = np.random.default_rng(3).uniform(0.0, 0.05, size=(2, 4, 5))
+    batch = dark_state_degenerate(g1, g2)
+    assert batch.shape == (4, 5, 2) and batch.dtype == complex
+    for i, j in np.ndindex(4, 5):
+        assert np.array_equal(batch[i, j], dark_state_degenerate(float(g1[i, j]), float(g2[i, j])))
 
 
 def test_degenerate_spectrum_resonant_equal_couplings():
@@ -859,6 +869,18 @@ def test_a_residual_near_the_float_maximum_is_a_number():
         warnings.simplefilter("error")
         report = is_dark(m, psi, SUBSPACE_SINGLE)
     assert report.absorb_residual == pytest.approx(1e300, rel=1e-15)
+
+
+def test_channel_sums_beyond_the_float_range_read_inf_without_a_warning():
+    # the emission amplitude of the bright pair, 1.7e308 sqrt(2), overflowed
+    # np.add.at with a RuntimeWarning; the dark pair's sums cancel exactly
+    m = CavityModel(1.0, (AtomParams(1.0, 1.7e308),) * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bright = is_dark(m, np.array([1, 1, 0]) / np.sqrt(2), SUBSPACE_SINGLE)
+        dark = is_dark(m, np.array([1, -1, 0]) / np.sqrt(2), SUBSPACE_SINGLE)
+    assert not bright.is_dark and bright.emit_residual == bright.absorb_residual == np.inf
+    assert dark.is_dark and dark.emit_residual == 0.0
 
 
 @pytest.mark.parametrize("subspace", [SUBSPACE_SINGLE, SUBSPACE_FULL])

@@ -150,6 +150,11 @@ def invocations(workdir):
     # a refinement at t ~ 1e12, where the float spacing is about 1e-4 (the grid aliases)
     yield "sweep:huge-window", ["sweep", "--t-max", "1e12", "--ds-range", "0.01:0.01:1",
                                 "--dg-range", "0.007:0.007:1"]
+    # a common frequency far above the couplings, which drops out in the frame of omega_a
+    yield "sweep:huge-common-frequency", ["sweep", "--set", "omega_c=1e300", "--set",
+                                          "omega_a=1e300", "--set", "g1=1", "--set", "g2=0.5",
+                                          "--t-max", "1e10", "--ds-range", "0:0.1:3",
+                                          "--dg-range", "0:0.1:2"]
     yield "sweep:infinite-window", ["sweep", "--t-max", "inf"]
     # 19200 rows of 4 cells: the table is written in two blocks, the last one partial
     yield "sweep:160x120", ["sweep", "--ds-range", "0:0.01:160", "--dg-range", "0:0.007:120"]
@@ -165,6 +170,10 @@ def invocations(workdir):
     shifted = [*protocol, "--set", "ds=0.01", "--set", "dg=0.007"]
     yield "protocol:shifted", shifted
     yield "protocol:coarse-grid", [*shifted, "--t-max", "300", "--t-steps", "2"]
+    # a window where the mean yield once rounded above the maximum of 0
+    yield "protocol:tiny-window", [*shifted, "--t-max", "1e-300"]
+    # dg = -g1 decouples the shifted atom
+    yield "protocol:decoupled-atom", [*protocol, "--set", "dg=-0.01"]
     # the pairs are checked together: dg < -g1 only before g1 is raised
     yield "protocol:set-order", ["protocol", "--seed", "3", "--trials", "50", "--max-cycles",
                                  "200", "--set", "dg=-0.015", "--set", "g1=0.02",
