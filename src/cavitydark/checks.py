@@ -209,16 +209,23 @@ def check_dark_eigenpair(gen):
 
 
 def check_darkness_evolution(gen):
-    for _ in range(40):
-        g1, g2 = gen.uniform(0.001, 0.05, size=2)
-        wa = 1.0 - float(gen.uniform(-0.05, 0.05))
-        m = _two_atom(wa, wa, g1, g2)
-        spec = _num.herm_eig(_model.single_excitation_block(m))
-        psi = _dark.with_photon_amplitude(_dark.dark_state_degenerate(g1, g2))
-        for t in (1.0, 10.0, 100.0):
-            evolved = _num.evolve(spec, psi, t)
-            if not _dark.is_dark(m, evolved, _dark.SUBSPACE_SINGLE, 1e-10).is_dark:
-                return False, f"darkness lost at t={t}"
+    # 40 resonant equal-frequency blocks, from the draws of uniform(0.001, 0.05, size=2)
+    # and uniform(-0.05, 0.05) per block, solved by one stacked eigh; each dark vector is
+    # evolved at three times and judged by is_dark's rule for the one-excitation block
+    u = gen.random((40, 3))
+    g = 0.001 + (0.05 - 0.001) * u[:, :2]
+    wa = 1.0 - (-0.05 + 0.1 * u[:, 2])
+    values, V = np.linalg.eigh(_model._arrowhead(1.0, np.stack([wa, wa], axis=-1), g))
+    psi = np.append(_dark.dark_state_degenerate(g[:, 0], g[:, 1]), np.zeros((len(g), 1)), axis=1)
+    times = np.array([1.0, 10.0, 100.0])
+    phases = _num._phase_factors(values[:, None, :], times[:, None])  # block, time, root
+    evolved = np.einsum("bik,btk,bk->bti", V, phases, np.einsum("bik,bi->bk", V, psi))
+    emit = np.abs(np.einsum("bi,bti->bt", g, evolved[..., :2]))
+    photon = np.abs(evolved[..., 2]) ** 2
+    atomic = (np.abs(evolved[..., :2]) ** 2).sum(axis=-1)
+    dark = (emit <= 1e-10 * g.max(axis=1)[:, None]) & (photon <= 1e-10) & (1e-10 < atomic)
+    if not dark.all():  # the first lost, in block then time order
+        return False, f"darkness lost at t={times.tolist()[np.argmin(dark.ravel()) % 3]}"
     return True, "dark states stay dark under evolution"
 
 
@@ -243,17 +250,21 @@ def check_null_protocol(gen):
 
 def check_scaling_invariance(gen):
     # every frequency times s and the time over s keep the yield: the base
-    # config's at its 100 times in one pass, each scaled one by dark_amplitude
+    # config's at its 100 times against the scaled configs', all in one pass each,
+    # the scaled amplitudes formed as dark_amplitude forms them
     u = gen.random((100, 2))  # per draw uniform(0.2, 5) for s, then uniform(0, 6) for t
     base = _proto.ZSJumpConfig(ds=0.006, dg=0.003)
-    p0 = _proto._p_of_times(*_proto._amplitude_terms(base, base.ds, base.dg, 6.0), 6.0 * u[:, 1])
-    worst = 0.0
-    for s, t, p in zip((0.2 + 4.8 * u[:, 0]).tolist(), (6.0 * u[:, 1]).tolist(), p0.tolist()):
-        scaled = _proto.ZSJumpConfig(
-            omega_c=s, omega_a=s, g1=base.g1 * s, g2=base.g2 * s,
-            ds=base.ds * s, dg=base.dg * s,
-        )
-        worst = max(worst, abs(p - abs(_proto.dark_amplitude(scaled, t / s)) ** 2))
+    s, t = 0.2 + 4.8 * u[:, 0], 6.0 * u[:, 1]
+    p0 = _proto._p_of_times(*_proto._amplitude_terms(base, base.ds, base.dg, 6.0), t)
+    mu, coef = _proto._frame_terms(s - s, base.g1 * s, base.g2 * s, base.ds * s, base.dg * s)
+    phases = _num._phase_factors(np.append(mu, s[:, None], axis=1), (t / s)[:, None])
+    frame, own = np.sum(coef * phases[:, :3], axis=1), phases[:, 3]
+    # lambda's parts from the four real products of numpy's scalar complex product, which
+    # dark_amplitude takes (the stacked one may fuse them), and |lambda| as Python's abs
+    # takes it, with libm's hypot (numpy's complex abs may round differently)
+    p = np.hypot(frame.real * own.real - frame.imag * own.imag,
+                 frame.real * own.imag + frame.imag * own.real) ** 2
+    worst = float(np.max(np.abs(p0 - p)))
     return worst <= 1e-10, f"max yield shift {worst:.2e}"
 
 
@@ -317,4 +328,8 @@ def run_checks(names=None, seed=DEFAULT_SEED):
             f"unknown checks {unknown}; available: {', '.join(CHECKS)}"
         )
     gen = np.random.default_rng(_num._bounded_int(seed, "seed", 0, 64))
-    return [CheckResult(name, *CHECKS[name](gen)) for name in names]
+    results = []
+    for name in names:
+        passed, detail = CHECKS[name](gen)
+        results.append(CheckResult(name, bool(passed), detail))  # numpy's bool is not bool
+    return results

@@ -469,14 +469,34 @@ def find_dark_states(model, subspace=SUBSPACE_SINGLE, tol=1e-10):
     omegas = np.ldexp(omegas, -np.frexp(omegas.max())[1])  # exact: no bare energy overflows
     energies = occ @ omegas
     order = np.argsort(energies, kind="stable")
+    groups = _num._clusters(energies[order], _num.max_abs(omegas))
+    sizes = np.array([len(g) for g in groups])
+    # each state's group and its column there: the groups are runs of order
+    place = np.argsort(order)
+    group_of = np.repeat(np.arange(len(groups)), sizes)[place]
+    column = place - (np.cumsum(sizes) - sizes)[group_of]
+    # one channel table for all states; a group's rows are the targets its states
+    # reach, in the table's target order, as a table of the group alone numbers them
+    target, source, amplitude, _ = _channels(occ, gs, subspace == SUBSPACE_FULL)
+    group, width = group_of[source], target.max() + 1
+    pairs, row = np.unique(group * width + target, return_inverse=True)
+    heights = np.bincount(pairs // width, minlength=len(groups))
+    row = row.reshape(-1) - (np.cumsum(heights) - heights)[group]
+    # the groups whose channel matrices share a shape go through one stacked SVD
+    shapes, batch = np.unique(heights * (len(order) + 1) + sizes, return_inverse=True)
+    slot, kernels = np.empty(len(groups), int), [None] * len(groups)
+    for b, shape in enumerate(shapes.tolist()):
+        stacked, entry = np.flatnonzero(batch == b), np.flatnonzero(batch[group] == b)
+        slot[stacked] = np.arange(len(stacked))  # each group's place in the stack
+        K = np.zeros((len(stacked), *divmod(shape, len(order) + 1)))
+        # + 0.0 is the sum into a zero matrix: a -0.0 coupling enters as +0.0
+        K[slot[group[entry]], row[entry], column[source[entry]]] = amplitude[entry] + 0.0
+        for g, basis in zip(stacked.tolist(), _num.null_space(K, max(tol, 1e-12))):
+            kernels[g] = basis
     out = []
-    for group in _num._clusters(energies[order], _num.max_abs(omegas)):
-        members = order[group]
-        target, source, amplitude, _ = _channels(occ[members], gs, subspace == SUBSPACE_FULL)
-        K = np.zeros((target.max() + 1, len(members)))
-        np.add.at(K, (target, source), amplitude)
-        for w in _num.null_space(K, tol=max(tol, 1e-12)):
+    for members, basis in zip(groups, kernels):
+        for w in basis:
             v = np.zeros(dim, dtype=complex)
-            v[index[members]] = w
+            v[index[order[members]]] = w
             out.append(_num.fix_phase(v))
     return out

@@ -190,19 +190,27 @@ def null_space(M, tol):
     Returns a (possibly empty) list of vectors, the columns of one
     fix_phase call.  The zero matrix yields the full standard-dimension
     basis.  A real M keeps its real SVD, which is several times cheaper
-    than the complex one.
+    than the complex one.  A stack M of shape (B, rows, cols) goes through
+    one stacked SVD, which makes the same LAPACK call per matrix, and gives
+    a list of B such lists, each with the bits the matrix gets alone.
     """
     _open_unit(tol, "tol")
-    M = np.atleast_2d(np.asarray(M))
-    n = M.shape[1]
-    scale = max_abs(M)
-    if scale == 0.0:
-        return list(fix_phase(np.eye(n, dtype=complex)).T)
+    M = np.asarray(M)
+    stack = M if M.ndim == 3 else np.atleast_2d(M)[None]
+    rows, n = stack.shape[1:]
+    scale = np.abs(stack).max(axis=(1, 2), initial=0.0)
     # a tall M has all n rows of Vh in the thin SVD; a wide one keeps its
     # null rows beyond min(rows, n) only in the full one
-    _, s, Vh = np.linalg.svd(M, full_matrices=M.shape[0] < n)
-    rank = int(np.sum(s > tol * scale))
-    return list(fix_phase(Vh[rank:].conj().T).T)
+    _, s, Vh = np.linalg.svd(stack, full_matrices=rows < n)
+    rank = np.sum(s > tol * scale[:, None], axis=1)
+    if not scale.all():  # the zero matrix keeps the standard basis
+        Vh = np.where((scale == 0.0)[:, None, None], np.eye(n), Vh)
+    null = np.arange(n) >= rank[:, None]
+    # fix_phase gives a column the same bits alone or inside a matrix
+    basis = list(fix_phase(Vh[null].conj().T).T)
+    found = np.cumsum(null.sum(axis=1)).tolist()
+    out = [basis[i:j] for i, j in zip([0] + found, found)]
+    return out if M.ndim == 3 else out[0]
 
 
 # numpy's SeedSequence constants (pool of 4 uint32 words)

@@ -133,23 +133,37 @@ class SweepResult:
 
 
 def _amplitude_terms(cfg, ds, dg, horizon):
-    """Terms of lambda(t) = exp(-i omega_a t) sum_k c_k exp(-i mu_k t) for a batch of
-    shifts: ds and dg broadcast to a shape S, both results are S + (3,).  The mu_k
-    ascend: the roots of the shifted block minus omega_a, diag(ds, 0, d) with couplings
-    (a, g2), d = omega_c - omega_a and a = g1 + dg.  On that block over the power of two
-    of its largest entry (exact), the outer roots are Smith's trigonometric ones after
-    one Newton step on f(mu) = mu - d - a^2/(mu - ds) - g2^2/mu, the middle one comes
-    from the determinants, and v_k ~ (a/(mu_k - ds), g2/mu_k, 1) gives the real residues
+    """Terms of lambda(t) = exp(-i omega_a t) sum_k c_k exp(-i mu_k t) for the config's
+    couplings and a batch of shifts: _frame_terms at d = omega_c - omega_a, with ds and
+    dg broadcast to a shape S and both results S + (3,).  The one check of the beat
+    phases: ValueError unless (mu_k - mu_l) t is finite for all 0 <= t <= horizon, the
+    caller's longest time."""
+    mu, coef = _frame_terms(cfg.omega_c - cfg.omega_a, cfg.g1, cfg.g2, ds, dg)
+    with np.errstate(over="ignore"):  # inf is caught below
+        spread = float(np.max(mu[..., 2] - mu[..., 0]))
+    if not spread * float(horizon) < math.inf:
+        raise ValueError(
+            f"beat phase overflows: frequency spread {spread:.6g} times t = {horizon:.6g}"
+        )
+    return mu, coef
+
+
+def _frame_terms(d, g1, g2, ds, dg):
+    """The yield kernel: (mu, c) of lambda(t) = exp(-i omega_a t) sum_k c_k exp(-i mu_k t)
+    for blocks whose d = omega_c - omega_a, g1, g2, ds and dg broadcast to a shape S; both
+    results are S + (3,), and each block gets the bits it gets alone.  The mu_k ascend:
+    the roots of the shifted block minus omega_a, diag(ds, 0, d) with couplings (a, g2),
+    a = g1 + dg.  On that block over the power of two of its largest entry (exact), the
+    outer roots are Smith's trigonometric ones after one Newton step on
+    f(mu) = mu - d - a^2/(mu - ds) - g2^2/mu, the middle one comes from the determinants,
+    and v_k ~ (a/(mu_k - ds), g2/mu_k, 1) gives the real residues
     c_k = <dark|v_k><v_k|photon> = g2 (-g1 ds - dg mu_k) / (G mu_k (mu_k - ds) f'(mu_k)),
     G = hypot(g1, g2), with no cancellation; they sum to 0, and a root without photon
-    amplitude (0 at ds = 0, ds at a = 0) has c_k = 0, so all are 0 at ds = dg = 0.  The
-    one check of the beat phases: ValueError unless (mu_k - mu_l) t is finite for all
-    0 <= t <= horizon, the caller's longest time."""
-    ds, dg = np.asarray(ds, dtype=float)[..., None], np.asarray(dg, dtype=float)[..., None]
-    a = cfg.g1 + dg  # |dg| <= max(g1, a): the largest entry is one of these
-    d = cfg.omega_c - cfg.omega_a
-    e = np.frexp(np.maximum(np.maximum(abs(ds), a), max(abs(d), cfg.g1, cfg.g2)))[1]
-    d, s, a, b, g1, dg = (np.ldexp(x, -e) for x in (d, ds, a, cfg.g2, cfg.g1, dg))
+    amplitude (0 at ds = 0, ds at a = 0) has c_k = 0, so all are 0 at ds = dg = 0."""
+    d, g1, g2, ds, dg = (np.asarray(x, dtype=float)[..., None] for x in (d, g1, g2, ds, dg))
+    a = g1 + dg  # |dg| <= max(g1, a): the largest entry is one of these
+    e = np.frexp(np.maximum(np.maximum(abs(ds), a), np.maximum(np.maximum(abs(d), g1), g2)))[1]
+    d, s, a, b, g1, dg = (np.ldexp(x, -e) for x in (d, ds, a, g2, g1, dg))
     with np.errstate(all="ignore"):  # rows left to the certified roots divide by zero
         # outer roots as offsets x from the adjacent poles p: p + x, (p - ds) + x do not cancel
         lo, _, hi = _dark._estimates(d, (s, 0.0), (a, b))
@@ -175,11 +189,6 @@ def _amplitude_terms(cfg, ds, dg, horizon):
         coef = b * (-g1 * s - dg * mu) / (
             np.hypot(g1, b) * (mu * gap + a * (a / gap) * mu + bb / mu * gap))
         mu = np.ldexp(mu, e)
-        spread = float(np.max(mu[..., 2] - mu[..., 0]))  # inf is caught below
-    if not spread * float(horizon) < math.inf:
-        raise ValueError(
-            f"beat phase overflows: frequency spread {spread:.6g} times t = {horizon:.6g}"
-        )
     # no photon amplitude on the pole ds (dark at ds = 0, decoupled at a = 0), nor at g2 = 0
     return mu, np.where((gap == 0) | (b == 0), 0.0, coef)
 

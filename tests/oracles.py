@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from cavitydark import darkstates, model as _model, numerics, protocol
 from cavitydark.darkstates import analytic_spectrum, dark_state_degenerate, with_photon_amplitude
 from cavitydark.model import AtomParams, CavityModel, single_excitation_block
 
@@ -177,6 +178,81 @@ def dark_eigenpair(gen):
         v = with_photon_amplitude(dark_state_degenerate(g1, g2))
         worst = max(worst, float(np.linalg.norm(H @ v - wc * v)))
     return worst <= 1e-12, f"max residual {worst:.2e}"
+
+
+def darkness_evolution(gen):
+    """The `darkness-evolution` check one block at a time: 40 resonant
+    equal-frequency two-atom models, each dark vector evolved through
+    herm_eig and evolve and judged by is_dark at t = 1, 10 and 100; it
+    stops at the first lost one.  Returns (passed, detail)."""
+    for _ in range(40):
+        g1, g2 = gen.uniform(0.001, 0.05, size=2)
+        wa = 1.0 - float(gen.uniform(-0.05, 0.05))
+        atoms = (AtomParams(omega=wa, g=g1), AtomParams(omega=wa, g=g2))
+        m = CavityModel(omega_c=1.0, atoms=atoms)
+        spec = numerics.herm_eig(single_excitation_block(m))
+        psi = with_photon_amplitude(dark_state_degenerate(g1, g2))
+        for t in (1.0, 10.0, 100.0):
+            evolved = numerics.evolve(spec, psi, t)
+            if not darkstates.is_dark(m, evolved, darkstates.SUBSPACE_SINGLE, 1e-10).is_dark:
+                return False, f"darkness lost at t={t}"
+    return True, "dark states stay dark under evolution"
+
+
+def scaling_invariance(gen):
+    """The `scaling-invariance` check one config at a time: the base
+    config's yield at 100 times against dark_amplitude on the config with
+    every frequency times s at the time over s.  Returns (passed, detail)."""
+    u = gen.random((100, 2))
+    base = protocol.ZSJumpConfig(ds=0.006, dg=0.003)
+    terms = protocol._amplitude_terms(base, base.ds, base.dg, 6.0)
+    p0 = protocol._p_of_times(*terms, 6.0 * u[:, 1])
+    worst = 0.0
+    for s, t, p in zip((0.2 + 4.8 * u[:, 0]).tolist(), (6.0 * u[:, 1]).tolist(), p0.tolist()):
+        scaled = protocol.ZSJumpConfig(
+            omega_c=s, omega_a=s, g1=base.g1 * s, g2=base.g2 * s,
+            ds=base.ds * s, dg=base.dg * s,
+        )
+        worst = max(worst, abs(p - abs(protocol.dark_amplitude(scaled, t / s)) ** 2))
+    return worst <= 1e-10, f"max yield shift {worst:.2e}"
+
+
+def null_space(K, tol):
+    """numerics.null_space of one matrix, by one SVD: the rows of Vh past
+    the rank, or the standard basis of the zero matrix, phase-fixed."""
+    n, scale = K.shape[1], float(np.max(np.abs(K)))
+    if scale == 0.0:
+        return list(numerics.fix_phase(np.eye(n, dtype=complex)).T)
+    _, s, Vh = np.linalg.svd(K, full_matrices=K.shape[0] < n)
+    rank = int(np.sum(s > tol * scale))
+    return list(numerics.fix_phase(Vh[rank:].conj().T).T)
+
+
+def find_dark_states(model, subspace, tol):
+    """darkstates.find_dark_states one energy group at a time: per group its
+    own channel table from darkstates._channels, its channel matrix K and
+    one SVD.  Returns the same list of vectors, bit for bit."""
+    n = model.n_atoms
+    if subspace == darkstates.SUBSPACE_SINGLE:
+        occ, index, dim = np.eye(n, dtype=bool), np.arange(n), n + 1
+    else:
+        occ, index, dim = _model._atomic_flags(n)[1:], np.arange(1, 2**n), model.dim
+    omegas, gs = model.omegas(), model.couplings()
+    omegas = np.ldexp(omegas, -np.frexp(omegas.max())[1])
+    energies = occ @ omegas
+    order = np.argsort(energies, kind="stable")
+    out = []
+    for group in numerics._clusters(energies[order], numerics.max_abs(omegas)):
+        members = order[group]
+        target, source, amplitude, _ = darkstates._channels(
+            occ[members], gs, subspace == darkstates.SUBSPACE_FULL)
+        K = np.zeros((target.max() + 1, len(members)))
+        np.add.at(K, (target, source), amplitude)
+        for w in null_space(K, max(tol, 1e-12)):
+            v = np.zeros(dim, dtype=complex)
+            v[index[members]] = w
+            out.append(numerics.fix_phase(v))
+    return out
 
 
 def _lift(op, i, n):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cavitydark import darkstates, protocol
-from cavitydark.checks import CHECKS, DEFAULT_SEED, run_checks
+from cavitydark.checks import CHECKS, DEFAULT_SEED, CheckResult, run_checks
 
 import oracles
 
@@ -13,6 +13,8 @@ BATCHED = {
     "cubic-eig-agreement": oracles.cubic_eig_agreement,
     "vieta": oracles.vieta,
     "dark-eigenpair": oracles.dark_eigenpair,
+    "darkness-evolution": oracles.darkness_evolution,
+    "scaling-invariance": oracles.scaling_invariance,
 }
 
 
@@ -25,7 +27,7 @@ def test_batched_check_matches_reference_loop(name, seed):
     assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
-@pytest.mark.parametrize("name", sorted(set(BATCHED) - {"dark-eigenpair"}))
+@pytest.mark.parametrize("name", ["cubic-eig-agreement", "vieta"])
 def test_batched_check_fails_on_one_perturbed_root(name, monkeypatch):
     solve = darkstates.analytic_spectrum
 
@@ -41,15 +43,48 @@ def test_batched_check_fails_on_one_perturbed_root(name, monkeypatch):
     assert not result.passed, result.detail
 
 
-def test_dark_eigenpair_fails_on_a_swapped_dark_vector(monkeypatch):
-    # (g2, g1) in place of (-g2, g1): the photon row of H v is 2 g1 g2 / G, not 0
-    def swapped(g1, g2):
-        return np.stack([g2, g1], axis=-1) / (np.hypot(g1, g2)[..., None] + 0j)
+def _swapped(g1, g2):
+    """(g2, g1) in place of the dark vector (-g2, g1): bright where g1 g2 != 0."""
+    return np.stack([g2, g1], axis=-1) / (np.hypot(g1, g2)[..., None] + 0j)
 
+
+def test_dark_eigenpair_fails_on_a_swapped_dark_vector(monkeypatch):
+    # the photon row of H v is 2 g1 g2 / G, not 0
     assert run_checks(["dark-eigenpair"])[0].passed
-    monkeypatch.setattr(darkstates, "dark_state_degenerate", swapped)
+    monkeypatch.setattr(darkstates, "dark_state_degenerate", _swapped)
     (result,) = run_checks(["dark-eigenpair"])
     assert not result.passed, result.detail
+
+
+def test_darkness_evolution_fails_on_a_swapped_dark_vector(monkeypatch):
+    # the swapped vector emits 2 g1 g2 / G at once
+    assert run_checks(["darkness-evolution"])[0].passed
+    monkeypatch.setattr(darkstates, "dark_state_degenerate", _swapped)
+    assert run_checks(["darkness-evolution"]) == [
+        CheckResult("darkness-evolution", False, "darkness lost at t=1.0")]
+
+
+def test_scaling_invariance_fails_on_a_root_shift_that_does_not_scale(monkeypatch):
+    # a middle root off by an absolute 1e-3 moves the beats of a config scaled
+    # by s by 1e-3 (1 - 1/s) t, far above the 1e-10 bound
+    terms = protocol._frame_terms
+
+    def shifted(*block):
+        mu, coef = terms(*block)
+        return mu + [0.0, 1e-3, 0.0], coef
+
+    assert run_checks(["scaling-invariance"])[0].passed
+    monkeypatch.setattr(protocol, "_frame_terms", shifted)
+    (result,) = run_checks(["scaling-invariance"])
+    assert not result.passed, result.detail
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 1])
+def test_every_verdict_is_a_python_bool(seed):
+    # unitarity's verdict was numpy's bool, from its np.float64 worst
+    results = run_checks(seed=seed)
+    assert [r.name for r in results] == list(CHECKS)
+    assert all(type(r.passed) is bool for r in results), results
 
 
 def test_null_protocol_requires_an_exact_zero(monkeypatch):

@@ -26,6 +26,7 @@ from cavitydark.model import (
 )
 from cavitydark.numerics import evolve, herm_eig, max_abs
 
+import oracles
 from oracles import (
     dark_kernel_count,
     equal_frequency_spectrum,
@@ -738,6 +739,60 @@ def test_find_dark_states_four_atoms_pairwise_couplings():
     target = np.zeros(32, dtype=complex)
     target[:16] = psi
     assert any(abs(np.vdot(s, target)) > 1 - 1e-8 for s in states)
+
+
+def _degeneracy_models(n):
+    """Seeded n-atom models of every degeneracy pattern: all frequencies
+    distinct, equal in pairs, equal in triples, all equal, and drawn from
+    three values; distinct couplings, the first pair's first one -0.0 (a -0.0
+    entry of a channel matrix changes the signs of zeros in its SVD)."""
+    gen = np.random.default_rng(n)
+    k = np.arange(n)
+    patterns = {
+        "distinct": 1.0 + 0.013 * k * (-1.0) ** k,
+        "pairs": 1.0 + 0.02 * (k // 2),
+        "triples": 1.0 - 0.03 * (k // 3),
+        "equal": np.ones(n),
+        "drawn": gen.choice([0.97, 1.0, 1.03], size=n),
+    }
+    for name, omegas in patterns.items():
+        gs = gen.uniform(0.001, 0.05, size=n)
+        if name == "pairs":
+            gs[0] = -0.0
+        for cutoff in (1, 2):
+            yield f"{name}-cutoff{cutoff}", chain_model(omegas.tolist(), gs.tolist(), cutoff)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_find_dark_states_matches_the_per_group_search_bit_for_bit(n):
+    # one channel table and one stacked SVD per shape give each group the
+    # channel matrix and the LAPACK call of a search of the group alone
+    for label, m in _degeneracy_models(n):
+        for subspace in (SUBSPACE_SINGLE, SUBSPACE_FULL):
+            for tol in (1e-12, 1e-8):
+                got = find_dark_states(m, subspace, tol)
+                want = oracles.find_dark_states(m, subspace, tol)
+                assert len(got) == len(want), (label, subspace, tol)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), (label, subspace)
+
+
+def test_find_dark_states_builds_no_dense_channel_table():
+    # 12 distinct atoms in the full space: 4095 excited states, each its own
+    # group.  The search keeps the sparse (target, source, amplitude) entries,
+    # about 6 MiB at its peak; a dense states x states table alone would be
+    # 4095^2 doubles, 128 MiB
+    import tracemalloc
+
+    gen = np.random.default_rng(12)
+    m = chain_model(gen.uniform(0.95, 1.05, 12).tolist(), gen.uniform(0.001, 0.05, 12).tolist())
+    tracemalloc.start()
+    try:
+        states = find_dark_states(m, SUBSPACE_FULL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert states == []
+    assert peak < 16 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def test_darkness_invariant_under_evolution():

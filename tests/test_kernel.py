@@ -121,3 +121,24 @@ def test_the_weights_scale_with_powers_of_two_bit_for_bit():
             cfg = scaled(k)
             mu, coef = protocol._amplitude_terms(cfg, cfg.ds, cfg.dg, 1.0)
             assert np.array_equal(mu, np.ldexp(mu0, k)) and np.array_equal(coef, coef0)
+
+
+def test_configs_in_one_call_have_the_bits_of_each_config_alone():
+    # the kernel entry takes d, g1, g2, ds and dg as arrays: a batch of
+    # configs, scaled over 2^-600 .. 2^600 and some left to the certified
+    # roots (g1 of 1e-9 next to ds = 0.7), gives each config's own terms
+    gen = np.random.default_rng(3)
+    n = 60
+    scale = np.ldexp(1.0, gen.integers(-600, 601, size=n))
+    omega_a = gen.choice([1.0, 0.97, 0.5], size=n)
+    g1 = np.where(np.arange(n) % 7 == 0, 1e-9, gen.uniform(0.001, 0.05, size=n))
+    g2 = gen.uniform(0.001, 0.3, size=n)
+    ds = gen.choice([0.0, 1e-12, 0.003, 0.02, 0.7], size=n)
+    dg = np.where(np.arange(n) % 5 == 0, -g1, gen.uniform(0.0, 0.01, size=n))
+    mu, coef = protocol._frame_terms(scale - scale * omega_a, scale * g1, scale * g2,
+                                     scale * ds, scale * dg)
+    for k in range(n):
+        cfg = ZSJumpConfig(omega_c=scale[k], omega_a=scale[k] * omega_a[k], g1=scale[k] * g1[k],
+                           g2=scale[k] * g2[k], ds=scale[k] * ds[k], dg=scale[k] * dg[k])
+        alone = protocol._amplitude_terms(cfg, cfg.ds, cfg.dg, cfg.window)
+        assert np.array_equal(alone[0], mu[k]) and np.array_equal(alone[1], coef[k]), k

@@ -30,6 +30,7 @@ from cavitydark.model import (
 from cavitydark.darkstates import find_dark_states, is_dark
 from cavitydark.protocol import ZSJumpConfig, dark_amplitude
 
+import oracles
 from oracles import expm_series, kron_excitation_operator, random_hermitian
 from oracles import fix_phase as oracle_fix_phase
 
@@ -219,6 +220,30 @@ def test_null_space_matches_the_full_svd(shape):
 def test_null_space_matches_the_full_svd_for_real_input(shape):
     # real input keeps its real SVD and must give the same span
     _check_null_space_against_the_full_svd(shape, float)
+
+
+@pytest.mark.parametrize("shape", [(12, 5), (5, 5), (3, 7), (1, 4)],
+                         ids=["tall", "square", "wide", "row"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_null_space_of_a_stack_has_the_bits_of_each_matrix_alone(shape, dtype):
+    # one stacked SVD makes the LAPACK call of each matrix; the rank rule,
+    # the zero matrix's standard basis and fix_phase act per matrix, as in
+    # one SVD per matrix
+    gen = np.random.default_rng(5)
+    rows, cols = shape
+    imag = 1j if dtype is complex else 0.0
+    stack = []
+    for rank in range(min(rows, cols) + 1):
+        stack.append((gen.normal(size=(rows, rank)) + imag * gen.normal(size=(rows, rank)))
+                     @ (gen.normal(size=(rank, cols)) + imag * gen.normal(size=(rank, cols))))
+    stack = np.array(stack + [np.zeros(shape, dtype)])
+    together = null_space(stack, tol=1e-10)
+    assert len(together) == len(stack)
+    for M, basis in zip(stack, together):
+        alone = oracles.null_space(M, tol=1e-10)
+        assert len(basis) == len(alone)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(basis, alone))
+    assert null_space(np.zeros((0,) + shape), tol=1e-10) == []
 
 
 def test_fix_phase_determinism():

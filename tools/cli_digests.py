@@ -48,6 +48,10 @@ MODELS = {  # name -> (omega_c, omegas, gs, extra lines)
     "shifted2": (1.0, [1.0, 1.01], [0.01, 0.012], []),
     "uncoupled2": (1.0, [1.0, 1.0], [0.0, 0.0], []),
     "nonrwa3": (1.0, [0.9, 1.0, 1.1], [0.05, 0.03, 0.04], ["rwa = false", "photon_cutoff = 2"]),
+    # three equal-frequency pairs at distinct frequencies, with distinct couplings: the
+    # dark search meets several groups of one shape with non-empty null spaces
+    "pairs6": (1.0, [1.0, 1.0, 1.02, 1.02, 0.97, 0.97],
+               [0.01, 0.006, 0.008, 0.003, 0.012, 0.005], []),
 }
 # invocations that must fail with a one-line input error and exit 1
 INPUT_ERRORS = {
