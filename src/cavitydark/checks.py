@@ -125,38 +125,58 @@ def check_analytic_numeric(gen):
     )
 
 
+def _draws_by_dim(gen, count, low, high, draw):
+    """count instances, each a dimension from gen.integers(low, high) and
+    then the arrays draw(dim), drawn in that order; returned per dimension
+    as a tuple of stacked arrays, in order of first appearance."""
+    groups = {}
+    for _ in range(count):
+        dim = int(gen.integers(low, high))
+        groups.setdefault(dim, []).append(draw(dim))
+    return [tuple(map(np.array, zip(*group))) for group in groups.values()]
+
+
+def _norms(psi):
+    """np.linalg.norm of each vector psi[..., :], bit for bit: its two dot
+    products of the real and the imaginary parts."""
+    return np.sqrt(np.vecdot(psi.real, psi.real) + np.vecdot(psi.imag, psi.imag))
+
+
 def check_unitarity(gen):
+    # 40 random Hermitian matrices with a state each, solved and evolved to four
+    # times in one pass per dimension
     worst = 0.0
-    for _ in range(40):
-        dim = int(gen.integers(2, 17))
-        spec = _num.herm_eig(_random_hermitian(gen, dim))
-        psi = _random_state(gen, dim)
-        for t in (0.1, 1.0, 10.0, 100.0):
-            worst = max(worst, abs(np.linalg.norm(_num.evolve(spec, psi, t)) - 1.0))
+    times = np.array([0.1, 1.0, 10.0, 100.0])[:, None]
+    for M, psi in _draws_by_dim(
+        gen, 40, 2, 17, lambda dim: (_random_hermitian(gen, dim), _random_state(gen, dim))
+    ):
+        evolved = _num.evolve(_num.herm_eig(M), psi, times)
+        worst = max(worst, float(np.max(np.abs(_norms(evolved) - 1.0))))
     return worst <= 1e-10, f"max norm drift {worst:.2e}"
 
 
 def check_group_law(gen):
+    # 30 random Hermitian matrices with a state and two times each, in one pass per dimension
     worst = 0.0
-    for _ in range(30):
-        dim = int(gen.integers(2, 9))
-        spec = _num.herm_eig(_random_hermitian(gen, dim))
-        psi = _random_state(gen, dim)
-        t1, t2 = gen.uniform(0, 10, size=2)
-        delta = _num.evolve(spec, _num.evolve(spec, psi, t1), t2) - _num.evolve(
-            spec, psi, t1 + t2
-        )
+    for M, psi, times in _draws_by_dim(
+        gen, 30, 2, 9,
+        lambda dim: (_random_hermitian(gen, dim), _random_state(gen, dim), gen.uniform(0, 10, size=2)),
+    ):
+        spec, (t1, t2) = _num.herm_eig(M), times.T
+        delta = _num.evolve(spec, _num.evolve(spec, psi, t1), t2) - _num.evolve(spec, psi, t1 + t2)
         worst = max(worst, float(np.max(np.abs(delta))))
     return worst <= 1e-9, f"max composition error {worst:.2e}"
 
 
 def check_spectral_reconstruction(gen):
+    # 30 random Hermitian matrices rebuilt from their spectra, in one pass per dimension
     worst = 0.0
-    for _ in range(30):
-        M = _random_hermitian(gen, int(gen.integers(1, 13)))
+    for (M,) in _draws_by_dim(gen, 30, 1, 13, lambda dim: (_random_hermitian(gen, dim),)):
         spec = _num.herm_eig(M)
-        R = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-        worst = max(worst, float(np.max(np.abs(R - M))) / max(_num.max_abs(M), 1e-300))
+        V = spec.eigenvectors
+        R = (V * spec.eigenvalues[:, None, :]) @ V.conj().swapaxes(-1, -2)
+        scale = np.maximum(np.abs(M).max(axis=(1, 2)), 1e-300)
+        worst = max(worst, float(np.max(np.abs(R - M).max(axis=(1, 2)) / scale)))
     return worst <= 1e-9, f"max relative entry error {worst:.2e}"
 
 

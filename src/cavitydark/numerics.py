@@ -32,24 +32,6 @@ def hermiticity_residual(M):
     return float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
 
 
-def require_hermitian(M):
-    """Return M as a complex array, raising NonHermitianError if it is not
-    Hermitian within HERMITICITY_RTOL * max|M| (ValueError if not finite)."""
-    M = np.asarray(M, dtype=complex)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] < 1:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise ValueError("matrix has a non-finite entry")
-    res = hermiticity_residual(M)
-    bound = HERMITICITY_RTOL * max(max_abs(M), 1e-300)
-    if res > bound:
-        raise NonHermitianError(
-            f"matrix is not Hermitian: max |M - M^H| = {res:.3e} "
-            f"exceeds {bound:.3e} (rtol={HERMITICITY_RTOL:g})"
-        )
-    return M
-
-
 def fix_phase(V):
     """Rotate the phase of each column of V, or of the vector V, so its
     largest-magnitude entry is real and positive, the lowest index on ties;
@@ -83,7 +65,7 @@ def subspace_distance(u, v):
 @dataclass(frozen=True)
 class Spectrum:
     """Eigendecomposition of a Hermitian matrix, or of a batch of them
-    along leading axes (darkstates.analytic_spectrum).
+    along leading axes (herm_eig of a stack, darkstates.analytic_spectrum).
 
     eigenvalues are real and ascending along the last axis; eigenvectors
     are the matching orthonormal columns, phase-fixed via fix_phase.
@@ -118,69 +100,143 @@ def _clusters(values, scale):
     return groups
 
 
+def _links(stack):
+    """The nonzero entries of a stack of shape (B, n, n): their flat
+    indices, and their rows and columns both numbered as rows of the
+    stack, b n + i for row i of matrix b."""
+    n = stack.shape[-1]
+    entry = np.flatnonzero(stack != 0)
+    row, col = np.divmod(entry, n)
+    return entry, row, row - row % n + col
+
+
+def _first_rows(row, col, count):
+    """The first row of each of count rows' connected block, the rows that
+    a chain of the links (row, col) joins, in either direction."""
+    ends = np.concatenate([row, col]), np.concatenate([col, row])
+    label = np.arange(count)
+    while True:  # each row takes the least label of its neighbours, then that label's
+        least = label.copy()
+        np.minimum.at(least, ends[0], label[ends[1]])
+        least = least[least]
+        if (least == label).all():
+            return label
+        label = least
+
+
 def _blocks(M):
     """Index arrays of the connected blocks of M, the rows that a chain of
-    nonzero entries joins: each in basis order, ordered by first row."""
-    linked = (M != 0) | (M.T != 0)
-    seen, blocks = bytearray(len(M)), []
-    for root in range(len(M)):
-        if not seen[root]:
-            seen[root] = 1
-            members = [root]
-            for i in members:  # members grows as it is read: a breadth-first search
-                # a row at a time: all edges as Python ints at once fragment the heap
-                for j in np.flatnonzero(linked[i]).tolist():
-                    if not seen[j]:
-                        seen[j] = 1
-                        members.append(j)
-            blocks.append(np.array(sorted(members)))
-    return blocks
+    nonzero entries joins: each in basis order, ordered by first row.  A
+    stack of shape (B, n, n) gives them matrix after matrix, with the rows
+    numbered b n + i."""
+    M = np.asarray(M)
+    _, row, col = _links(M)
+    label = _first_rows(row, col, M.size // M.shape[-1])
+    rows = np.argsort(label, kind="stable")
+    return np.split(rows, np.flatnonzero(np.diff(label[rows])) + 1)
 
 
 def herm_eig(M):
     """Eigendecomposition of a Hermitian matrix via LAPACK, with the
-    package phase convention applied by one fix_phase call per block.
+    package phase convention applied by fix_phase.
 
     Each connected block of M (see _blocks) is solved on its own, so an
     eigenvector is exactly +0 outside its block, and the eigenvalues merge
     in ascending order, ties in block order; a dense M is one block.  The
     blocks of a cavity Hamiltonian with no zero coupling are its excitation
-    number sectors under RWA, and their parities without it.
+    number sectors under RWA, and their parities without it.  A block with
+    no nonzero imaginary part goes through the real solver, any other
+    through the complex one, and the blocks of one size and kind through
+    one stacked eigh, which makes the same LAPACK call per block.
+
+    A stack M of shape (B, n, n) gives a stacked Spectrum; each matrix is
+    split into its own blocks, so it gets the bits it gets alone.  M must
+    be Hermitian within HERMITICITY_RTOL * max|M| (NonHermitianError), and
+    finite (ValueError).
     """
-    M = require_hermitian(M)
-    blocks = _blocks(M)
-    solved = [np.linalg.eigh(M[idx[:, None], idx]) for idx in blocks]
-    values = np.concatenate([w for w, _ in solved])
-    order = np.argsort(values, kind="stable")
-    column = np.argsort(order)  # where each solved eigenvector goes
-    V = np.zeros(M.shape, dtype=complex)
-    for idx, (_, vectors) in zip(blocks, solved):
-        V[idx[:, None], column[: len(idx)]] = fix_phase(vectors)
-        column = column[len(idx) :]
-    return Spectrum(eigenvalues=values[order], eigenvectors=V)
+    M = np.asarray(M, dtype=complex)
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2] or M.shape[-1] < 1:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    stack = M.reshape(-1, *M.shape[-2:])
+    B, n = stack.shape[:2]
+    entry, row, col = _links(stack)
+    value, mirror = stack.ravel()[entry], stack.ravel()[col * n + row % n]
+    if not np.isfinite(value).all():
+        raise ValueError("matrix has a non-finite entry")
+    # max |M - M^H| and max |M| over the nonzero entries: the other entries add 0
+    residual, scale = np.zeros(B), np.zeros(B)
+    np.maximum.at(residual, row // n, np.abs(value - mirror.conj()))
+    np.maximum.at(scale, row // n, np.abs(value))
+    bound = HERMITICITY_RTOL * np.maximum(scale, 1e-300)
+    if (residual > bound).any():
+        b = int(np.argmax(residual > bound))
+        raise NonHermitianError(
+            f"matrix is not Hermitian: max |M - M^H| = {residual[b]:.3e} "
+            f"exceeds {bound[b]:.3e} (rtol={HERMITICITY_RTOL:g})"
+        )
+    label = _first_rows(row, col, B * n)
+    rows = np.argsort(label, kind="stable")  # block after block, each in basis order
+    sizes = np.bincount(label, minlength=B * n)
+    first_row = np.flatnonzero(sizes)  # of each block, in block order
+    sizes = sizes[first_row]
+    first = np.cumsum(sizes) - sizes  # each block's start in rows
+    imaginary = np.zeros(B * n, dtype=bool)
+    imaginary[label[row[value.imag != 0]]] = True
+    key = 2 * sizes + imaginary[first_row]  # size and kind
+    solved = []
+    for k in sorted(set(key.tolist())):
+        size, kind = divmod(k, 2)
+        at = first[key == k][:, None] + np.arange(size)  # b n + position in matrix b
+        which, idx = np.divmod(rows[at], n)
+        sub = stack[which[:, :1, None], idx[:, :, None], idx[:, None, :]]
+        solved.append((which[:, :1, None], idx, at, *np.linalg.eigh(sub if kind else sub.real)))
+    values = np.empty((B, n))
+    for _, _, at, w, _ in solved:
+        values.ravel()[at] = w
+    order = np.argsort(values, axis=-1, kind="stable")
+    column = np.argsort(order, axis=-1).ravel()  # where each solved eigenvector goes
+    V = np.zeros(stack.shape, dtype=complex)
+    for which, idx, at, _, vectors in solved:
+        count, size = idx.shape
+        # fix_phase gives a column the same bits alone or inside a matrix
+        fixed = fix_phase(vectors.transpose(1, 0, 2).reshape(size, -1)).reshape(size, count, size)
+        V[which, idx[:, :, None], column[at][:, None, :]] = fixed.transpose(1, 0, 2)
+    return Spectrum(
+        eigenvalues=np.sort(values, axis=-1, kind="stable").reshape(M.shape[:-1]),
+        eigenvectors=V.reshape(M.shape),
+    )
 
 
 def evolve(spec, psi0, t):
-    """Apply exp(-i H t) to psi0 through the spectral decomposition of H."""
+    """Apply exp(-i H t) to psi0 through the spectral decomposition of H.
+
+    Broadcasts over leading axes: a stacked spectrum (..., n) of H, states
+    psi0 of shape (..., n) and times t of any shape give the states
+    exp(-i H t) psi0 of the broadcast leading shape, with n last.  Each
+    state gets the bits it gets alone."""
     psi0 = np.asarray(psi0, dtype=complex)
-    if psi0.shape != (spec.dim,):
+    if psi0.shape[-1:] != (spec.dim,):
         raise ValueError(
             f"state dimension {psi0.shape} does not match spectrum dim {spec.dim}"
         )
-    if not np.isfinite(t):
+    t = np.asarray(t)
+    if not np.isfinite(t).all():
         raise ValueError("evolution time must be finite")
     V = spec.eigenvectors
-    return V @ (_phase_factors(spec.eigenvalues, t) * (V.conj().T @ psi0))
+    coef = (V.conj().swapaxes(-1, -2) @ psi0[..., None])[..., 0]
+    return (V @ (_phase_factors(spec.eigenvalues, t[..., None]) * coef)[..., None])[..., 0]
 
 
 def _phase_factors(freqs, t):
-    """exp(-i lambda t) for each frequency lambda of freqs and a finite time
-    t, the one place an absolute phase is formed; ValueError unless every
-    lambda t is finite, where exp would give nan."""
+    """exp(-i lambda t) for each frequency lambda of freqs and finite times
+    t, broadcast together, the one place an absolute phase is formed;
+    ValueError unless every lambda t is finite, where exp would give nan."""
     with np.errstate(over="ignore"):  # an overflow is caught below
         phase = np.multiply(freqs, t)
     if not np.isfinite(phase).all():
-        raise ValueError(f"phase overflows: frequency {max_abs(freqs):.6g} times t = {t:.6g}")
+        raise ValueError(
+            f"phase overflows: frequency {max_abs(freqs):.6g} times t = {max_abs(t):.6g}"
+        )
     return np.exp(-1j * phase)
 
 

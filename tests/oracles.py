@@ -405,3 +405,71 @@ def golden_max(f, lo, hi, xtol):
         d, fd = np.where(right, probe, d), np.where(right, fp, fd)
     x = (a + b) / 2
     return x, f(x)
+
+
+def random_state(gen, dim):
+    psi = gen.normal(size=dim) + 1j * gen.normal(size=dim)
+    return psi / np.linalg.norm(psi)
+
+
+def unitarity(gen):
+    """The `unitarity` check one matrix at a time: 40 random Hermitian
+    matrices of dimension 2 to 16, each with a random state evolved
+    through herm_eig and evolve to t = 0.1, 1, 10 and 100, against unit
+    norm.  Returns (passed, detail)."""
+    worst = 0.0
+    for _ in range(40):
+        dim = int(gen.integers(2, 17))
+        spec = numerics.herm_eig(random_hermitian(gen, dim))
+        psi = random_state(gen, dim)
+        for t in (0.1, 1.0, 10.0, 100.0):
+            worst = max(worst, abs(np.linalg.norm(numerics.evolve(spec, psi, t)) - 1.0))
+    return worst <= 1e-10, f"max norm drift {worst:.2e}"
+
+
+def group_law(gen):
+    """The `group-law` check one matrix at a time: 30 random Hermitian
+    matrices of dimension 2 to 8, each with a random state evolved to t1
+    and then t2 against evolved to t1 + t2.  Returns (passed, detail)."""
+    worst = 0.0
+    for _ in range(30):
+        dim = int(gen.integers(2, 9))
+        spec = numerics.herm_eig(random_hermitian(gen, dim))
+        psi = random_state(gen, dim)
+        t1, t2 = gen.uniform(0, 10, size=2)
+        delta = numerics.evolve(spec, numerics.evolve(spec, psi, t1), t2) - numerics.evolve(
+            spec, psi, t1 + t2
+        )
+        worst = max(worst, float(np.max(np.abs(delta))))
+    return worst <= 1e-9, f"max composition error {worst:.2e}"
+
+
+def spectral_reconstruction(gen):
+    """The `spectral-reconstruction` check one matrix at a time: 30
+    random Hermitian matrices of dimension 1 to 12 rebuilt as
+    V diag(lambda) V^H from herm_eig.  Returns (passed, detail)."""
+    worst = 0.0
+    for _ in range(30):
+        M = random_hermitian(gen, int(gen.integers(1, 13)))
+        spec = numerics.herm_eig(M)
+        R = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
+        worst = max(worst, float(np.max(np.abs(R - M))) / max(numerics.max_abs(M), 1e-300))
+    return worst <= 1e-9, f"max relative entry error {worst:.2e}"
+
+
+def herm_eig(M):
+    """numerics.herm_eig of one matrix by one complex eigh per connected
+    block (numerics._blocks), in a loop: the eigenvalues merged in
+    ascending order, ties in block order, each block's eigenvectors
+    phase-fixed and placed at their eigenvalues' columns, +0 elsewhere."""
+    M = np.asarray(M, dtype=complex)
+    blocks = numerics._blocks(M)
+    solved = [np.linalg.eigh(M[idx[:, None], idx]) for idx in blocks]
+    values = np.concatenate([w for w, _ in solved])
+    order = np.argsort(values, kind="stable")
+    column = np.argsort(order)
+    V = np.zeros(M.shape, dtype=complex)
+    for idx, (_, vectors) in zip(blocks, solved):
+        V[idx[:, None], column[: len(idx)]] = numerics.fix_phase(vectors)
+        column = column[len(idx) :]
+    return numerics.Spectrum(eigenvalues=values[order], eigenvectors=V)

@@ -3,13 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cavitydark import darkstates, protocol
+from cavitydark import darkstates, numerics, protocol
 from cavitydark.checks import CHECKS, DEFAULT_SEED, CheckResult, run_checks
 
 import oracles
 
 # the checks that solve their blocks as one batch, and their one-block-at-a-time forms
 BATCHED = {
+    "unitarity": oracles.unitarity,
+    "group-law": oracles.group_law,
+    "spectral-reconstruction": oracles.spectral_reconstruction,
     "cubic-eig-agreement": oracles.cubic_eig_agreement,
     "vieta": oracles.vieta,
     "dark-eigenpair": oracles.dark_eigenpair,
@@ -76,6 +79,50 @@ def test_scaling_invariance_fails_on_a_root_shift_that_does_not_scale(monkeypatc
     assert run_checks(["scaling-invariance"])[0].passed
     monkeypatch.setattr(protocol, "_frame_terms", shifted)
     (result,) = run_checks(["scaling-invariance"])
+    assert not result.passed, result.detail
+
+
+def _bra_without_conjugate(spec, psi0, t):
+    """evolve with each eigenvector's phase taken with the wrong sign in
+    the bra: V^T psi0 in place of V^H psi0."""
+    V = spec.eigenvectors
+    coef = (V.swapaxes(-1, -2) @ np.asarray(psi0, dtype=complex)[..., None])[..., 0]
+    phases = numerics._phase_factors(spec.eigenvalues, np.asarray(t)[..., None])
+    return (V @ (phases * coef)[..., None])[..., 0]
+
+
+def test_group_law_fails_on_a_wrong_phase_sign_in_evolve(monkeypatch):
+    # V diag(exp(-i lambda t)) V^T is no one-parameter group for complex V
+    assert run_checks(["group-law"])[0].passed
+    monkeypatch.setattr(numerics, "evolve", _bra_without_conjugate)
+    (result,) = run_checks(["group-law"])
+    assert not result.passed, result.detail
+
+
+def _altered_spectrum(change):
+    solve = numerics.herm_eig
+
+    def altered(M):
+        return change(solve(M))
+
+    return altered
+
+
+def test_unitarity_fails_on_eigenvectors_that_are_not_unit(monkeypatch):
+    # columns of norm 1 + 1e-8 move every evolved norm by about 1e-8, above the 1e-10 bound
+    assert run_checks(["unitarity"])[0].passed
+    monkeypatch.setattr(numerics, "herm_eig", _altered_spectrum(
+        lambda sp: replace(sp, eigenvectors=sp.eigenvectors * (1 + 1e-8))))
+    (result,) = run_checks(["unitarity"])
+    assert not result.passed, result.detail
+
+
+def test_spectral_reconstruction_fails_on_permuted_eigenvalues(monkeypatch):
+    # each eigenvalue paired with its neighbour's eigenvector
+    assert run_checks(["spectral-reconstruction"])[0].passed
+    monkeypatch.setattr(numerics, "herm_eig", _altered_spectrum(
+        lambda sp: replace(sp, eigenvalues=np.roll(sp.eigenvalues, 1, axis=-1))))
+    (result,) = run_checks(["spectral-reconstruction"])
     assert not result.passed, result.detail
 
 

@@ -419,6 +419,137 @@ def test_a_zero_row_is_its_own_block_and_ties_go_in_block_order():
     assert not np.any(outside) and not np.any(np.signbit(outside.view(float)))
 
 
+def _stack_of(kind, gen, n=6):
+    """A stack of Hermitian n x n matrices of one kind; all but the empty
+    stack also hold a zero matrix and a matrix with a zero row."""
+    if kind == "empty":
+        return np.zeros((0, n, n), dtype=complex)
+    if kind == "one-by-one":
+        n = 1
+    if kind == "block-sparse":  # the full Hamiltonians of two atoms, one coupling zero
+        model = CavityModel(1.0, (AtomParams(1.0, 0.02), AtomParams(1.03, 0.0)), photon_cutoff=2)
+        H = build_full_hamiltonian(model)
+        n = len(H)
+        stack = [H, H * 1.7, H + 1j * np.triu(H != 0, 1) * 0.01 - 1j * np.tril(H != 0, -1) * 0.01]
+    else:
+        stack = [random_hermitian(gen, n) for _ in range(5)]
+        if kind in ("real", "one-by-one"):
+            stack = [M.real for M in stack]
+    zero_row = stack[0].copy()
+    zero_row[n // 2, :] = zero_row[:, n // 2] = 0.0
+    return np.array(stack + [np.zeros((n, n)), zero_row], dtype=complex)
+
+
+@pytest.mark.parametrize("kind", ["complex", "real", "block-sparse", "one-by-one", "empty"])
+def test_each_matrix_of_a_stack_has_the_bits_it_has_alone(kind):
+    # one stacked eigh per block size and kind makes the LAPACK call of each block
+    stack = _stack_of(kind, np.random.default_rng(37))
+    spec = herm_eig(stack)
+    assert spec.eigenvalues.shape == stack.shape[:-1]
+    assert spec.eigenvectors.shape == stack.shape
+    for M, values, vectors in zip(stack, spec.eigenvalues, spec.eigenvectors):
+        alone = herm_eig(M)
+        assert _bits(values) == _bits(alone.eigenvalues)
+        assert _bits(vectors) == _bits(alone.eigenvectors)
+
+
+def test_a_stack_that_mixes_block_partitions():
+    # each matrix is split into its own blocks, not into a partition shared by the stack
+    gen = np.random.default_rng(41)
+    dense = random_hermitian(gen, 5)
+    diagonal = np.diag(gen.normal(size=5))
+    split = np.zeros((5, 5), dtype=complex)
+    split[np.ix_([0, 3], [0, 3])] = random_hermitian(gen, 2)
+    split[np.ix_([1, 2, 4], [1, 2, 4])] = random_hermitian(gen, 3).real
+    stack = np.array([dense, diagonal, split, dense.real])
+    assert [len(numerics._blocks(M)) for M in stack] == [1, 5, 2, 1]
+    spec = herm_eig(stack)
+    for M, values, vectors in zip(stack, spec.eigenvalues, spec.eigenvectors):
+        alone = herm_eig(M)
+        assert _bits(values) == _bits(alone.eigenvalues)
+        assert _bits(vectors) == _bits(alone.eigenvectors)
+    outside = spec.eigenvectors[2][np.ix_([1, 2, 4], np.abs(spec.eigenvectors[2][0]) > 0)]
+    assert not np.any(outside) and not np.any(np.signbit(outside.view(float)))
+
+
+def test_the_real_solver_agrees_with_the_complex_per_block_reference():
+    # a real block goes through the real eigh: the eigenvalues within 1e-14 max|H|
+    # (1.2e-15 seen), the projector of each degenerate cluster within 1e-10 (8.7e-12
+    # seen, on clusters split below DEGENERACY_RTOL); the basis inside a cluster may differ
+    for model, _ in _sector_models():
+        H = build_full_hamiltonian(model)
+        scale = max_abs(H)
+        spec, ref = herm_eig(H), oracles.herm_eig(H)
+        assert np.max(np.abs(spec.eigenvalues - ref.eigenvalues)) <= 1e-14 * scale
+        for cluster in numerics._clusters(ref.eigenvalues, scale):
+            U, W = spec.eigenvectors[:, cluster], ref.eigenvectors[:, cluster]
+            assert np.max(np.abs(U @ U.conj().T - W @ W.conj().T)) <= 1e-10
+        G = spec.eigenvectors.conj().T @ spec.eigenvectors
+        assert np.max(np.abs(G - np.eye(model.dim))) <= 1e-14
+
+
+def test_a_complex_matrix_is_the_complex_per_block_reference_bit_for_bit():
+    gen = np.random.default_rng(43)
+    for M in _stack_of("complex", gen)[:5]:
+        M[0, 1:] = M[1:, 0] = 0.0  # a 1 x 1 real block beside a complex one
+        spec, ref = herm_eig(M), oracles.herm_eig(M)
+        assert _bits(spec.eigenvalues) == _bits(ref.eigenvalues)
+        assert _bits(spec.eigenvectors) == _bits(ref.eigenvectors)
+
+
+@pytest.mark.parametrize("mirror", [0.0, 0.5], ids=["one-sided", "unequal"])
+def test_the_hermiticity_error_of_a_block_sparse_matrix_is_the_whole_matrix_one(mirror):
+    # taken per block, the residual, its bound and the message are those of the whole matrix
+    model = CavityModel(1.0, (AtomParams(1.0, 0.02), AtomParams(1.03, 0.0)), photon_cutoff=2)
+    M = build_full_hamiltonian(model)
+    i, j = np.argwhere((M != 0) & ~np.eye(len(M), dtype=bool))[0]  # a coupling
+    M[i, j] = mirror * M[j, i]
+    assert len(numerics._blocks(M)) > 1
+    residual = np.max(np.abs(M - M.conj().T))
+    bound = numerics.HERMITICITY_RTOL * max_abs(M)
+    message = (f"matrix is not Hermitian: max |M - M^H| = {residual:.3e} "
+               f"exceeds {bound:.3e} (rtol={numerics.HERMITICITY_RTOL:g})")
+    with pytest.raises(NonHermitianError) as raised:
+        herm_eig(M)
+    assert str(raised.value) == message
+    with pytest.raises(NonHermitianError) as raised:  # the first failing matrix of a stack
+        herm_eig(np.array([M.conj().T @ M, M]))
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3, 4), (3, 3, 3, 3), (3, 0, 0)])
+def test_herm_eig_rejects_a_shape_that_is_no_square_matrix_or_stack(shape):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        herm_eig(np.zeros(shape))
+
+
+def test_a_stacked_evolve_has_the_bits_of_each_state_alone():
+    # spectra, states and times broadcast over leading axes
+    gen = np.random.default_rng(47)
+    stack = np.array([random_hermitian(gen, 6) for _ in range(4)] + [random_hermitian(gen, 6).real])
+    spec = herm_eig(stack)
+    psi = gen.normal(size=(5, 6)) + 1j * gen.normal(size=(5, 6))
+    times = np.array([0.0, 0.3, -2.0, 41.0])
+    grid = evolve(spec, psi, times[:, None])
+    assert grid.shape == (4, 5, 6)
+    per_state = evolve(spec, psi, gen.uniform(0, 10, size=5))
+    for k, M in enumerate(stack):
+        alone = herm_eig(M)
+        for q, t in enumerate(times.tolist()):
+            assert _bits(grid[q, k]) == _bits(evolve(alone, psi[k], t))
+    one = herm_eig(stack[0])
+    assert _bits(evolve(one, psi[0], times)) == _bits(grid[:, 0])
+    assert per_state.shape == (5, 6)
+    with pytest.raises(ValueError, match="must be finite"):
+        evolve(spec, psi, np.array([0.0, np.nan])[:, None])
+
+
+def test_phase_factors_of_an_array_of_times_that_overflows():
+    # the message formatted an array t with {t:.6g}: TypeError, not the one-line ValueError
+    with pytest.raises(ValueError, match=r"^phase overflows: frequency 1e\+300 times t = 1e\+10$"):
+        numerics._phase_factors(np.array([1e300]), np.array([[1e10]]))
+
+
 def test_random_source_reproducible():
     a = RandomSource(seed=123).generator().random(8)
     b = RandomSource(seed=123).generator().random(8)
