@@ -185,7 +185,7 @@ def run_dark_find(args):
     m = _model.load_model(args.model)
     states = _dark.find_dark_states(m, args.subspace, tol=args.tol)
     dim = m.n_atoms + 1 if args.subspace == _dark.SUBSPACE_SINGLE else m.dim
-    reports = [_dark.is_dark(m, psi, args.subspace, tol=args.tol) for psi in states]
+    reports = _dark.is_dark(m, np.reshape(states, (-1, dim)), args.subspace, tol=args.tol)
     residuals = [(r.emit_residual, r.absorb_residual, r.photon_support) for r in reports]
     header = ["index"] + _vector_columns("", dim) + [
         "emit_residual", "absorb_residual", "photon_support"

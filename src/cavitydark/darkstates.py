@@ -367,23 +367,43 @@ def _channels(occ, couplings, absorb):
 
     Returns one (target, source, amplitude, lowering) entry per nonzero
     amplitude; target numbers the distinct (t, lowering) pairs from 0 and
-    source is the row of s.  States are compared as packed flag rows,
-    never as integer labels, so any number of atoms works.
+    source is the row of s.  States are compared by their flag rows, read
+    as integers up to 63 flags and as packed bytes beyond, which sort
+    alike, so any number of atoms works.  couplings of
+    shape (..., n) give amplitudes of shape (..., entries): the table
+    depends on occ alone, so one serves a batch of models.
     """
     source, atom = np.nonzero(occ | absorb)
     lowering = occ[source, atom]
     reached = occ[source]
     reached[np.arange(len(source)), atom] = ~lowering
-    keys = np.packbits(np.column_stack([reached, lowering]), axis=1)
-    target = np.unique(keys.view(f"V{keys.shape[1]}").reshape(-1), return_inverse=True)[1]
-    return target.reshape(-1), source, couplings[atom], lowering
+    flags = np.column_stack([reached, lowering])
+    if flags.shape[1] < 64:  # each row as one integer, its first flag the most significant
+        keys = flags @ (1 << np.arange(flags.shape[1] - 1, -1, -1))
+    else:  # the packed rows, whose bytes sort as those integers would
+        keys = np.packbits(flags, axis=1)
+        keys = keys.view(f"V{keys.shape[1]}").reshape(-1)
+    target = np.unique(keys, return_inverse=True)[1]
+    return target.reshape(-1), source, couplings[..., atom], lowering
 
 
-def _norm(v):
-    """Norm of the contiguous complex v, taken on v over the power of two of
-    its largest part and multiplied back: exact, and no square over- or underflows."""
-    e = math.frexp(np.abs(v.view(float)).max(initial=0.0))[1]
-    return float(np.ldexp(np.linalg.norm(np.ldexp(v.view(float), -e).view(complex)), e))
+def _runs(owner, count):
+    """The (start, stop) bounds of the runs of count owners in the ascending owner."""
+    stops = np.cumsum(np.bincount(owner, minlength=count)).tolist()
+    return zip([0] + stops[:-1], stops)
+
+
+def _norms(values, owner, count):
+    """Norms of count complex vectors, the runs of values by their ascending
+    owner, each taken on its vector over the power of two of its largest part
+    and multiplied back: exact, and no square over- or underflows."""
+    peak = np.zeros(count)
+    np.maximum.at(peak, owner, np.abs(values.view(float)).reshape(-1, 2).max(axis=1, initial=0.0))
+    e = np.frexp(peak)[1]
+    scaled = np.ldexp(values.view(float), np.repeat(-e[owner], 2)).view(complex)
+    # a norm is a dot product, whose rounding depends on its vector's length
+    # and layout, so each is taken on its own contiguous run
+    return np.ldexp([np.linalg.norm(scaled[i:j]) for i, j in _runs(owner, count)], e)
 
 
 def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
@@ -403,36 +423,134 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     (both exact), so one near the float maximum or minimum is a number, not
     inf or 0; one beyond the float range is inf, without a warning.
     States without atomic excitation (weight at or below tol) are never dark.
+
+    A stack psi of shape (k, length) gives a list of k reports from one
+    channel table, each with the bits of the state's report alone: its
+    channel sums run over its own support, in the same order, and its norms
+    and weights are taken on its own contiguous parts.
     """
     _num._open_unit(tol, "tol")
     psi = np.asarray(psi, dtype=complex)
     n = model.n_atoms
     if subspace == SUBSPACE_SINGLE:
-        if psi.shape != (n + 1,):
+        if psi.ndim not in (1, 2) or psi.shape[-1] != n + 1:
             raise ValueError(f"expected a {n + 1}-component block vector, got {psi.shape}")
-        occ, atomic, photon_support = np.eye(n, dtype=bool), psi[:n], float(abs(psi[n]) ** 2)
+        occ, size = np.eye(n, dtype=bool), n
     elif subspace == SUBSPACE_FULL:
-        if psi.shape not in ((2**n,), (model.dim,)):
+        if psi.ndim not in (1, 2) or psi.shape[-1] not in (2**n, model.dim):
             raise ValueError(f"expected a {2**n}- or {model.dim}-component vector, got {psi.shape}")
-        occ, atomic = _model._atomic_flags(n), psi[: 2**n]
-        photon_support = float(np.sum(np.abs(psi[2**n :]) ** 2))
+        occ, size = _model._atomic_flags(n), 2**n
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
-    support = np.flatnonzero(atomic)  # a zero amplitude adds to no channel
-    occ, atomic = occ[support], atomic[support]
-    top, e = math.frexp(model.couplings().max())  # the channel sums are on gs / 2^e (exact)
-    target, source, amplitude, lowering = _channels(occ, np.ldexp(model.couplings(), -e), True)
-    reached = np.zeros(target.max(initial=-1) + 1, dtype=complex)
-    np.add.at(reached, target, amplitude * atomic[source])
-    emitted = np.zeros(len(reached), dtype=bool)
-    emitted[target] = lowering
-    emit, absorb = _norm(reached[emitted]), _norm(reached[~emitted])
-    excitation = float(np.abs(atomic) ** 2 @ occ.sum(axis=1))
+    stack = np.ascontiguousarray(psi.reshape(-1, psi.shape[-1]))
+    k, gs = len(stack), model.couplings()
+    top, e = math.frexp(gs.max())  # the channel sums are on gs / 2^e (exact)
+    # one channel table over the union of the supports (a zero amplitude adds
+    # to no channel); a state's support rows r give its entries r n to r n + n - 1,
+    # in the order of a table of its support alone
+    support = stack[:, :size] != 0
+    rows = np.flatnonzero(support.any(axis=0))
+    target, source, amplitude, lowering = _channels(occ[rows], np.ldexp(gs, -e), True)
+    width = target.max(initial=-1) + 1
+    state, row = np.nonzero(support[:, rows])
+    entry = (row[:, None] * n + np.arange(n)).ravel()
+    at = np.repeat(state, n), target[entry]
+    reached, hit = np.zeros((k, width), dtype=complex), np.zeros((k, width), dtype=bool)
+    np.add.at(reached, at, amplitude[entry] * stack[at[0], rows[source[entry]]])
+    hit[at] = True
+    lowers = np.zeros(width, dtype=bool)
+    lowers[target] = lowering
+    emitted, absorbed = hit & lowers, hit & ~lowers
+    emit = _norms(reached[emitted], np.nonzero(emitted)[0], k)
+    absorb = _norms(reached[absorbed], np.nonzero(absorbed)[0], k)
+    weights, counts = np.abs(stack[state, rows[row]]) ** 2, occ[rows[row]].sum(axis=1)
+    excitation = np.array([weights[i:j] @ counts[i:j] for i, j in _runs(state, k)])
+    if subspace == SUBSPACE_SINGLE:
+        photon_support = np.hypot(stack[:, n].real, stack[:, n].imag) ** 2
+    else:
+        photon_support = np.sum(np.abs(stack[:, size:]) ** 2, axis=1)
     gated = absorb if subspace == SUBSPACE_FULL else 0.0
-    dark = bool(max(emit, gated) <= tol * top and photon_support <= tol < excitation)
+    worst = np.where(gated > emit, gated, emit)  # Python's max(emit, gated), nan included
+    dark = (worst <= tol * top) & (photon_support <= tol) & (tol < excitation)
     with np.errstate(over="ignore"):  # a residual beyond the float range is inf
-        emit, absorb = np.ldexp([emit, absorb], e).tolist()
-    return DarknessReport(dark, emit, absorb, photon_support, subspace)
+        emit, absorb = np.ldexp(emit, e).tolist(), np.ldexp(absorb, e).tolist()
+    reports = [
+        DarknessReport(*report, subspace)
+        for report in zip(dark.tolist(), emit, absorb, photon_support.tolist())
+    ]
+    return reports[0] if psi.ndim == 1 else reports
+
+
+def _dark_bases(omegas, gs, subspace, tol, dim=None):
+    """The dark bases of B models of n atoms each, from their frequencies
+    and couplings as (B, n) arrays: B lists of phase-fixed vectors of length
+    dim (by default n + 1 in the one-excitation block, 2^n in the full
+    space), each list with the bits of a search of that model alone.
+
+    Each model's energies are of its frequencies over its own largest one's
+    power of two, grouped with its own DEGENERACY_RTOL gap.  One channel
+    table serves the batch, with each model's couplings as amplitudes, and
+    the groups of all models whose channel matrices share a shape go
+    through one stacked SVD, which makes the same LAPACK call per group.
+    """
+    omegas, gs = np.asarray(omegas, dtype=float), np.asarray(gs, dtype=float)
+    (B, n), tol = omegas.shape, max(tol, 1e-12)
+    # the candidate states' excitation flags and positions in a vector
+    if subspace == SUBSPACE_SINGLE:
+        occ, index = np.eye(n, dtype=bool), np.arange(n)
+    else:
+        occ, index = _model._atomic_flags(n)[1:], np.arange(1, 2**n)
+    dim = len(index) + 1 if dim is None else dim
+    S = len(occ)
+    # exact: no bare energy overflows; the stacked product makes each
+    # model's matrix-vector call of a model alone
+    omegas = np.ldexp(omegas, -np.frexp(omegas.max(axis=1))[1][:, None])
+    energies = (occ @ omegas[..., None])[..., 0]
+    order = np.argsort(energies, axis=1, kind="stable")
+    starts = _num._chain_starts(np.take_along_axis(energies, order, 1), np.abs(omegas).max(axis=1))
+    # states are numbered b S + s across the batch, groups from 0 model after
+    # model, and each group is a run of its model's energy order
+    ranked = (order + S * np.arange(B)[:, None]).ravel()
+    group_at = np.cumsum(starts.ravel()) - 1  # of each place in the runs
+    sizes = np.bincount(group_at)
+    first = np.cumsum(sizes) - sizes
+    place = np.empty(B * S, dtype=int)
+    place[ranked] = np.arange(B * S)
+    group_of = group_at[place]
+    column = place - first[group_of]
+    # one channel table for all states; a group's rows are the targets its states
+    # reach, in the table's target order, as a table of the group alone numbers them
+    target, source, amplitude, _ = _channels(occ, gs, subspace == SUBSPACE_FULL)
+    source = (source + S * np.arange(B)[:, None]).ravel()
+    target, amplitude = np.tile(target, B), amplitude.ravel()
+    group, width = group_of[source], target.max() + 1
+    pairs, row = np.unique(group * width + target, return_inverse=True)
+    heights = np.bincount(pairs // width, minlength=len(sizes))
+    row = row.reshape(-1) - (np.cumsum(heights) - heights)[group]
+    # the groups whose channel matrices share a shape go through one stacked SVD
+    shapes, batch = np.unique(heights * (S + 1) + sizes, return_inverse=True)
+    slot, found, vectors = np.empty(len(sizes), dtype=int), [], []
+    for b, shape in enumerate(shapes.tolist()):
+        stacked, entry = np.flatnonzero(batch == b), np.flatnonzero(batch[group] == b)
+        slot[stacked] = np.arange(len(stacked))  # each group's place in the stack
+        K = np.zeros((len(stacked), *divmod(shape, S + 1)))
+        # + 0.0 is the sum into a zero matrix: a -0.0 coupling enters as +0.0
+        K[slot[group[entry]], row[entry], column[source[entry]]] = amplitude[entry] + 0.0
+        kernels = _num.null_space(K, tol)
+        found.append(np.repeat(stacked, list(map(len, kernels))))
+        vectors += [w for basis in kernels for w in basis]
+    found = np.concatenate(found)  # the group of each of the vectors
+    # each vector's row: the groups in order, a group's vectors in its kernel's
+    rank = np.empty(len(found), dtype=int)
+    rank[np.argsort(found, kind="stable")] = np.arange(len(found))
+    out = np.zeros((len(found), dim), dtype=complex)
+    for length in set(sizes[found].tolist()):  # the vectors of one length at once
+        pick = np.flatnonzero(sizes[found] == length)
+        states = ranked[first[found[pick]][:, None] + np.arange(length)]
+        out[rank[pick][:, None], index[states % S]] = np.array([vectors[i] for i in pick])
+    # fix_phase gives a column the same bits alone or inside a matrix
+    out = list(_num.fix_phase(out.T).T)
+    return [out[i:j] for i, j in _runs(first[found] // S, B)]
 
 
 def find_dark_states(model, subspace=SUBSPACE_SINGLE, tol=1e-10):
@@ -453,50 +571,18 @@ def find_dark_states(model, subspace=SUBSPACE_SINGLE, tol=1e-10):
     vectors of the block or full-basis length, with zero photon
     amplitudes; empty when nothing qualifies (any nonzero frequency split
     between the atoms guarantees that in the one-excitation block).
+    The search is _dark_bases on a batch of this one model; a batch of
+    models of one atom count gives each the list returned here.
     """
     _num._open_unit(tol, "tol")
-    n = model.n_atoms
     if subspace == SUBSPACE_SINGLE:
         if not model.rwa:
             raise ValueError("block structure invalid without RWA")
-        occ, index, dim = np.eye(n, dtype=bool), np.arange(n), n + 1
+        dim = model.n_atoms + 1
     elif subspace == SUBSPACE_FULL:
         _model._check_scale(model)
-        occ, index, dim = _model._atomic_flags(n)[1:], np.arange(1, 2**n), model.dim
+        dim = model.dim
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
-    omegas, gs = model.omegas(), model.couplings()
-    omegas = np.ldexp(omegas, -np.frexp(omegas.max())[1])  # exact: no bare energy overflows
-    energies = occ @ omegas
-    order = np.argsort(energies, kind="stable")
-    groups = _num._clusters(energies[order], _num.max_abs(omegas))
-    sizes = np.array([len(g) for g in groups])
-    # each state's group and its column there: the groups are runs of order
-    place = np.argsort(order)
-    group_of = np.repeat(np.arange(len(groups)), sizes)[place]
-    column = place - (np.cumsum(sizes) - sizes)[group_of]
-    # one channel table for all states; a group's rows are the targets its states
-    # reach, in the table's target order, as a table of the group alone numbers them
-    target, source, amplitude, _ = _channels(occ, gs, subspace == SUBSPACE_FULL)
-    group, width = group_of[source], target.max() + 1
-    pairs, row = np.unique(group * width + target, return_inverse=True)
-    heights = np.bincount(pairs // width, minlength=len(groups))
-    row = row.reshape(-1) - (np.cumsum(heights) - heights)[group]
-    # the groups whose channel matrices share a shape go through one stacked SVD
-    shapes, batch = np.unique(heights * (len(order) + 1) + sizes, return_inverse=True)
-    slot, kernels = np.empty(len(groups), int), [None] * len(groups)
-    for b, shape in enumerate(shapes.tolist()):
-        stacked, entry = np.flatnonzero(batch == b), np.flatnonzero(batch[group] == b)
-        slot[stacked] = np.arange(len(stacked))  # each group's place in the stack
-        K = np.zeros((len(stacked), *divmod(shape, len(order) + 1)))
-        # + 0.0 is the sum into a zero matrix: a -0.0 coupling enters as +0.0
-        K[slot[group[entry]], row[entry], column[source[entry]]] = amplitude[entry] + 0.0
-        for g, basis in zip(stacked.tolist(), _num.null_space(K, max(tol, 1e-12))):
-            kernels[g] = basis
-    out = []
-    for members, basis in zip(groups, kernels):
-        for w in basis:
-            v = np.zeros(dim, dtype=complex)
-            v[index[order[members]]] = w
-            out.append(_num.fix_phase(v))
-    return out
+    (basis,) = _dark_bases(model.omegas()[None], model.couplings()[None], subspace, tol, dim)
+    return basis

@@ -81,23 +81,33 @@ class Spectrum:
         return self.eigenvalues.shape[-1]
 
     def clusters(self, scale):
-        """Index groups of eigenvalues closer than DEGENERACY_RTOL * scale."""
+        """Index groups of eigenvalues closer than DEGENERACY_RTOL * scale;
+        a stacked Spectrum gives one list of groups per matrix."""
         return _clusters(self.eigenvalues, scale)
 
 
+def _chain_starts(values, scale):
+    """Where a group of the ascending values starts, along the last axis:
+    at the first value and after each neighbour gap that is not below
+    DEGENERACY_RTOL * scale, scale broadcasting over the leading axes.
+    Neighbours closer than that chain into one group."""
+    gap = DEGENERACY_RTOL * np.maximum(scale, 1e-300)
+    starts = np.ones(np.shape(values), dtype=bool)
+    starts[..., 1:] = ~(np.diff(values, axis=-1) < np.expand_dims(gap, -1))
+    return starts
+
+
 def _clusters(values, scale):
-    """Index groups of the ascending values, chaining neighbours closer
-    than DEGENERACY_RTOL * scale."""
-    gap = DEGENERACY_RTOL * max(scale, 1e-300)
-    groups, current = [], [0]
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] < gap:
-            current.append(i)
-        else:
-            groups.append(current)
-            current = [i]
-    groups.append(current)
-    return groups
+    """Index groups of the ascending values (see _chain_starts), as lists;
+    values of shape (..., n) give one list of groups per leading index,
+    the leading axes flattened."""
+    starts = _chain_starts(values, scale)
+    index = np.arange(starts.shape[-1])
+    groups = [
+        [g.tolist() for g in np.split(index, np.flatnonzero(row)[1:])]
+        for row in starts.reshape(math.prod(starts.shape[:-1]), starts.shape[-1])
+    ]
+    return groups[0] if starts.ndim == 1 else groups
 
 
 def _links(stack):

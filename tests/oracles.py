@@ -228,6 +228,21 @@ def null_space(K, tol):
     return list(numerics.fix_phase(Vh[rank:].conj().T).T)
 
 
+def clusters(values, scale):
+    """numerics._clusters of one ascending array, neighbour by neighbour:
+    index groups chaining neighbours closer than DEGENERACY_RTOL * scale."""
+    gap = numerics.DEGENERACY_RTOL * max(scale, 1e-300)
+    groups, current = [], [0]
+    for i in range(1, len(values)):
+        if values[i] - values[i - 1] < gap:
+            current.append(i)
+        else:
+            groups.append(current)
+            current = [i]
+    groups.append(current)
+    return groups
+
+
 def find_dark_states(model, subspace, tol):
     """darkstates.find_dark_states one energy group at a time: per group its
     own channel table from darkstates._channels, its channel matrix K and
@@ -242,7 +257,7 @@ def find_dark_states(model, subspace, tol):
     energies = occ @ omegas
     order = np.argsort(energies, kind="stable")
     out = []
-    for group in numerics._clusters(energies[order], numerics.max_abs(omegas)):
+    for group in clusters(energies[order], numerics.max_abs(omegas)):
         members = order[group]
         target, source, amplitude, _ = darkstates._channels(
             occ[members], gs, subspace == darkstates.SUBSPACE_FULL)
@@ -253,6 +268,58 @@ def find_dark_states(model, subspace, tol):
             v[index[members]] = w
             out.append(numerics.fix_phase(v))
     return out
+
+
+def _norm(v):
+    """Norm of the complex v over the power of two of its largest part, multiplied back."""
+    v = np.ascontiguousarray(v)
+    e = math.frexp(np.abs(v.view(float)).max(initial=0.0))[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(v.view(float), -e).view(complex)), e))
+
+
+def is_dark(model, psi, subspace, tol):
+    """darkstates.is_dark of one state from a channel table of its own
+    support rows, its channel sums by np.add.at, and its residual norms, in
+    the order of that table.  Returns the same report, bit for bit."""
+    psi = np.asarray(psi, dtype=complex)
+    n = model.n_atoms
+    if subspace == darkstates.SUBSPACE_SINGLE:
+        occ, atomic, photon_support = np.eye(n, dtype=bool), psi[:n], float(abs(psi[n]) ** 2)
+    else:
+        occ, atomic = _model._atomic_flags(n), psi[: 2**n]
+        photon_support = float(np.sum(np.abs(psi[2**n :]) ** 2))
+    support = np.flatnonzero(atomic)
+    occ, atomic = occ[support], atomic[support]
+    top, e = math.frexp(model.couplings().max())
+    target, source, amplitude, lowering = darkstates._channels(
+        occ, np.ldexp(model.couplings(), -e), True)
+    reached = np.zeros(target.max(initial=-1) + 1, dtype=complex)
+    np.add.at(reached, target, amplitude * atomic[source])
+    emitted = np.zeros(len(reached), dtype=bool)
+    emitted[target] = lowering
+    emit, absorb = _norm(reached[emitted]), _norm(reached[~emitted])
+    excitation = float(np.abs(atomic) ** 2 @ occ.sum(axis=1))
+    gated = absorb if subspace == darkstates.SUBSPACE_FULL else 0.0
+    dark = bool(max(emit, gated) <= tol * top and photon_support <= tol < excitation)
+    with np.errstate(over="ignore"):
+        emit, absorb = np.ldexp([emit, absorb], e).tolist()
+    return darkstates.DarknessReport(dark, emit, absorb, photon_support, subspace)
+
+
+def no_dark_under_shift(gen):
+    """The `no-dark-under-shift` check one model at a time: 100 two-atom
+    models with the first atom shifted by ds and its coupling by dg, each
+    searched alone in the one-excitation block.  Returns (passed, detail)."""
+    found = 0
+    for _ in range(100):
+        ds = float(gen.uniform(0.0, 0.01))
+        if ds == 0.0:
+            continue
+        dg = float(gen.uniform(0.0, 0.007))
+        atoms = (AtomParams(omega=1.0 + ds, g=0.01 + dg), AtomParams(omega=1.0, g=0.005))
+        m = CavityModel(omega_c=1.0, atoms=atoms)
+        found += len(find_dark_states(m, darkstates.SUBSPACE_SINGLE, tol=1e-6))
+    return found == 0, f"{found} spurious dark states found"
 
 
 def _lift(op, i, n):

@@ -17,6 +17,7 @@ BATCHED = {
     "vieta": oracles.vieta,
     "dark-eigenpair": oracles.dark_eigenpair,
     "darkness-evolution": oracles.darkness_evolution,
+    "no-dark-under-shift": oracles.no_dark_under_shift,
     "scaling-invariance": oracles.scaling_invariance,
 }
 
@@ -143,3 +144,12 @@ def test_null_protocol_requires_an_exact_zero(monkeypatch):
                         lambda *args: (terms(*args)[0], terms(*args)[1] + 1e-100))
     (result,) = run_checks(["null-protocol"])
     assert not result.passed, result.detail
+
+
+def test_no_dark_under_shift_fails_when_the_shifted_pair_shares_a_group(monkeypatch):
+    # a degeneracy gap wider than any shift puts both atoms of each block in one
+    # group, whose 1 x 2 channel matrix has a kernel: one spurious state per block
+    assert run_checks(["no-dark-under-shift"])[0].passed
+    monkeypatch.setattr(numerics, "DEGENERACY_RTOL", 1.0)
+    assert run_checks(["no-dark-under-shift"]) == [
+        CheckResult("no-dark-under-shift", False, "100 spurious dark states found")]

@@ -776,6 +776,117 @@ def test_find_dark_states_matches_the_per_group_search_bit_for_bit(n):
                 assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want)), (label, subspace)
 
 
+def _batch_models(n):
+    """n-atom (omegas, gs) rows for one batch: equal and split frequencies, a
+    degenerate pair beside a split of 1.5 DEGENERACY_RTOL of its largest
+    frequency's power of two (the model's scaled maximum is near 0.5, another's
+    near 0.99), zero couplings, and the same models scaled by 2^600 and 2^-600."""
+    k = np.arange(n)
+    gs = 0.004 + 0.001 * k
+    near = np.ones(n)
+    near[-1] += 1.5e-9
+    rows = [
+        (np.ones(n), gs),
+        (np.ones(n), np.full(n, 0.01)),
+        (1.0 + 0.013 * k * (-1.0) ** k, gs),
+        (near, gs),
+        (0.99 - 0.01 * (k // 2), gs[::-1]),
+        (np.ones(n), np.where(k % 2 == 0, 0.0, gs)),
+        (1.0 + 0.02 * (k // 2), np.zeros(n)),
+    ]
+    rows += [(w * 2.0**s, g * 2.0**s) for s in (600, -600) for w, g in rows[:4]]
+    return np.array([w for w, _ in rows]), np.array([g for _, g in rows])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+def test_batched_dark_search_gives_each_model_its_search_alone(n):
+    # one _dark_bases call over a batch gives each model the vectors of
+    # find_dark_states on that model alone, bit for bit.  Taking the degeneracy
+    # gap from the batch's largest frequency, not each model's own, joins the
+    # near model's split pair with its degenerate pair and fails here
+    omegas, gs = _batch_models(n)
+    models = [chain_model(w.tolist(), g.tolist()) for w, g in zip(omegas, gs)]
+    for subspace, dim in ((SUBSPACE_SINGLE, n + 1), (SUBSPACE_FULL, models[0].dim)):
+        for tol in (1e-12, 1e-8):
+            bases = darkstates_module._dark_bases(omegas, gs, subspace, tol, dim)
+            assert len(bases) == len(models)
+            for i, (m, got) in enumerate(zip(models, bases)):
+                want = find_dark_states(m, subspace, tol)
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in want], (i, subspace)
+                ref = oracles.find_dark_states(m, subspace, tol)
+                assert [v.tobytes() for v in got] == [v.tobytes() for v in ref], (i, subspace)
+    near = chain_model(omegas[3].tolist(), gs[3].tolist())
+    assert len(find_dark_states(near, SUBSPACE_SINGLE)) == n - 2
+
+
+@pytest.mark.parametrize("n", [3, 62, 63, 64, 100])
+def test_channel_targets_number_the_reached_states_in_packed_flag_order(n):
+    # up to 63 flags (n atoms and the lowering flag) the keys are integers,
+    # beyond that packed bytes; both number the targets as the sorted packed rows
+    occ = np.random.default_rng(n).random((40, n)) < 0.5
+    couplings = np.arange(1.0, n + 1)  # atom i's amplitude is i + 1
+    target, source, amplitude, lowering = darkstates_module._channels(occ, couplings, True)
+    reached = occ[source]
+    reached[np.arange(len(source)), amplitude.astype(int) - 1] ^= True
+    keys = [np.packbits(np.append(r, low)).tobytes() for r, low in zip(reached, lowering)]
+    ranks = {key: i for i, key in enumerate(sorted(set(keys)))}
+    assert target.tolist() == [ranks[key] for key in keys]
+
+
+def test_the_one_excitation_search_and_test_beyond_63_atoms():
+    # 70 equal atoms: one group, whose 1 x 70 channel matrix has a 69-dimensional kernel
+    m = chain_model([1.0] * 70, np.linspace(0.01, 0.02, 70).tolist())
+    states = find_dark_states(m, SUBSPACE_SINGLE)
+    assert len(states) == 69
+    assert all(r.is_dark for r in is_dark(m, np.array(states), SUBSPACE_SINGLE))
+
+
+def _report_bits(report):
+    return (report.is_dark, report.emit_residual.hex(), report.absorb_residual.hex(),
+            report.photon_support.hex(), report.subspace)
+
+
+_DISTINCT8 = [1.0 + 0.013 * k * (-1) ** k for k in range(8)]
+_DARKNESS_MODELS = {  # the CLI digest models
+    "equal8": ([1.0] * 8, [0.01] * 8),
+    "distinct8": (_DISTINCT8, [0.004 + 0.001 * k for k in range(8)]),
+    "pairs6": ([1.0, 1.0, 1.02, 1.02, 0.97, 0.97], [0.01, 0.006, 0.008, 0.003, 0.012, 0.005]),
+}
+
+
+def _darkness_stack(m, subspace, length, gen):
+    """The dark states the search finds, then random states, one on a few
+    basis states, a zero state and a dark state mixed with a random one, all
+    of the given length; and the number found."""
+    found = [v[:length] for v in find_dark_states(m, subspace, tol=1e-8)]
+    states = found + [oracles.random_state(gen, length) for _ in range(3)]
+    sparse = np.zeros(length, dtype=complex)
+    sparse[[1, 2, length // 2 - 1]] = [0.6, -0.8j, 1e-3]
+    states += [sparse, np.zeros(length, dtype=complex)]
+    if found:
+        states.append(0.5 * found[0] + 0.5 * states[len(found)])
+    return np.array(states), len(found)
+
+
+@pytest.mark.parametrize("name", sorted(_DARKNESS_MODELS))
+def test_stacked_is_dark_gives_each_state_its_report_alone(name):
+    # one channel table for the stack; each report has the bits of the state
+    # tested alone, and of the per-state reference
+    gen = np.random.default_rng(5)
+    m = chain_model(*_DARKNESS_MODELS[name])
+    n = m.n_atoms
+    cases = [(SUBSPACE_FULL, 2**n), (SUBSPACE_FULL, m.dim), (SUBSPACE_SINGLE, n + 1)]
+    for subspace, length in cases:
+        stack, found = _darkness_stack(m, subspace, length, gen)
+        for tol in (1e-10, 1e-8):
+            reports = is_dark(m, stack, subspace, tol)
+            got = [_report_bits(r) for r in reports]
+            assert got == [_report_bits(is_dark(m, psi, subspace, tol)) for psi in stack]
+            assert got == [_report_bits(oracles.is_dark(m, psi, subspace, tol)) for psi in stack]
+            assert [r.is_dark for r in reports] == [True] * found + [False] * (len(stack) - found)
+        assert is_dark(m, stack[:0], subspace) == []
+
+
 def test_find_dark_states_builds_no_dense_channel_table():
     # 12 distinct atoms in the full space: 4095 excited states, each its own
     # group.  The search keeps the sparse (target, source, amplitude) entries,

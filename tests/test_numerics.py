@@ -719,3 +719,26 @@ def test_every_positive_or_nonnegative_input_follows_one_rule(error, value, mess
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert error(value) == message
+
+
+def test_stacked_clusters_give_each_matrix_its_groups_alone():
+    # _clusters compared whole rows of a stacked Spectrum ("truth value ... is
+    # ambiguous"); it chains along the last axis.  The second matrix is a chain of
+    # near-ties whose span, 1.8e-9, crosses the 1e-9 gap, and stays one group
+    assert herm_eig(np.stack([np.eye(2), np.eye(2)])).clusters(1.0) == [[[0, 1]], [[0, 1]]]
+    rows = np.array([
+        [0.0, 0.5, 0.5 + 2e-10, 1.0],
+        [0.0, 6e-10, 1.2e-9, 1.8e-9],
+        [0.0, 1e-9, 2e-9, 1.0],
+        [0.0, 0.0, 0.0, 0.0],
+    ])
+    spec = herm_eig(np.stack([np.diag(r) for r in rows]))
+    scales = [1.0, 1.0, 1.0, 0.0]
+    got = spec.clusters(1.0)
+    assert got == [herm_eig(np.diag(r)).clusters(1.0) for r in rows]
+    assert got == [oracles.clusters(values, 1.0) for values in spec.eigenvalues]
+    assert got[1] == [[0, 1, 2, 3]] and got[2] == [[0], [1], [2], [3]]
+    # a scale per matrix
+    assert numerics._clusters(spec.eigenvalues, np.array(scales)) == [
+        oracles.clusters(values, s) for values, s in zip(spec.eigenvalues, scales)]
+    assert numerics._clusters(rows[1], 0.5) == [[0], [1], [2], [3]]

@@ -16,7 +16,10 @@ than TIMEOUT seconds (its line then reads "timeout").
 
 With --check it also compares the lines with the committed baseline
 BASELINE and exits 1 naming each changed, added or missing label, and
-then also the versions if they differ from the baseline's.  A change
+then also the versions if they differ from the baseline's.  It then
+reruns the invocations of the commands in UNPINNED without the BLAS
+pins and exits 1 naming each whose line differs from the baseline's:
+their output depends on no BLAS core type or thread count.  A change
 that alters CLI bytes rewrites the baseline in the same commit:
 
     python3 tools/cli_digests.py > tools/cli_digests.txt
@@ -38,6 +41,9 @@ BASELINE = Path(__file__).with_name("cli_digests.txt")
 MAIN = "import sys; from cavitydark.cli import main; sys.exit(main())"
 TIMEOUT = 120  # seconds per invocation; the slowest takes a few
 PINNED = {"OPENBLAS_CORETYPE": "Haswell", "OPENBLAS_NUM_THREADS": "1"}
+# commands whose lines must match the baseline without PINNED too; the others
+# (spectrum, dark-find's full search, verify) move with the BLAS kernels
+UNPINNED = ("sweep", "protocol")
 
 DISTINCT = [1.0 + 0.013 * k * (-1) ** k for k in range(8)]
 MODELS = {  # name -> (omega_c, omegas, gs, extra lines)
@@ -224,40 +230,60 @@ def compare(lines, baseline):
     return found
 
 
+def run(label, cli_args, env, workdir):
+    """(line, ok) of one invocation: its digest line, and whether it exited
+    as expected without "Traceback" or "Warning" on stderr, in time."""
+    out = workdir / "out"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", MAIN, *cli_args, "--out", str(out)],
+            env=env, cwd=workdir, capture_output=True, timeout=TIMEOUT,
+        )
+        written = digest(out.read_bytes()) if out.exists() else "-"
+        digests = f"{digest(proc.stdout)} {digest(proc.stderr)} {written}"
+        line = f"{label} {digests} {proc.returncode}"
+        warned = b"Traceback" in proc.stderr or b"Warning" in proc.stderr
+        ok = proc.returncode == (1 if label in INPUT_ERRORS else 0) and not warned
+    except subprocess.TimeoutExpired:
+        line, ok = f"{label} timeout", False
+    out.unlink(missing_ok=True)
+    return line, ok
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description="Digest the CLI output of fixed invocations.")
-    parser.add_argument("--check", action="store_true", help=f"diff against {BASELINE.name}")
+    parser.add_argument("--check", action="store_true",
+                        help=f"diff against {BASELINE.name}, {'/'.join(UNPINNED)} also unpinned")
     args = parser.parse_args(argv)
-    env = dict(os.environ, PYTHONPATH=str(SRC), **PINNED)
-    lines, failed = [versions()], []
+    unpinned = {k: v for k, v in os.environ.items() if k not in PINNED}
+    env = dict(unpinned, PYTHONPATH=str(SRC), **PINNED)
+    lines, failed, moved = [versions()], [], []
     print(lines[0])
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        for label, cli_args in invocations(workdir):
-            out = workdir / "out"
-            try:
-                run = subprocess.run(
-                    [sys.executable, "-c", MAIN, *cli_args, "--out", str(out)],
-                    env=env, cwd=tmp, capture_output=True, timeout=TIMEOUT,
-                )
-                written = digest(out.read_bytes()) if out.exists() else "-"
-                digests = f"{digest(run.stdout)} {digest(run.stderr)} {written}"
-                line = f"{label} {digests} {run.returncode}"
-                warned = b"Traceback" in run.stderr or b"Warning" in run.stderr
-                ok = run.returncode == (1 if label in INPUT_ERRORS else 0) and not warned
-            except subprocess.TimeoutExpired:
-                line, ok = f"{label} timeout", False
-            out.unlink(missing_ok=True)
+        calls = list(invocations(workdir))
+        for label, cli_args in calls:
+            line, ok = run(label, cli_args, env, workdir)
             lines.append(line)
             print(line)
             if not ok:
                 failed.append(label)
+        if args.check:
+            committed = BASELINE.read_text(encoding="utf-8").splitlines()
+            unpinned["PYTHONPATH"] = str(SRC)
+            for label, cli_args in calls:
+                if label.split(":")[0] in UNPINNED:
+                    line, _ = run(label, cli_args, unpinned, workdir)
+                    if line not in committed:
+                        moved.append(label)
     status = 0
     if failed:
         print(f"unexpected exit code, warning or timeout: {', '.join(failed)}", file=sys.stderr)
         status = 1
     if args.check:
-        differences = compare(lines, BASELINE.read_text(encoding="utf-8").splitlines())
+        differences = compare(lines, committed)
+        if moved:
+            differences.append(f"without {' and '.join(PINNED)}: {', '.join(moved)}")
         for message in differences:
             print(f"differs from {BASELINE.name}: {message}", file=sys.stderr)
         status = status or int(bool(differences))
