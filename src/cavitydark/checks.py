@@ -252,7 +252,7 @@ def check_no_dark_under_shift(gen):
     ds, dg = 0.01 * u[keep, 0], 0.007 * u[keep, 1]
     omegas = np.stack([1.0 + ds, np.ones_like(ds)], axis=1)
     gs = np.stack([0.01 + dg, np.full_like(dg, 0.005)], axis=1)
-    found = sum(map(len, _dark._dark_bases(omegas, gs, _dark.SUBSPACE_SINGLE, tol=1e-6)))
+    found = sum(map(len, _dark._dark_bases(omegas, gs, _dark.SUBSPACE_SINGLE, 1e-6, 3)))
     return found == 0, f"{found} spurious dark states found"
 
 

@@ -358,6 +358,7 @@ class DarknessReport:
 
 SUBSPACE_SINGLE = "single_excitation"
 SUBSPACE_FULL = "full"
+_ENTRY_BUDGET = 2**15  # channel entries per run of a stacked darkness test
 
 
 def _channels(occ, couplings, absorb):
@@ -367,9 +368,8 @@ def _channels(occ, couplings, absorb):
 
     Returns one (target, source, amplitude, lowering) entry per nonzero
     amplitude; target numbers the distinct (t, lowering) pairs from 0 and
-    source is the row of s.  States are compared by their flag rows, read
-    as integers up to 63 flags and as packed bytes beyond, which sort
-    alike, so any number of atoms works.  couplings of
+    source is the row of s.  States are compared as packed flag rows,
+    never as integer labels, so any number of atoms works.  couplings of
     shape (..., n) give amplitudes of shape (..., entries): the table
     depends on occ alone, so one serves a batch of models.
     """
@@ -377,13 +377,8 @@ def _channels(occ, couplings, absorb):
     lowering = occ[source, atom]
     reached = occ[source]
     reached[np.arange(len(source)), atom] = ~lowering
-    flags = np.column_stack([reached, lowering])
-    if flags.shape[1] < 64:  # each row as one integer, its first flag the most significant
-        keys = flags @ (1 << np.arange(flags.shape[1] - 1, -1, -1))
-    else:  # the packed rows, whose bytes sort as those integers would
-        keys = np.packbits(flags, axis=1)
-        keys = keys.view(f"V{keys.shape[1]}").reshape(-1)
-    target = np.unique(keys, return_inverse=True)[1]
+    keys = np.packbits(np.column_stack([reached, lowering]), axis=1)
+    target = np.unique(keys.view(f"V{keys.shape[1]}").reshape(-1), return_inverse=True)[1]
     return target.reshape(-1), source, couplings[..., atom], lowering
 
 
@@ -406,6 +401,33 @@ def _norms(values, owner, count):
     return np.ldexp([np.linalg.norm(scaled[i:j]) for i, j in _runs(owner, count)], e)
 
 
+def _residuals(stack, occ, size, couplings):
+    """The emission and absorption residuals and the excitation number of
+    each state in the rows of stack, from one channel table over the union
+    of their supports (a zero amplitude adds to no channel); a state's
+    support rows r give its entries r n to r n + n - 1, in the order of a
+    table of its support alone."""
+    k, n = len(stack), occ.shape[1]
+    support = stack[:, :size] != 0
+    rows = np.flatnonzero(support.any(axis=0))
+    target, source, amplitude, lowering = _channels(occ[rows], couplings, True)
+    width = target.max(initial=-1) + 1
+    state, row = np.nonzero(support[:, rows])
+    entry = (row[:, None] * n + np.arange(n)).ravel()
+    at = np.repeat(state, n), target[entry]
+    reached, hit = np.zeros((k, width), dtype=complex), np.zeros((k, width), dtype=bool)
+    np.add.at(reached, at, amplitude[entry] * stack[at[0], rows[source[entry]]])
+    hit[at] = True
+    lowers = np.zeros(width, dtype=bool)
+    lowers[target] = lowering
+    emitted, absorbed = hit & lowers, hit & ~lowers
+    emit = _norms(reached[emitted], np.nonzero(emitted)[0], k)
+    absorb = _norms(reached[absorbed], np.nonzero(absorbed)[0], k)
+    weights, counts = np.abs(stack[state, rows[row]]) ** 2, occ[rows[row]].sum(axis=1)
+    excitation = np.array([weights[i:j] @ counts[i:j] for i, j in _runs(state, k)])
+    return emit, absorb, excitation.reshape(k)
+
+
 def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     """Decide darkness of a state relative to the chosen subspace.
 
@@ -424,10 +446,11 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     inf or 0; one beyond the float range is inf, without a warning.
     States without atomic excitation (weight at or below tol) are never dark.
 
-    A stack psi of shape (k, length) gives a list of k reports from one
-    channel table, each with the bits of the state's report alone: its
-    channel sums run over its own support, in the same order, and its norms
-    and weights are taken on its own contiguous parts.
+    A stack psi of shape (k, length) gives a list of k reports, each with
+    the bits of the state's report alone: the states go in runs of a few,
+    each run through one channel table over the union of its supports, and
+    a state's channel sums run over its own support, in the same order, and
+    its norms and weights are taken on its own contiguous parts.
     """
     _num._open_unit(tol, "tol")
     psi = np.asarray(psi, dtype=complex)
@@ -445,26 +468,13 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     stack = np.ascontiguousarray(psi.reshape(-1, psi.shape[-1]))
     k, gs = len(stack), model.couplings()
     top, e = math.frexp(gs.max())  # the channel sums are on gs / 2^e (exact)
-    # one channel table over the union of the supports (a zero amplitude adds
-    # to no channel); a state's support rows r give its entries r n to r n + n - 1,
-    # in the order of a table of its support alone
-    support = stack[:, :size] != 0
-    rows = np.flatnonzero(support.any(axis=0))
-    target, source, amplitude, lowering = _channels(occ[rows], np.ldexp(gs, -e), True)
-    width = target.max(initial=-1) + 1
-    state, row = np.nonzero(support[:, rows])
-    entry = (row[:, None] * n + np.arange(n)).ravel()
-    at = np.repeat(state, n), target[entry]
-    reached, hit = np.zeros((k, width), dtype=complex), np.zeros((k, width), dtype=bool)
-    np.add.at(reached, at, amplitude[entry] * stack[at[0], rows[source[entry]]])
-    hit[at] = True
-    lowers = np.zeros(width, dtype=bool)
-    lowers[target] = lowering
-    emitted, absorbed = hit & lowers, hit & ~lowers
-    emit = _norms(reached[emitted], np.nonzero(emitted)[0], k)
-    absorb = _norms(reached[absorbed], np.nonzero(absorbed)[0], k)
-    weights, counts = np.abs(stack[state, rows[row]]) ** 2, occ[rows[row]].sum(axis=1)
-    excitation = np.array([weights[i:j] @ counts[i:j] for i, j in _runs(state, k)])
+    # the states go in runs that start within each _ENTRY_BUDGET of channel
+    # entries (n per support row), so the tables of one run stay a few states' size
+    cost = np.count_nonzero(stack[:, :size], axis=1) * n
+    cuts = (np.flatnonzero(np.diff((np.cumsum(cost) - cost) // _ENTRY_BUDGET)) + 1).tolist()
+    runs = zip([0, *cuts], [*cuts, k])
+    parts = [_residuals(stack[i:j], occ, size, np.ldexp(gs, -e)) for i, j in runs]
+    emit, absorb, excitation = map(np.concatenate, zip(*parts))
     if subspace == SUBSPACE_SINGLE:
         photon_support = np.hypot(stack[:, n].real, stack[:, n].imag) ** 2
     else:
@@ -481,11 +491,10 @@ def is_dark(model, psi, subspace=SUBSPACE_FULL, tol=1e-10):
     return reports[0] if psi.ndim == 1 else reports
 
 
-def _dark_bases(omegas, gs, subspace, tol, dim=None):
+def _dark_bases(omegas, gs, subspace, tol, dim):
     """The dark bases of B models of n atoms each, from their frequencies
     and couplings as (B, n) arrays: B lists of phase-fixed vectors of length
-    dim (by default n + 1 in the one-excitation block, 2^n in the full
-    space), each list with the bits of a search of that model alone.
+    dim, each list with the bits of a search of that model alone.
 
     Each model's energies are of its frequencies over its own largest one's
     power of two, grouped with its own DEGENERACY_RTOL gap.  One channel
@@ -500,7 +509,6 @@ def _dark_bases(omegas, gs, subspace, tol, dim=None):
         occ, index = np.eye(n, dtype=bool), np.arange(n)
     else:
         occ, index = _model._atomic_flags(n)[1:], np.arange(1, 2**n)
-    dim = len(index) + 1 if dim is None else dim
     S = len(occ)
     # exact: no bare energy overflows; the stacked product makes each
     # model's matrix-vector call of a model alone

@@ -821,8 +821,8 @@ def test_batched_dark_search_gives_each_model_its_search_alone(n):
 
 @pytest.mark.parametrize("n", [3, 62, 63, 64, 100])
 def test_channel_targets_number_the_reached_states_in_packed_flag_order(n):
-    # up to 63 flags (n atoms and the lowering flag) the keys are integers,
-    # beyond that packed bytes; both number the targets as the sorted packed rows
+    # the targets number the (reached state, lowering flag) rows in their sorted
+    # packed order, at flag counts below, at and beyond a 64-bit word
     occ = np.random.default_rng(n).random((40, n)) < 0.5
     couplings = np.arange(1.0, n + 1)  # atom i's amplitude is i + 1
     target, source, amplitude, lowering = darkstates_module._channels(occ, couplings, True)
@@ -868,10 +868,14 @@ def _darkness_stack(m, subspace, length, gen):
     return np.array(states), len(found)
 
 
+@pytest.mark.parametrize("budget", [None, 1, 600])
 @pytest.mark.parametrize("name", sorted(_DARKNESS_MODELS))
-def test_stacked_is_dark_gives_each_state_its_report_alone(name):
-    # one channel table for the stack; each report has the bits of the state
-    # tested alone, and of the per-state reference
+def test_stacked_is_dark_gives_each_state_its_report_alone(name, budget, monkeypatch):
+    # the stack in runs of one channel table each (one run by default here,
+    # a state per run at budget 1, a few at 600); each report has the bits of
+    # the state tested alone, and of the per-state reference
+    if budget is not None:
+        monkeypatch.setattr(darkstates_module, "_ENTRY_BUDGET", budget)
     gen = np.random.default_rng(5)
     m = chain_model(*_DARKNESS_MODELS[name])
     n = m.n_atoms
@@ -885,6 +889,25 @@ def test_stacked_is_dark_gives_each_state_its_report_alone(name):
             assert got == [_report_bits(oracles.is_dark(m, psi, subspace, tol)) for psi in stack]
             assert [r.is_dark for r in reports] == [True] * found + [False] * (len(stack) - found)
         assert is_dark(m, stack[:0], subspace) == []
+
+
+def test_stacked_is_dark_holds_a_few_states_entries_at_a_time():
+    # 12 equal atoms in the full space: 132 dense dark states over the 924
+    # six-excitation rows, 1.46M channel entries in all.  A single table for
+    # the stack peaked near 84 MiB; runs of _ENTRY_BUDGET entries stay near 4 MiB
+    import tracemalloc
+
+    m = chain_model([1.0] * 12, [0.01] * 12)
+    stack = np.array([v[: 2**12] for v in find_dark_states(m, SUBSPACE_FULL, tol=1e-8)])
+    assert len(stack) == 132
+    tracemalloc.start()
+    try:
+        reports = is_dark(m, stack, SUBSPACE_FULL, tol=1e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.is_dark for r in reports)
+    assert peak < 16 * 2**20
 
 
 def test_find_dark_states_builds_no_dense_channel_table():
